@@ -26,9 +26,11 @@ from .errors import (
 )
 from .fourier import FourierSeries
 from .ladder import (
+    OrderLadder,
     assemble,
     build_ladder,
     convergence_ratio,
+    coupled_powers_zero_mode,
     nonlinearity_series,
     range_residual,
 )
@@ -59,20 +61,13 @@ def bifurcation_balance(sys, w: FourierSeries, eps: float,
     zeta = _real_part(w.zero_mode(), "the assembled zero mode")
     a = sys.a
     if isinstance(sys, SeparableSystem) or not literal:
-        nl0 = nonlinearity_series(sys, w).zero_mode()
+        nl0 = nonlinearity_series(sys, w, radius=0).zero_mode()
         return a * zeta + _real_part(nl0, "the zero-mode balance")
     # literal scaled form, general systems only
     lin0 = 0j
     if len(sys.alpha1_series) and len(w):
-        lin0 = sys.alpha1_series.convolve(w).zero_mode()
-    nl0 = 0j
-    w_pow = w
-    current = 1
-    for p in sys.nonlinear_powers():
-        while current < p:
-            w_pow = w_pow.convolve(w)
-            current += 1
-        nl0 += sys.alpha_series(p).convolve(w_pow).zero_mode()
+        lin0 = sys.alpha1_series.convolve(w, radius=0).zero_mode()
+    nl0 = coupled_powers_zero_mode(sys, w)
     return eps * a * zeta + _real_part(lin0 + eps * nl0,
                                        "the zero-mode balance")
 
@@ -183,6 +178,8 @@ class ResponseSolution:
     continuity_checked: bool = False
     probe_norms: list = field(default_factory=list)
     literal_balance: bool = False
+    # the expansion u was assembled from; not serialised
+    ladder: OrderLadder | None = field(default=None, repr=False, compare=False)
 
     def response_norm(self) -> float:
         """|zeta| + sum of nonzero-mode amplitudes (sup-norm majorant)."""
@@ -286,6 +283,7 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
         ratios=ratios,
         ratio_estimate=estimate,
         literal_balance=literal,
+        ladder=ladder,
     )
     if probe and eps != 0.0:
         norms = [solution.response_norm()]

@@ -307,12 +307,11 @@ def _solve_once(config: dict, eps: float, literal: bool, probe: bool):
 def cmd_solve(config: dict, out_dir: Path, literal: bool) -> int:
     opts = options_of(config)
     eps = float(config["epsilon"])
-    sys_, envelope, bounds, solution = _solve_once(
+    _, _, bounds, solution = _solve_once(
         config, eps, literal, bool(opts["continuity_probe"])
     )
     _write_json(out_dir / "solution.json", solution.to_json_dict())
-    ladder = build_ladder(sys_, eps, solution.zeta, solution.K, solution.N)
-    _write_json(out_dir / "ladder.json", ladder.to_json_dict())
+    _write_json(out_dir / "ladder.json", solution.ladder.to_json_dict())
     print(f"c0 = {_fmt(solution.c0)}")
     print(f"zeta = {_fmt(solution.zeta)}")
     print(f"residual_range = {_fmt(solution.residual_range)}")
@@ -589,3 +588,7 @@ def main(argv=None) -> int:
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -34,6 +34,18 @@ def mode_norm(nu) -> int:
     return int(sum(abs(int(x)) for x in nu))
 
 
+def _norm(nu: MultiIndex) -> int:
+    """l1 norm of a mode already held as a tuple of ints."""
+    return sum(map(abs, nu))
+
+
+def _clean(table: dict) -> dict:
+    """The coefficient rule of the public constructor without its mode
+    checks: values become complex, exact zeros are dropped and ``0j + c``
+    turns a -0.0 part into +0.0."""
+    return {nu: 0j + c for nu, c in table.items() if abs(c) >= DROP_THRESHOLD}
+
+
 def _as_mode(nu, d) -> MultiIndex:
     mode = tuple(int(x) for x in nu)
     if len(mode) != d:
@@ -58,13 +70,13 @@ class FourierSeries:
         preserved by convolve/power/truncate.
 
     Instances are treated as immutable values: every operation returns a new
-    series.
+    series.  Input is validated here, at the boundary; series built by the
+    package's own operations skip the per-mode checks.
     """
 
     __slots__ = ("dimension", "_coeffs", "real_valued", "_sorted")
 
-    def __init__(self, dimension: int, coeffs=(), real_valued: bool = False,
-                 validate: bool = True):
+    def __init__(self, dimension: int, coeffs=(), real_valued: bool = False):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = int(dimension)
@@ -78,10 +90,23 @@ class FourierSeries:
         self._coeffs = table
         self.real_valued = bool(real_valued)
         self._sorted = None
-        # derived series propagate the flag without re-validating; symmetry
-        # of operation outputs is asserted by the property tests instead
-        if self.real_valued and validate:
+        if self.real_valued:
             self._check_reality()
+
+    @classmethod
+    def _from_table(cls, dimension: int, table: dict,
+                    real_valued: bool) -> "FourierSeries":
+        """Wrap a table the package built itself: int-tuple keys of length
+        ``dimension`` and complex values with no exact zeros and no -0.0
+        parts (see :func:`_clean`).  Derived series propagate the
+        real-valued flag without re-checking the symmetry; the property
+        tests assert it for operation outputs instead."""
+        series = object.__new__(cls)
+        series.dimension = dimension
+        series._coeffs = table
+        series.real_valued = real_valued
+        series._sorted = None
+        return series
 
     # -- basics ---------------------------------------------------------
 
@@ -116,7 +141,7 @@ class FourierSeries:
 
     def max_norm(self) -> int:
         """Largest l1 mode norm in the support (0 for the empty series)."""
-        return max((mode_norm(nu) for nu in self._coeffs), default=0)
+        return max(map(_norm, self._coeffs), default=0)
 
     def __len__(self):
         return len(self._coeffs)
@@ -138,11 +163,8 @@ class FourierSeries:
         out = dict(self._coeffs)
         for nu in sorted(other._coeffs):
             out[nu] = out.get(nu, 0j) + other._coeffs[nu]
-        return FourierSeries(
-            self.dimension,
-            out,
-            real_valued=self.real_valued and other.real_valued,
-            validate=False,
+        return FourierSeries._from_table(
+            self.dimension, _clean(out), self.real_valued and other.real_valued
         )
 
     def __add__(self, other):
@@ -152,62 +174,92 @@ class FourierSeries:
         """Series with every coefficient multiplied by ``factor``."""
         factor = complex(factor)
         real = self.real_valued and abs(factor.imag) == 0.0
-        return FourierSeries(
+        return FourierSeries._from_table(
             self.dimension,
-            {nu: factor * c for nu, c in self._coeffs.items()},
-            real_valued=real,
-            validate=False,
+            _clean({nu: factor * c for nu, c in self._coeffs.items()}),
+            real,
         )
 
-    def convolve(self, other: "FourierSeries", drop_below: float = DROP_THRESHOLD) -> "FourierSeries":
+    def convolve(self, other: "FourierSeries",
+                 radius: int | None = None) -> "FourierSeries":
         """Coefficient-wise product series: out(nu) = sum a(nu1) b(nu - nu1).
 
         Per-output sums accumulate in lexicographic order of the left
         factor's mode nu1; the support is the Minkowski sum of the supports
-        (minus exact cancellations below ``drop_below``).
+        (minus exact cancellations below ``DROP_THRESHOLD``).
+
+        With ``radius`` only the modes with |nu| <= radius are computed and
+        kept.  Each kept coefficient sums the same products in the same
+        order as the full product, and the terms left out are exact zeros
+        added to a sum that starts at +0, so it is bitwise equal to the
+        full product's coefficient.
         """
         self._require_same_dim(other)
         real = self.real_valued and other.real_valued
-        if not self._coeffs or not other._coeffs:
-            return FourierSeries(self.dimension, {}, real_valued=real)
-
-
         d = self.dimension
+        if radius is not None and radius < 0:
+            raise ValueError("radius must be >= 0")
         a_keys = self.support()
         b_keys = other.support()
-        a_lo = [min(k[i] for k in a_keys) for i in range(d)]
-        a_hi = [max(k[i] for k in a_keys) for i in range(d)]
-        b_lo = [min(k[i] for k in b_keys) for i in range(d)]
-        b_hi = [max(k[i] for k in b_keys) for i in range(d)]
-        out_lo = [a_lo[i] + b_lo[i] for i in range(d)]
-        b_shape = tuple(b_hi[i] - b_lo[i] + 1 for i in range(d))
-        out_shape = tuple(a_hi[i] - a_lo[i] + b_shape[i] for i in range(d))
-        cells = math.prod(out_shape)
+        if radius is not None and b_keys:
+            # a left mode farther out than this meets a kept mode only
+            # through cells outside the right factor's support
+            reach = radius + other.max_norm()
+            a_keys = [nu for nu in a_keys if _norm(nu) <= reach]
+        if not a_keys or not b_keys:
+            return FourierSeries._from_table(d, {}, real)
 
-        table: dict[MultiIndex, complex] = {}
-        if cells <= _DENSE_CELL_LIMIT:
+        a_lo = [min(axis) for axis in zip(*a_keys)]
+        a_hi = [max(axis) for axis in zip(*a_keys)]
+        b_lo = [min(axis) for axis in zip(*b_keys)]
+        b_hi = [max(axis) for axis in zip(*b_keys)]
+        lo = [a_lo[i] + b_lo[i] for i in range(d)]
+        hi = [a_hi[i] + b_hi[i] for i in range(d)]
+        if radius is not None:
+            lo = [max(x, -radius) for x in lo]
+            hi = [min(x, radius) for x in hi]
+            if any(lo[i] > hi[i] for i in range(d)):
+                return FourierSeries._from_table(d, {}, real)
+        shape = tuple(hi[i] - lo[i] + 1 for i in range(d))
+        b_vals = np.array([other._coeffs[nu] for nu in b_keys], dtype=complex)
+
+        if math.prod(shape) <= _DENSE_CELL_LIMIT:
+            b_shape = tuple(b_hi[i] - b_lo[i] + 1 for i in range(d))
             b_arr = np.zeros(b_shape, dtype=complex)
-            for nu in b_keys:
-                b_arr[tuple(nu[i] - b_lo[i] for i in range(d))] = other._coeffs[nu]
-            out = np.zeros(out_shape, dtype=complex)
+            b_arr[tuple(np.array(b_keys).T - np.array(b_lo)[:, None])] = b_vals
+            out = np.zeros(shape, dtype=complex)
             for nu in a_keys:
-                sl = tuple(
-                    slice(nu[i] - a_lo[i], nu[i] - a_lo[i] + b_shape[i]) for i in range(d)
-                )
-                out[sl] += self._coeffs[nu] * b_arr
-            flat = np.flatnonzero(np.abs(out.ravel()) >= drop_below)
-            for idx in flat:
-                pos = np.unravel_index(idx, out_shape)
-                table[tuple(int(pos[i]) + out_lo[i] for i in range(d))] = complex(out[pos])
+                # the part of nu + (b's box) that lies in the output box
+                dst, src = [], []
+                for i in range(d):
+                    first = max(lo[i], nu[i] + b_lo[i])
+                    last = min(hi[i], nu[i] + b_hi[i])
+                    if first > last:
+                        break
+                    dst.append(slice(first - lo[i], last - lo[i] + 1))
+                    src.append(slice(first - nu[i] - b_lo[i],
+                                     last - nu[i] - b_lo[i] + 1))
+                else:
+                    out[tuple(dst)] += self._coeffs[nu] * b_arr[tuple(src)]
+            keep = np.abs(out) >= DROP_THRESHOLD
+            if radius is not None:
+                norms = sum(np.abs(np.arange(lo[i], hi[i] + 1)).reshape(
+                    [-1 if j == i else 1 for j in range(d)]) for i in range(d))
+                keep &= norms <= radius
+            idx = np.nonzero(keep)
+            keys = zip(*((idx[i] + lo[i]).tolist() for i in range(d)))
+            table = dict(zip(keys, out[idx].tolist()))
         else:
+            # products through numpy, as on the dense path, so both paths
+            # give bitwise equal coefficients
+            table: dict[MultiIndex, complex] = {}
             for nu1 in a_keys:
-                c1 = self._coeffs[nu1]
-                for nu2 in b_keys:
+                for nu2, term in zip(b_keys, (self._coeffs[nu1] * b_vals).tolist()):
                     key = tuple(nu1[i] + nu2[i] for i in range(d))
-                    table[key] = table.get(key, 0j) + c1 * other._coeffs[nu2]
-            table = {k: v for k, v in table.items() if abs(v) >= drop_below}
-        return FourierSeries(self.dimension, table, real_valued=real,
-                             validate=False)
+                    table[key] = table.get(key, 0j) + term
+            table = {k: v for k, v in table.items() if abs(v) >= DROP_THRESHOLD
+                     and (radius is None or _norm(k) <= radius)}
+        return FourierSeries._from_table(d, table, real)
 
     def power(self, p: int) -> "FourierSeries":
         """Repeated convolution; power(s, 1) is s itself."""
@@ -222,14 +274,12 @@ class FourierSeries:
         """Drop every mode with l1 norm > cutoff; coefficients are untouched."""
         if cutoff < 1:
             raise ValueError("truncation cutoff must be >= 1")
-        kept = {nu: c for nu, c in self._coeffs.items() if mode_norm(nu) <= cutoff}
-        return FourierSeries(self.dimension, kept, real_valued=self.real_valued,
-                             validate=False)
+        kept = {nu: c for nu, c in self._coeffs.items() if _norm(nu) <= cutoff}
+        return FourierSeries._from_table(self.dimension, kept, self.real_valued)
 
     def without_zero_mode(self) -> "FourierSeries":
         kept = {nu: c for nu, c in self._coeffs.items() if any(nu)}
-        return FourierSeries(self.dimension, kept, real_valued=self.real_valued,
-                             validate=False)
+        return FourierSeries._from_table(self.dimension, kept, self.real_valued)
 
     # -- analysis ---------------------------------------------------------
 
@@ -269,7 +319,7 @@ class FourierSeries:
             raise ValueError("strip half-width must be >= 0")
         total = 0.0
         for nu, c in self.items_sorted():
-            total += abs(c) * math.exp(xi_prime * mode_norm(nu))
+            total += abs(c) * math.exp(xi_prime * _norm(nu))
         return total
 
     def time_derivative(self, omega) -> "FourierSeries":
@@ -282,8 +332,8 @@ class FourierSeries:
             for x, w in zip(nu, omega):
                 s += x * w
             out[nu] = 1j * s * c
-        return FourierSeries(self.dimension, out, real_valued=self.real_valued,
-                             validate=False)
+        return FourierSeries._from_table(self.dimension, _clean(out),
+                                         self.real_valued)
 
     # -- serialization ----------------------------------------------------
 

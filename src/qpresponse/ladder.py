@@ -4,10 +4,11 @@ range equation, for both separable and general systems.
 Each order u^(k) is a Fourier series on the l1 ball of radius N; the
 composition sums over lower orders are evaluated through memoized
 convolution powers of partial products, so every convolution is computed
-once.  Products of already-truncated orders are kept at full support and
-only the resulting order is cut back to the ball, which makes the ladder
-the exact power-series expansion of the N-truncated fixed-point system
-(and hence directly comparable with the independent direct solver).
+once.  The ladder is the exact power-series expansion of the N-truncated
+fixed-point system (and hence directly comparable with the independent
+direct solver): a product of already-truncated orders is computed only out
+to the radius from which it can still reach the ball, and the coefficients
+it keeps are bitwise those of the full-support product.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from statistics import median
 
 from .errors import LadderDivergenceError, ResonanceError
-from .fourier import FourierSeries, mode_norm, zero_series
+from .fourier import FourierSeries, _clean, mode_norm, zero_series
 from .systems import GeneralSystem, SeparableSystem
 
 _D_FLOOR = 1e-300
@@ -106,6 +107,9 @@ class _Expansion:
             self._powers = sys.nonlinear_powers()
         else:
             raise TypeError(f"unsupported system type {type(sys)!r}")
+        self._coupling = _coupling_radius(sys)
+        # largest |nu| an order can have: N for the orders built here
+        self._step = self.N
 
     def _dot(self, nu) -> float:
         s = 0.0
@@ -121,23 +125,31 @@ class _Expansion:
             if not any(nu) or mode_norm(nu) > self.N:
                 continue
             out[nu] = scale * c * self.prop(self._dot(nu))
-        return FourierSeries(self.d, out, real_valued=series.real_valued)
+        return FourierSeries._from_table(self.d, _clean(out), series.real_valued)
 
     def _partial_product(self, p: int, m: int) -> FourierSeries:
         """Sum over ordered compositions k_1 + ... + k_p = m of the
-        convolutions u^(k_1) * ... * u^(k_p)."""
+        convolutions u^(k_1) * ... * u^(k_p), on the modes that can still
+        reach the ball.
+
+        A p-fold product is read on the ball (after the coupling
+        convolution, for general systems) and feeds the (p+1)-fold products
+        through one more order, so it is needed out to N plus the coupling
+        radius plus (p_max - p) times the largest order norm.
+        """
         if p == 1:
             return self.orders[m - 1]
         key = (p, m)
         cached = self._products.get(key)
         if cached is not None:
             return cached
+        radius = self.N + self._coupling + (self._powers[-1] - p) * self._step
         total = zero_series(self.d)
         for j in range(1, m - p + 2):
             left = self.orders[j - 1]
             right = self._partial_product(p - 1, m - j)
             if len(left) and len(right):
-                total = total.add(left.convolve(right))
+                total = total.add(left.convolve(right, radius=radius))
         self._products[key] = total
         return total
 
@@ -151,7 +163,7 @@ class _Expansion:
         u1 = self._divide(source, scale)
         table = dict(u1.items_sorted())
         table[(0,) * self.d] = self.zeta
-        u1 = FourierSeries(self.d, table, real_valued=u1.real_valued)
+        u1 = FourierSeries._from_table(self.d, _clean(table), u1.real_valued)
         self.orders.append(u1)
         return u1
 
@@ -164,7 +176,7 @@ class _Expansion:
             alpha1 = self.sys.alpha1_series
             prev = self.orders[k - 2]
             if len(alpha1) and len(prev):
-                source = source.add(alpha1.convolve(prev))
+                source = source.add(alpha1.convolve(prev, radius=self.N))
         for p in self._powers:
             if p > k - 1:
                 break
@@ -174,7 +186,8 @@ class _Expansion:
             if isinstance(self.sys, SeparableSystem):
                 source = source.add(block.scaled(self.sys.nonlinear_taylor[p]))
             else:
-                source = source.add(self.sys.alpha_series(p).convolve(block))
+                source = source.add(
+                    self.sys.alpha_series(p).convolve(block, radius=self.N))
         u_k = self._divide(source, -self.eps)
         if u_k.weighted_norm(0.0) > _BLOWUP_NORM:
             raise LadderDivergenceError(
@@ -207,6 +220,9 @@ def _replay(sys, ladder: OrderLadder, k: int) -> _Expansion:
         raise ValueError(f"orders 1..{k - 1} must be present")
     exp = _Expansion(sys, ladder.eps, ladder.zeta, ladder.N)
     exp.orders = list(ladder.orders[: k - 1])
+    # a caller's ladder may hold modes beyond its N; the products must
+    # still reach the ball from them
+    exp._step = max([exp.N] + [s.max_norm() for s in exp.orders])
     return exp
 
 
@@ -272,39 +288,72 @@ def convergence_ratio(ladder: OrderLadder, xi_prime: float = 0.0):
     return ratios, float(median(ratios[-tail:]))
 
 
-def nonlinearity_series(sys, w: FourierSeries) -> FourierSeries:
-    """The nonlinear block entering both equations, at full support.
+def _coupling_radius(sys) -> int:
+    """Largest |nu| among the angle coefficients that multiply powers of
+    the solution: 0 for separable systems."""
+    if isinstance(sys, GeneralSystem):
+        return max((mode_norm(nu) for nu, p in sys.grid if p >= 1), default=0)
+    return 0
+
+
+def _powers_of(w: FourierSeries, powers, radius: int | None = None,
+              coupling: int = 0):
+    """Yield (p, w^p) for the ascending ``powers``, each by repeated
+    convolution with ``w``.
+
+    With ``radius``, w^p is kept out to the radius from which it can still
+    reach |nu| <= radius: after a convolution with coefficients of mode
+    radius ``coupling`` and the remaining factors of w.
+    """
+    step = w.max_norm()
+    w_pow = w
+    current = 1
+    for p in powers:
+        while current < p:
+            current += 1
+            reach = None if radius is None else \
+                radius + coupling + (powers[-1] - current) * step
+            w_pow = w_pow.convolve(w, radius=reach)
+        yield p, w_pow
+
+
+def nonlinearity_series(sys, w: FourierSeries,
+                        radius: int | None = None) -> FourierSeries:
+    """The nonlinear block entering both equations.
 
     Separable: sum_{p>=2} a_p w^p.  General: the constant layer at nonzero
     modes plus the linear angle coupling plus sum_{p>=2} alpha_p * w^p.
     The zero mode of the result is exactly the nonlinear part of the
-    zero-mode balance.
+    zero-mode balance.  Without ``radius`` the block has full support.
+    With it, every mode with |nu| <= radius is bitwise equal to the full
+    block's coefficient; modes beyond the radius may be present but are not
+    to be read.
     """
     d = w.dimension
     total = zero_series(d)
     if isinstance(sys, SeparableSystem):
-        powers = sorted(sys.nonlinear_taylor)
-        w_pow = w
-        current = 1
-        for p in powers:
-            while current < p:
-                w_pow = w_pow.convolve(w)
-                current += 1
+        for p, w_pow in _powers_of(w, sorted(sys.nonlinear_taylor), radius):
             total = total.add(w_pow.scaled(sys.nonlinear_taylor[p]))
-        return total
-    if isinstance(sys, GeneralSystem):
+    elif isinstance(sys, GeneralSystem):
         total = total.add(sys.forcing_series)
         if len(sys.alpha1_series) and len(w):
-            total = total.add(sys.alpha1_series.convolve(w))
-        w_pow = w
-        current = 1
-        for p in sys.nonlinear_powers():
-            while current < p:
-                w_pow = w_pow.convolve(w)
-                current += 1
-            total = total.add(sys.alpha_series(p).convolve(w_pow))
-        return total
-    raise TypeError(f"unsupported system type {type(sys)!r}")
+            total = total.add(sys.alpha1_series.convolve(w, radius=radius))
+        for p, w_pow in _powers_of(w, sys.nonlinear_powers(), radius,
+                                  _coupling_radius(sys)):
+            total = total.add(sys.alpha_series(p).convolve(w_pow, radius=radius))
+    else:
+        raise TypeError(f"unsupported system type {type(sys)!r}")
+    return total
+
+
+def coupled_powers_zero_mode(sys: GeneralSystem, w: FourierSeries) -> complex:
+    """Zero mode of sum_{p>=2} alpha_p * w^p, each power of ``w`` formed
+    only out to the radius from which it can still reach the zero mode."""
+    total = 0j
+    for p, w_pow in _powers_of(w, sys.nonlinear_powers(), 0,
+                               _coupling_radius(sys)):
+        total += sys.alpha_series(p).convolve(w_pow, radius=0).zero_mode()
+    return total
 
 
 def forcing_term(sys) -> FourierSeries:
@@ -318,7 +367,7 @@ def forcing_term(sys) -> FourierSeries:
 def range_residual(sys, eps: float, w: FourierSeries, N: int) -> float:
     """Max over 0 < |nu| <= N of |D(eps, omega.nu) w_nu + eps [nl]_nu
     - eps f_nu|: the defect of the truncated range equation."""
-    nl = nonlinearity_series(sys, w)
+    nl = nonlinearity_series(sys, w, radius=N)
     f = forcing_term(sys)
     a = sys.a
     worst = 0.0

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import StiffnessError
-from .fourier import FourierSeries, mode_norm
+from .fourier import FourierSeries, _clean, mode_norm
 from .ladder import (
     forcing_term,
     nonlinearity_series,
@@ -120,8 +120,7 @@ def direct_solve(sys, eps: float, N: int, seed=None, *,
                     / (balance - g_prev)
         zeta_hist.append((zeta_now, balance))
         table[(0,) * d] = zeta_new
-        w_new = FourierSeries(d, table, real_valued=w.real_valued,
-                              validate=False)
+        w_new = FourierSeries._from_table(d, _clean(table), w.real_valued)
         if damping != 1.0:
             w = w.scaled(1.0 - damping).add(w_new.scaled(damping))
         else:

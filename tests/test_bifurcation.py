@@ -203,6 +203,15 @@ class TestSolveResponse:
                              "ladder_meta"}
         assert blob["residuals"]["bifurcation"] == 0.0
 
+    def test_keeps_the_ladder_it_assembled(self):
+        sys = separable({1: 1.0, 2: 0.8, 3: 0.5})
+        sol = solve_response(0.04, sys, 6, 6, probe=True)
+        rebuilt = build_ladder(sys, 0.04, sol.zeta, 6, 6)
+        assert sol.ladder.to_json_dict() == rebuilt.to_json_dict()
+        assert list(assemble(sol.ladder).items_sorted()) == \
+            list(sol.u.items_sorted())
+        assert "ladder" not in sol.to_json_dict()
+
 
 class TestZetaContinuity:
     def test_grid_refinement_bounds_jumps(self):

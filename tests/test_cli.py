@@ -1,6 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import qpresponse
 from qpresponse.cli import main
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -278,3 +285,31 @@ def test_solve_divergence_exits_2(tmp_path):
     )
     cfg = write_config(tmp_path, config)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def run_module(module, *args):
+    """Run ``python -m module args`` with the package's source on the path."""
+    src = str(Path(qpresponse.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["qpresponse", "qpresponse.cli"])
+    def test_solve_writes_solution(self, tmp_path, module):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        done = run_module(module, "solve", "--config", cfg, "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        assert json.loads((out / "solution.json").read_text())["zeta"] == 0.0
+        assert "zeta = 0.0" in done.stdout
+
+    def test_unknown_key_exits_1(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(surprise=1))
+        done = run_module("qpresponse", "solve", "--config", cfg,
+                          "--out", str(tmp_path / "out"))
+        assert done.returncode == 1
+        assert "config error" in done.stderr

@@ -1,0 +1,309 @@
+"""Radius-aware products and boundary-only validation against the
+full-support paths they replace.
+
+Every comparison here is bitwise: a radius-cut product must keep exactly
+the modes of the full product within the radius, with coefficients whose
+real and imaginary parts have the same bits (signed zeros included).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qpresponse.errors import DimensionMismatchError, SymmetryError
+from qpresponse.fourier import FourierSeries, cosine, mode_norm, zero_series
+from qpresponse.ladder import (
+    OrderLadder,
+    build_ladder,
+    next_order_thm1,
+    next_order_thm2,
+    nonlinearity_series,
+    propagator_denominator,
+)
+from qpresponse.systems import GeneralSystem, SeparableSystem, recentre
+
+PHI = (1 + math.sqrt(5)) / 2
+OMEGAS = {1: (1.0,), 2: (1.0, PHI), 3: (1.0, math.sqrt(2.0), math.sqrt(3.0))}
+
+
+def random_series(rng, d, n_modes, span, real):
+    """Random series on scattered modes of the box [-span, span]^d, so its
+    bounding box holds empty cells; ``real`` makes it conjugate-symmetric."""
+    coeffs = {}
+    for _ in range(n_modes):
+        nu = tuple(int(x) for x in rng.integers(-span, span + 1, size=d))
+        c = complex(rng.normal(), rng.normal())
+        coeffs[nu] = coeffs.get(nu, 0j) + c
+    if not real:
+        return FourierSeries(d, coeffs)
+    sym = {}
+    for nu, c in coeffs.items():
+        neg = tuple(-x for x in nu)
+        sym[nu] = sym.get(nu, 0j) + 0.5 * c
+        sym[neg] = sym.get(neg, 0j) + 0.5 * c.conjugate()
+    return FourierSeries(d, sym, real_valued=True)
+
+
+def ball_series(rng, d, radius, zeta=0.1):
+    """Real series on the whole l1 ball, shaped like an assembled response."""
+    coeffs = {(0,) * d: zeta}
+    for nu in np.ndindex(*([2 * radius + 1] * d)):
+        nu = tuple(x - radius for x in nu)
+        if 0 < mode_norm(nu) <= radius and nu > tuple(-x for x in nu):
+            c = complex(rng.normal(), rng.normal()) * 0.3 ** mode_norm(nu)
+            coeffs[nu] = c
+            coeffs[tuple(-x for x in nu)] = c.conjugate()
+    return FourierSeries(d, coeffs, real_valued=True)
+
+
+def bits(series):
+    return [(nu, c.real.hex(), c.imag.hex()) for nu, c in series.items_sorted()]
+
+
+def cut(series, radius):
+    return [(nu, c) for nu, c in series.items_sorted() if mode_norm(nu) <= radius]
+
+
+def assert_cut_equal(fast, full, radius):
+    """``fast`` holds exactly the modes of ``full`` within ``radius``,
+    coefficient for coefficient and bit for bit."""
+    expected = cut(full, radius)
+    assert list(fast.items_sorted()) == expected
+    assert fast.support() == [nu for nu, _ in expected]
+    assert bits(fast) == [(nu, c.real.hex(), c.imag.hex()) for nu, c in expected]
+
+
+def assert_equal_within(fast, full, radius):
+    """``fast`` and ``full`` agree bit for bit on the modes within
+    ``radius``; what ``fast`` holds beyond it is not compared."""
+    kept = cut(fast, radius)
+    expected = cut(full, radius)
+    assert kept == expected
+    assert [(nu, c.real.hex(), c.imag.hex()) for nu, c in kept] == \
+        [(nu, c.real.hex(), c.imag.hex()) for nu, c in expected]
+
+
+def radii(full):
+    """Radius 0, one inside the full product's box and one beyond it."""
+    top = full.max_norm()
+    return (0, max(1, top // 2), top + 3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("real", [False, True])
+class TestConvolveRadius:
+    def test_equals_full_product_cut(self, d, real):
+        rng = np.random.default_rng([d, real, 1])
+        for _ in range(4):
+            a = random_series(rng, d, n_modes=12, span=4, real=real)
+            b = random_series(rng, d, n_modes=9, span=3, real=real)
+            full = a.convolve(b)
+            for radius in radii(full):
+                fast = a.convolve(b, radius=radius)
+                assert_cut_equal(fast, full, radius)
+                assert fast.real_valued == full.real_valued
+
+    def test_dict_path_matches_dense_path(self, d, real, monkeypatch):
+        rng = np.random.default_rng([d, real, 2])
+        a = random_series(rng, d, n_modes=10, span=3, real=real)
+        b = random_series(rng, d, n_modes=10, span=3, real=real)
+        dense = a.convolve(b)
+        dense_cut = {r: a.convolve(b, radius=r) for r in radii(dense)}
+        monkeypatch.setattr("qpresponse.fourier._DENSE_CELL_LIMIT", 0)
+        assert bits(a.convolve(b)) == bits(dense)
+        for radius, expected in dense_cut.items():
+            assert bits(a.convolve(b, radius=radius)) == bits(expected)
+
+
+def test_convolve_radius_edge_cases():
+    a = FourierSeries(1, {(2,): 1.0})
+    b = FourierSeries(1, {(1,): 1.0})
+    # the product sits at 3: nothing within radius 1
+    assert len(a.convolve(b, radius=1)) == 0
+    assert a.convolve(b, radius=3).support() == [(3,)]
+    assert len(zero_series(2).convolve(cosine(2, 0), radius=2)) == 0
+    with pytest.raises(ValueError):
+        a.convolve(b, radius=-1)
+
+
+def separable_system(d, taylor):
+    rng = np.random.default_rng([d, 7])
+    forcing = zero_series(d)
+    for axis in range(d):
+        forcing = forcing.add(cosine(d, axis, rng.uniform(0.3, 0.6)))
+    return recentre(SeparableSystem(OMEGAS[d], forcing, taylor), 0.0)
+
+
+def general_system():
+    """Theorem-2 system whose angle coefficients reach |nu| = 2."""
+    grid = {
+        ((0, 0), 1): 1.0,
+        ((1, 0), 1): 0.3 + 0.1j,
+        ((-1, 0), 1): 0.3 - 0.1j,
+        ((0, 0), 2): 0.8,
+        ((1, -1), 2): 0.2 - 0.05j,
+        ((-1, 1), 2): 0.2 + 0.05j,
+        ((0, 0), 3): -0.4,
+        ((0, 2), 3): 0.1j,
+        ((0, -2), 3): -0.1j,
+        ((0, 1), 0): 0.15,
+        ((0, -1), 0): 0.15,
+    }
+    return recentre(GeneralSystem(OMEGAS[2], grid), 0.0)
+
+
+TAYLOR = {1: 1.0, 2: 1.0, 3: 0.5}
+
+
+class TestNonlinearityRadius:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_separable(self, d, real):
+        sys = separable_system(d, {**TAYLOR, 5: -0.2})
+        rng = np.random.default_rng([d, real, 3])
+        N = {1: 6, 2: 4, 3: 3}[d]
+        w = ball_series(rng, d, N) if real else \
+            random_series(rng, d, n_modes=10, span=N, real=False)
+        full = nonlinearity_series(sys, w)
+        for radius in (0, 1, N, 3 * N + 1) + radii(full):
+            assert_equal_within(nonlinearity_series(sys, w, radius=radius),
+                                full, radius)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_general_with_angle_coupling(self, real):
+        sys = general_system()
+        rng = np.random.default_rng([2, real, 4])
+        N = 4
+        w = ball_series(rng, 2, N) if real else \
+            random_series(rng, 2, n_modes=10, span=N, real=False)
+        full = nonlinearity_series(sys, w)
+        for radius in (0, 1, N, N + 2) + radii(full):
+            assert_equal_within(nonlinearity_series(sys, w, radius=radius),
+                                full, radius)
+
+
+def _powers(sys):
+    if isinstance(sys, GeneralSystem):
+        return sys.nonlinear_powers()
+    return sorted(sys.nonlinear_taylor)
+
+
+def _divide(sys, eps, N, series, scale):
+    out = {}
+    for nu, c in series.items_sorted():
+        if not any(nu) or mode_norm(nu) > N:
+            continue
+        s = 0.0
+        for x, om in zip(nu, sys.omega):
+            s += x * om
+        out[nu] = scale * c * (1.0 / propagator_denominator(eps, s, sys.a))
+    return out
+
+
+def reference_next(sys, eps, orders, N):
+    """The order after ``orders`` with every product formed at full
+    support by plain ``convolve``, cut back only to the ball."""
+    d = sys.dimension
+    general = isinstance(sys, GeneralSystem)
+    k = len(orders) + 1
+    products = {}
+
+    def product(p, m):
+        if p == 1:
+            return orders[m - 1]
+        if (p, m) not in products:
+            total = zero_series(d)
+            for j in range(1, m - p + 2):
+                left, right = orders[j - 1], product(p - 1, m - j)
+                if len(left) and len(right):
+                    total = total.add(left.convolve(right))
+            products[(p, m)] = total
+        return products[(p, m)]
+
+    source = zero_series(d)
+    if general and len(sys.alpha1_series) and len(orders[-1]):
+        source = source.add(sys.alpha1_series.convolve(orders[-1]))
+    for p in _powers(sys):
+        if p > k - 1:
+            break
+        block = product(p, k - 1)
+        if not len(block):
+            continue
+        if general:
+            source = source.add(sys.alpha_series(p).convolve(block))
+        else:
+            source = source.add(block.scaled(sys.nonlinear_taylor[p]))
+    return FourierSeries(d, _divide(sys, eps, N, source, -eps),
+                         real_valued=True)
+
+
+def reference_ladder(sys, eps, zeta, K, N):
+    """Orders 1..K of the range recursion through :func:`reference_next`."""
+    d = sys.dimension
+    if isinstance(sys, GeneralSystem):
+        table = _divide(sys, eps, N, sys.forcing_series, -eps)
+    else:
+        table = _divide(sys, eps, N, sys.forcing, eps)
+    table[(0,) * d] = zeta
+    orders = [FourierSeries(d, table, real_valued=True)]
+    for _ in range(2, K + 1):
+        orders.append(reference_next(sys, eps, orders, N))
+    return orders
+
+
+class TestLadderMatchesFullSupport:
+    # K is large against N, so the products overflow the ball and the cut
+    # radii decide which of their modes are formed
+    @pytest.mark.parametrize("d, K, N", [(1, 9, 3), (2, 8, 3), (3, 6, 2)])
+    def test_separable(self, d, K, N):
+        sys = separable_system(d, {**TAYLOR, 4: 0.3})
+        ladder = build_ladder(sys, 0.05, 0.02, K, N)
+        expected = reference_ladder(sys, 0.05, 0.02, K, N)
+        assert [bits(s) for s in ladder.orders] == [bits(s) for s in expected]
+
+    def test_general_with_angle_coupling(self):
+        sys = general_system()
+        ladder = build_ladder(sys, 0.04, -0.03, 7, 3)
+        expected = reference_ladder(sys, 0.04, -0.03, 7, 3)
+        assert [bits(s) for s in ladder.orders] == [bits(s) for s in expected]
+
+
+class TestReplayBeyondTheBall:
+    """A caller's ladder may hold orders wider than its N; replaying it
+    must still form every product term that reaches the ball."""
+
+    @staticmethod
+    def wide_ladder(seed, eps, k, N):
+        """Orders 1..k-1 on the radius-4 ball, declared with a smaller N."""
+        rng = np.random.default_rng(seed)
+        orders = [ball_series(rng, 2, 4, zeta=0.02)]
+        orders += [ball_series(rng, 2, 4, zeta=0.0).without_zero_mode()
+                   for _ in range(k - 2)]
+        return OrderLadder(orders=orders, zeta=0.02, eps=eps, N=N)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_separable(self, k):
+        sys = separable_system(2, {**TAYLOR, 4: 0.3})
+        ladder = self.wide_ladder([k, 5], 0.05, k, 1)
+        expected = reference_next(sys, 0.05, ladder.orders, 1)
+        assert bits(next_order_thm1(sys, ladder, k)) == bits(expected)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_general_with_angle_coupling(self, k):
+        sys = general_system()
+        ladder = self.wide_ladder([k, 6], 0.04, k, 1)
+        expected = reference_next(sys, 0.04, ladder.orders, 1)
+        assert bits(next_order_thm2(sys, ladder, k)) == bits(expected)
+
+
+@pytest.mark.parametrize("args, error", [
+    ((2, {(1, 0, 0): 1.0}), DimensionMismatchError),
+    ((2, {(1,): 1.0}), DimensionMismatchError),
+    ((2, {(1.5, 0): 1.0}), ValueError),
+    ((1, {(1,): 1.0, (-1,): 0.5}, True), SymmetryError),
+    ((0, {}), ValueError),
+])
+def test_public_constructor_still_validates(args, error):
+    with pytest.raises(error):
+        FourierSeries(*args)
