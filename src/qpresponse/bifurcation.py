@@ -84,16 +84,25 @@ def _ladder_and_sum(sys, eps, zeta, K, N):
 
 
 def H(zeta: float, eps: float, sys, K: int, N: int,
-      literal: bool = False) -> float:
-    """Zero-mode balance evaluated through a fresh K-order expansion."""
+      literal: bool = False, *, keep: dict | None = None) -> float:
+    """Zero-mode balance evaluated through a fresh K-order expansion.
+
+    ``keep``, when given, is emptied and then maps ``zeta`` to the
+    expansion built here (ladder, ratios, estimate, assembled series).
+    """
     sys.require_certified()
-    _, _, _, w = _ladder_and_sum(sys, eps, zeta, K, N)
-    return bifurcation_balance(sys, w, eps, literal=literal)
+    if keep is not None:
+        keep.clear()
+    expansion = _ladder_and_sum(sys, eps, zeta, K, N)
+    if keep is not None:
+        keep[zeta] = expansion
+    return bifurcation_balance(sys, expansion[3], eps, literal=literal)
 
 
 def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
                tol: float | None = None, literal: bool = False,
-               scan_points: int = DEFAULT_SCAN_POINTS) -> float:
+               scan_points: int = DEFAULT_SCAN_POINTS,
+               keep: dict | None = None) -> float:
     """Solve the balance for zeta on a bracket.
 
     The bracket is scanned first: a point already below tolerance is
@@ -101,6 +110,10 @@ def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
     exactly 0.0), the sign change must be unique, and the root is then
     polished by a safeguarded secant/bisection iteration to
     |H| <= 1e-12 max(1, |a|).
+
+    H is evaluated once per distinct zeta.  ``keep`` is passed on to
+    :func:`H`, so on return it holds the expansion of the last evaluation,
+    which is the root's whenever the root was the last point evaluated.
     """
     sys.require_certified()
     a = sys.a
@@ -110,8 +123,13 @@ def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
 
+    values: dict[float, float] = {}
+
     def h(z: float) -> float:
-        return H(z, eps, sys, K, N, literal=literal)
+        z = float(z)
+        if z not in values:
+            values[z] = H(z, eps, sys, K, N, literal=literal, keep=keep)
+        return values[z]
 
     if lo <= 0.0 <= hi:
         h0 = h(0.0)
@@ -248,8 +266,9 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
                    bounds=None, bracket=None, tol: float | None = None,
                    literal: bool = False, probe: bool = True,
                    scan_points: int = DEFAULT_SCAN_POINTS) -> ResponseSolution:
-    """Solve the balance, rebuild the expansion at the solved zeta and
-    package the response with residuals.
+    """Solve the balance, take the expansion at the solved zeta (reused
+    from the solve when its last evaluation was the root, rebuilt
+    otherwise) and package the response with residuals.
 
     When ``bounds`` (an EpsilonBounds) is supplied and eps exceeds its
     admissible estimate, a warning is issued but the solve proceeds.  With
@@ -267,9 +286,14 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
     if bracket is None and envelope is not None:
         bracket = (-envelope.rho / 4.0, envelope.rho / 4.0)
 
+    held: dict = {}
     zeta = solve_zeta(eps, sys, K, N, bracket, tol=tol, literal=literal,
-                      scan_points=scan_points)
-    ladder, ratios, estimate, w = _ladder_and_sum(sys, eps, zeta, K, N)
+                      scan_points=scan_points, keep=held)
+    expansion = held.pop(zeta, None)
+    held.clear()
+    if expansion is None:
+        expansion = _ladder_and_sum(sys, eps, zeta, K, N)
+    ladder, ratios, estimate, w = expansion
     solution = ResponseSolution(
         c0=sys.c0,
         zeta=zeta,

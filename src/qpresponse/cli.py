@@ -187,6 +187,11 @@ _SCHEMA = {
 }
 
 
+# built once: jsonschema.validate would check the schema and build a new
+# validator on every call (tests/test_cli.py checks the schema itself)
+_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+
+
 class ConfigError(Exception):
     pass
 
@@ -197,10 +202,9 @@ def load_config(path) -> dict:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(config, _SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"invalid config: {error.message}") from error
     theorem = config["theorem"]
     if theorem == 1 and ("g" not in config or "f" not in config):
         raise ConfigError("theorem 1 configs need both 'g' and 'f'")

@@ -311,7 +311,11 @@ class FourierSeries:
             return np.zeros(angles.shape[0], dtype=complex)
         keys = np.array(self.support(), dtype=float)
         vals = np.array([self._coeffs[nu] for nu in self.support()])
-        return np.exp(1j * angles @ keys.T) @ vals
+        # real matmul for the phases, exp in place: bitwise equal to
+        # exp((1j * angles) @ keys.T) without the complex matmul
+        z = 1j * (angles @ keys.T)
+        np.exp(z, out=z)
+        return z @ vals
 
     def weighted_norm(self, xi_prime: float = 0.0) -> float:
         """Majorant sum_nu |coeff(nu)| exp(xi' |nu|) of the sup on a strip."""

@@ -313,3 +313,31 @@ class TestModuleEntry:
                           "--out", str(tmp_path / "out"))
         assert done.returncode == 1
         assert "config error" in done.stderr
+
+
+class TestConfigSchema:
+    def test_schema_is_valid(self):
+        import jsonschema
+
+        from qpresponse.cli import _SCHEMA
+
+        jsonschema.validators.validator_for(_SCHEMA).check_schema(_SCHEMA)
+
+    @pytest.mark.parametrize("config", [
+        base_config(surprise=1),
+        base_config(theorem=3),
+        base_config(omega="golden"),
+        base_config(truncation={"K": 4}),
+        base_config(g={"c_ref": 0.0, "coeffs": [[-1, 1.0]]}, xi="wide"),
+        {k: v for k, v in base_config().items() if k != "rho"},
+    ])
+    def test_messages_match_jsonschema_validate(self, tmp_path, config):
+        import jsonschema
+
+        from qpresponse.cli import _SCHEMA, ConfigError, load_config
+
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(config, _SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            load_config(write_config(tmp_path, config))
+        assert str(got.value) == f"invalid config: {expected.value.message}"

@@ -1,17 +1,29 @@
-"""Radius-aware products and boundary-only validation against the
-full-support paths they replace.
+"""Fast paths against the paths they replace.
 
-Every comparison here is bitwise: a radius-cut product must keep exactly
-the modes of the full product within the radius, with coefficients whose
-real and imaginary parts have the same bits (signed zeros included).
+Radius-aware products, boundary-only validation, the vectorised response
+evaluation and the memoized zeta solve are compared bitwise: a radius-cut
+product must keep exactly the modes of the full product within the
+radius, with coefficients whose real and imaginary parts have the same
+bits (signed zeros included).  The compiled, stacked ODE integrator is
+compared against ``solve_ivp``'s DOP853 within a tolerance, since the two
+take different steps.
 """
 
+import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from qpresponse.errors import DimensionMismatchError, SymmetryError
+import qpresponse.bifurcation as bifurcation
+from qpresponse.bifurcation import H, solve_response, solve_zeta
+from qpresponse.errors import (
+    DimensionMismatchError,
+    StiffnessError,
+    SymmetryError,
+)
 from qpresponse.fourier import FourierSeries, cosine, mode_norm, zero_series
 from qpresponse.ladder import (
     OrderLadder,
@@ -22,6 +34,7 @@ from qpresponse.ladder import (
     propagator_denominator,
 )
 from qpresponse.systems import GeneralSystem, SeparableSystem, recentre
+from qpresponse.validation import integrate
 
 PHI = (1 + math.sqrt(5)) / 2
 OMEGAS = {1: (1.0,), 2: (1.0, PHI), 3: (1.0, math.sqrt(2.0), math.sqrt(3.0))}
@@ -307,3 +320,231 @@ class TestReplayBeyondTheBall:
 def test_public_constructor_still_validates(args, error):
     with pytest.raises(error):
         FourierSeries(*args)
+
+
+# -- the ODE oracle: compiled DOP853 over one stacked state ---------------
+
+def reference_rhs(sys, eps):
+    """Scalar right-hand side for one (x, v) pair, written out term by term."""
+    def freq(nu):
+        return sum(x * w for x, w in zip(nu, sys.omega))
+
+    def rhs(t, y):
+        x, v = y
+        dx = x - sys.center
+        if isinstance(sys, GeneralSystem):
+            h = 0.0
+            for (nu, p), c in sorted(sys.grid.items()):
+                h += (c * cmath.exp(1j * freq(nu) * t)).real * dx**p
+            return (v, -v / eps - h)
+        g = sum(c * dx**p for p, c in sorted(sys.g_taylor.items()))
+        force = sum((c * cmath.exp(1j * freq(nu) * t)).real
+                    for nu, c in sys.forcing.items_sorted())
+        return (v, -v / eps - g + force)
+
+    return rhs
+
+
+def reference_trajectory(sys, eps, x0, v0, times, tol):
+    sol = solve_ivp(reference_rhs(sys, eps), (0.0, times[-1]), (x0, v0),
+                    method="DOP853", rtol=tol, atol=tol, t_eval=times)
+    assert sol.success
+    return sol.y[0], sol.y[1]
+
+
+ODE_SYSTEMS = {
+    "separable-d1": lambda: separable_system(1, TAYLOR),
+    "separable-d2": lambda: separable_system(2, TAYLOR),
+    "separable-d3": lambda: separable_system(3, TAYLOR),
+    "general": general_system,
+}
+TIMES = np.linspace(0.0, 3.0, 61)
+
+
+@pytest.mark.parametrize("name", sorted(ODE_SYSTEMS))
+@pytest.mark.parametrize("eps", [1e-3, 0.02, 0.1])
+def test_integrate_matches_solve_ivp(name, eps):
+    sys = ODE_SYSTEMS[name]()
+    traj = integrate(sys, eps, 0.1, -0.05, TIMES[-1], tol=1e-10, t_eval=TIMES)
+    x, v = reference_trajectory(sys, eps, 0.1, -0.05, TIMES, tol=1e-10)
+    assert traj.t.tolist() == TIMES.tolist()
+    assert traj.x.shape == traj.v.shape == TIMES.shape
+    assert np.max(np.abs(traj.x - x)) <= 1e-9
+    # the fast rate 1/eps amplifies the step-to-step differences in v
+    assert np.max(np.abs(traj.v - v)) <= 1e-9 / eps
+
+
+@pytest.mark.parametrize("name", sorted(ODE_SYSTEMS))
+def test_stacked_matches_separate(name):
+    sys = ODE_SYSTEMS[name]()
+    ics = [(0.1, -0.05), (-0.08, 0.1), (0.0, 0.0)]
+    x0s, v0s = zip(*ics)
+    stacked = integrate(sys, 0.02, x0s, v0s, TIMES[-1], tol=1e-10,
+                        t_eval=TIMES)
+    assert stacked.x.shape == stacked.v.shape == (3, TIMES.size)
+    for i, (x0, v0) in enumerate(ics):
+        alone = integrate(sys, 0.02, x0, v0, TIMES[-1], tol=1e-10,
+                          t_eval=TIMES)
+        assert np.max(np.abs(stacked.x[i] - alone.x)) <= 1e-9
+        assert np.max(np.abs(stacked.v[i] - alone.v)) <= 1e-9 / 0.02
+
+
+def test_one_pair_stacked_is_the_scalar_run():
+    sys = general_system()
+    alone = integrate(sys, 0.02, 0.1, -0.05, 3.0, samples=31)
+    stacked = integrate(sys, 0.02, [0.1], [-0.05], 3.0, samples=31)
+    assert stacked.x.shape == (1, 31)
+    assert stacked.x[0].tolist() == alone.x.tolist()
+    assert stacked.v[0].tolist() == alone.v.tolist()
+
+
+def test_repeated_and_initial_times_keep_the_state():
+    sys = separable_system(2, TAYLOR)
+    times = [0.0, 0.0, 1.0, 1.0, 2.0]
+    traj = integrate(sys, 0.02, 0.1, 0.0, 2.0, t_eval=times)
+    assert traj.x[0] == traj.x[1] == 0.1
+    assert traj.x[2] == traj.x[3]
+    assert traj.v[2] == traj.v[3]
+
+
+class TestIntegrateGuards:
+    # the eps and tol guards are checked in tests/test_validation.py
+    @pytest.mark.parametrize("x0, v0", [
+        ([0.1, 0.2], [0.0]),
+        ([], []),
+        ([[0.1]], [[0.0]]),
+    ])
+    def test_initial_conditions_must_pair_up(self, x0, v0):
+        with pytest.raises(ValueError):
+            integrate(separable_system(1, TAYLOR), 0.02, x0, v0, 1.0)
+
+    @pytest.mark.parametrize("t_eval", [[0.5, 0.2], [-0.1, 0.5], [0.5, 1.5]])
+    def test_t_eval_sorted_within_span(self, t_eval):
+        with pytest.raises(ValueError):
+            integrate(separable_system(1, TAYLOR), 0.02, 0.0, 0.0, 1.0,
+                      t_eval=t_eval)
+
+    def test_failed_run_names_the_return_code(self):
+        # x'' + x'/eps + x - 5 x^3 = f blows up in finite time from x = 10
+        sys = separable_system(1, {1: 1.0, 3: -5.0})
+        with pytest.raises(StiffnessError, match="return code -3"):
+            integrate(sys, 0.1, 10.0, 0.0, 5.0, samples=11)
+
+
+# -- response evaluation ----------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("real", [False, True])
+def test_evaluate_many_bitwise_equal_to_complex_matmul(d, real):
+    rng = np.random.default_rng([d, real, 8])
+    w = ball_series(rng, d, 3) if real else \
+        random_series(rng, d, n_modes=15, span=3, real=False)
+    times = np.concatenate([np.linspace(0.0, 50.0, 101),
+                            np.linspace(9.9e3, 1e4, 101)])
+    angles = np.outer(times, OMEGAS[d])
+    keys = np.array(w.support(), dtype=float)
+    vals = np.array([w.coeff(nu) for nu in w.support()])
+    expected = np.exp(1j * angles @ keys.T) @ vals
+    got = w.evaluate_many(angles)
+    assert got.real.tobytes() == expected.real.tobytes()
+    assert got.imag.tobytes() == expected.imag.tobytes()
+
+
+# -- one ladder per distinct zeta ------------------------------------------
+
+def unmemoized_solve_zeta(eps, sys, K, N, bracket=None, *, tol=None,
+                          literal=False, scan_points=7, keep=None):
+    """The zeta solve without a memo: scan, brentq, then a secant polish,
+    with H called afresh at every point (``keep`` is ignored)."""
+    from scipy.optimize import brentq
+
+    if tol is None:
+        tol = 1e-12 * max(1.0, abs(sys.a))
+    lo, hi = (-0.25, 0.25) if bracket is None else bracket
+
+    def h(z):
+        return H(z, eps, sys, K, N, literal=literal)
+
+    if lo <= 0.0 <= hi and abs(h(0.0)) <= tol:
+        return 0.0
+    xs = list(np.linspace(lo, hi, max(3, scan_points)))
+    vals = []
+    for x in xs:
+        v = h(x)
+        if abs(v) <= tol:
+            return float(x)
+        vals.append(v)
+    (i,) = [i for i in range(len(xs) - 1) if vals[i] * vals[i + 1] < 0.0]
+    root = brentq(h, xs[i], xs[i + 1], xtol=1e-15, rtol=1e-15, maxiter=200)
+    value = h(root)
+    if abs(value) <= tol:
+        return float(root)
+    x0, x1 = root, root + max(1e-13, 1e-10 * abs(root))
+    f0, f1 = value, h(x1)
+    for _ in range(10):
+        if abs(f1) <= tol or f1 == f0:
+            break
+        x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+        f1 = h(x1)
+    assert abs(f1) <= tol
+    return float(x1)
+
+
+MEMO_CASES = {
+    "separable-probe": (lambda: separable_system(2, TAYLOR), 0.05, 8, 6,
+                        dict(probe=True)),
+    "general": (general_system, 0.04, 7, 4, dict(probe=False)),
+    "general-literal": (general_system, 0.04, 7, 4,
+                        dict(probe=False, literal=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_memoized_solve_builds_each_zeta_once(case, monkeypatch):
+    make, eps, K, N, kwargs = MEMO_CASES[case]
+    sys = make()
+    built, evaluated, roots = [], [], []
+    real_build = bifurcation.build_ladder
+    real_h = bifurcation.H
+    real_solve = bifurcation.solve_zeta
+
+    def spy_build(sys_, eps_, zeta, K_, N_):
+        built.append((eps_, zeta))
+        return real_build(sys_, eps_, zeta, K_, N_)
+
+    def spy_h(zeta, eps_, *args, **kw):
+        evaluated.append((eps_, zeta))
+        return real_h(zeta, eps_, *args, **kw)
+
+    def spy_solve(eps_, *args, **kw):
+        roots.append((eps_, real_solve(eps_, *args, **kw)))
+        return roots[-1][1]
+
+    monkeypatch.setattr(bifurcation, "build_ladder", spy_build)
+    monkeypatch.setattr(bifurcation, "H", spy_h)
+    monkeypatch.setattr(bifurcation, "solve_zeta", spy_solve)
+    fast = solve_response(eps, sys, K, N, **kwargs)
+    # H sees each zeta once; the only repeat build is a root whose
+    # expansion was no longer held, rebuilt once by solve_response
+    assert len(evaluated) == len(set(evaluated))
+    repeats = [b for b in built if built.count(b) > 1]
+    assert set(repeats) <= set(roots)
+    assert len(built) <= len(evaluated) + len(roots)
+    fast_builds = len(built)
+
+    monkeypatch.setattr(bifurcation, "solve_zeta", unmemoized_solve_zeta)
+    slow = solve_response(eps, sys, K, N, **kwargs)
+    assert fast_builds < len(built) - fast_builds
+    assert json.dumps(fast.to_json_dict()) == json.dumps(slow.to_json_dict())
+    assert [bits(s) for s in fast.ladder.orders] == \
+        [bits(s) for s in slow.ladder.orders]
+
+
+def test_solve_zeta_keeps_at_most_one_expansion():
+    sys = separable_system(2, TAYLOR)
+    keep = {}
+    solve_zeta(0.05, sys, 8, 6, keep=keep)
+    assert len(keep) <= 1
+    if keep:
+        (z, (ladder, _, _, w)), = keep.items()
+        assert ladder.zeta == z and w.zero_mode().real == z
