@@ -24,14 +24,16 @@ from .errors import (
     LadderDivergenceError,
     SymmetryError,
 )
-from .fourier import FourierSeries
+from .fourier import DenseBlock, FourierSeries
 from .ladder import (
     OrderLadder,
+    _Expansion,
+    _nonlinearity,
+    _ratios,
     assemble,
     build_ladder,
     convergence_ratio,
     coupled_powers_zero_mode,
-    nonlinearity_series,
     range_residual,
 )
 from .systems import SeparableSystem
@@ -49,6 +51,36 @@ def _real_part(value: complex, what: str) -> float:
     return value.real
 
 
+def _balances(sys, w: DenseBlock, eps: float, literal: bool) -> list:
+    """The zero-mode balance of each series in the block ``w``: a float,
+    or the SymmetryError that :func:`bifurcation_balance` raises for it."""
+    zetas = np.broadcast_to(w.zero_mode(), (w.batch,))
+    a = sys.a
+    plain = isinstance(sys, SeparableSystem) or not literal
+    if plain:
+        nl0 = _nonlinearity(sys, w, radius=0).zero_mode()
+    else:
+        # literal scaled form, general systems only
+        lin0 = np.zeros(w.batch, dtype=complex)
+        alpha1 = DenseBlock.of(sys.alpha1_series)
+        if alpha1.values.size and w.present().any():
+            lin0 = alpha1.convolve(w, radius=0).zero_mode()
+        nl0 = coupled_powers_zero_mode(sys, w)
+    nl0 = np.broadcast_to(nl0, (w.batch,)).tolist()
+    out = []
+    for b, zeta in enumerate(zetas.tolist()):
+        try:
+            zeta = _real_part(zeta, "the assembled zero mode")
+            if plain:
+                out.append(a * zeta + _real_part(nl0[b], "the zero-mode balance"))
+            else:
+                out.append(eps * a * zeta + _real_part(
+                    complex(lin0[b]) + eps * nl0[b], "the zero-mode balance"))
+        except SymmetryError as exc:
+            out.append(exc)
+    return out
+
+
 def bifurcation_balance(sys, w: FourierSeries, eps: float,
                         literal: bool = False) -> float:
     """Evaluate the zero-mode balance at an assembled solution ``w``
@@ -58,45 +90,97 @@ def bifurcation_balance(sys, w: FourierSeries, eps: float,
     which only the linear angle-coupling average enters undamped; it is a
     no-op for separable systems.
     """
-    zeta = _real_part(w.zero_mode(), "the assembled zero mode")
-    a = sys.a
-    if isinstance(sys, SeparableSystem) or not literal:
-        nl0 = nonlinearity_series(sys, w, radius=0).zero_mode()
-        return a * zeta + _real_part(nl0, "the zero-mode balance")
-    # literal scaled form, general systems only
-    lin0 = 0j
-    if len(sys.alpha1_series) and len(w):
-        lin0 = sys.alpha1_series.convolve(w, radius=0).zero_mode()
-    nl0 = coupled_powers_zero_mode(sys, w)
-    return eps * a * zeta + _real_part(lin0 + eps * nl0,
-                                       "the zero-mode balance")
+    with np.errstate(all="ignore"):
+        (value,) = _balances(sys, DenseBlock.of(w), eps, literal)
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _contraction_error(eps, zeta, estimate):
+    """The error of a ladder whose ratio estimate shows no contraction."""
+    if not np.isfinite(estimate) or estimate >= 1.0:
+        return LadderDivergenceError(
+            f"expansion does not contract at eps={eps!r}, zeta={zeta!r} "
+            f"(ratio estimate {estimate:.3g})"
+        )
+    return None
 
 
 def _ladder_and_sum(sys, eps, zeta, K, N):
     ladder = build_ladder(sys, eps, zeta, K, N)
     ratios, estimate = convergence_ratio(ladder)
-    if not np.isfinite(estimate) or estimate >= 1.0:
-        raise LadderDivergenceError(
-            f"expansion does not contract at eps={eps!r}, zeta={zeta!r} "
-            f"(ratio estimate {estimate:.3g})"
-        )
+    error = _contraction_error(eps, zeta, estimate)
+    if error is not None:
+        raise error
     return ladder, ratios, estimate, assemble(ladder, 1.0)
+
+
+class _Evaluation:
+    """The balance at a batch of zetas from one batched K-order expansion.
+
+    ``outcomes[i]`` is the balance at ``zetas[i]`` or the exception that
+    evaluating :func:`H` there alone raises.  The expansion, its ratios and
+    its assembled sums are kept for every zeta whose ladder contracted.
+    """
+
+    def __init__(self, sys, eps, zetas, K, N, literal):
+        if K < 1:
+            raise ValueError("K must be >= 1")
+        exp = _Expansion(sys, eps, zetas, N)
+        with np.errstate(all="ignore"):
+            exp.build(K)
+            self.ratios = {}
+            failed = {}
+            for i, norms in enumerate(zip(*exp.norms)):
+                ratios, estimate = _ratios([float(n) for n in norms])
+                error = _contraction_error(eps, zetas[exp.rows[i]], estimate)
+                if error is None:
+                    self.ratios[exp.rows[i]] = (ratios, estimate)
+                else:
+                    failed[i] = error
+            exp.fail(failed)
+            self.w = exp.assembled()
+            balances = _balances(sys, self.w, eps, literal)
+        outcomes = dict(exp.errors)
+        outcomes.update(zip(exp.rows, balances))
+        self.outcomes = [outcomes[i] for i in range(len(zetas))]
+        self.zetas = list(zetas)
+        self.expansion = exp
+
+    def one(self, zeta) -> "_Evaluation":
+        """The evaluation at ``zeta`` alone, from copies of its series."""
+        pos = self.zetas.index(zeta)
+        i = self.expansion.rows.index(pos)
+        part = object.__new__(_Evaluation)
+        part.zetas, part.outcomes = self.zetas, self.outcomes
+        part.expansion = self.expansion.take([i])
+        part.w = self.w.take([i])
+        part.ratios = {pos: self.ratios[pos]}
+        return part
+
+    def result(self):
+        """(ladder, ratios, estimate, assembled series) of the first zeta
+        still in the batch."""
+        ratios, estimate = self.ratios[self.expansion.rows[0]]
+        return self.expansion.ladder(0), ratios, estimate, self.w.series(0)
 
 
 def H(zeta: float, eps: float, sys, K: int, N: int,
       literal: bool = False, *, keep: dict | None = None) -> float:
     """Zero-mode balance evaluated through a fresh K-order expansion.
 
-    ``keep``, when given, is emptied and then maps ``zeta`` to the
-    expansion built here (ladder, ratios, estimate, assembled series).
+    ``keep``, when given, also maps ``zeta`` to that expansion, held in
+    dense form; :func:`solve_zeta` holds its last two evaluations this way.
     """
     sys.require_certified()
-    if keep is not None:
-        keep.clear()
-    expansion = _ladder_and_sum(sys, eps, zeta, K, N)
-    if keep is not None:
-        keep[zeta] = expansion
-    return bifurcation_balance(sys, expansion[3], eps, literal=literal)
+    evaluation = _Evaluation(sys, eps, [zeta], K, N, literal)
+    (value,) = evaluation.outcomes
+    if keep is not None and evaluation.ratios:
+        keep[zeta] = evaluation
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
@@ -111,9 +195,13 @@ def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
     polished by a safeguarded secant/bisection iteration to
     |H| <= 1e-12 max(1, |a|).
 
-    H is evaluated once per distinct zeta.  ``keep`` is passed on to
-    :func:`H`, so on return it holds the expansion of the last evaluation,
-    which is the root's whenever the root was the last point evaluated.
+    zeta = 0 and the scan points are evaluated together in one batched
+    expansion, then read in the order above: a value, or an error a point
+    raised, counts only once the scan reaches that point.  After the
+    scan, H is evaluated once per distinct zeta, and the expansions of the
+    last two evaluations are held.  ``keep``, when given, is emptied and
+    on return maps the root to its expansion (ladder, ratios, estimate,
+    assembled series) whenever that was held.
     """
     sys.require_certified()
     a = sys.a
@@ -123,25 +211,42 @@ def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
 
-    values: dict[float, float] = {}
+    xs = list(np.linspace(lo, hi, max(3, scan_points)))
+    zetas = ([0.0] if lo <= 0.0 <= hi else []) + [float(x) for x in xs]
+    scan = _Evaluation(sys, eps, list(dict.fromkeys(zetas)), K, N, literal)
+    values = dict(zip(scan.zetas, scan.outcomes))
+    held: dict = {}
 
     def h(z: float) -> float:
         z = float(z)
         if z not in values:
-            values[z] = H(z, eps, sys, K, N, literal=literal, keep=keep)
+            if len(held) == 2:
+                del held[next(iter(held))]
+            values[z] = H(z, eps, sys, K, N, literal=literal, keep=held)
+        if isinstance(values[z], Exception):
+            raise values[z]
         return values[z]
+
+    def found(z) -> float:
+        """Return the root ``z``, handing its expansion to ``keep``."""
+        z = float(z)
+        if keep is not None:
+            keep.clear()
+            held_z = held.get(z) or (scan.one(z) if scan is not None else None)
+            if held_z is not None:
+                keep[z] = held_z.result()
+        return z
 
     if lo <= 0.0 <= hi:
         h0 = h(0.0)
         if abs(h0) <= tol:
-            return 0.0
+            return found(0.0)
 
-    xs = list(np.linspace(lo, hi, max(3, scan_points)))
     vals = []
     for x in xs:
         v = h(x)
         if abs(v) <= tol:
-            return float(x)
+            return found(x)
         vals.append(v)
 
     changes = [
@@ -158,22 +263,25 @@ def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
             "the uniqueness neighbourhood, shrink it"
         )
     i = changes[0]
+    # brentq starts from the bracket ends: they are the first two held
+    held = {float(x): scan.one(float(x)) for x in xs[i:i + 2]}
+    scan = None
     root = brentq(h, xs[i], xs[i + 1], xtol=1e-15, rtol=1e-15, maxiter=200)
     value = h(root)
     if abs(value) <= tol:
-        return float(root)
+        return found(root)
     # secant polish from the brentq endpoint pair
     x0, x1 = root, root + max(1e-13, 1e-10 * abs(root))
     f0, f1 = value, h(x1)
     for _ in range(10):
         if abs(f1) <= tol:
-            return float(x1)
+            return found(x1)
         if f1 == f0:
             break
         x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
         f1 = h(x1)
     if abs(f1) <= tol:
-        return float(x1)
+        return found(x1)
     raise BifurcationSolveError(
         f"balance residual {abs(f1):.3e} stayed above tolerance {tol:.3e}"
     )
@@ -267,8 +375,8 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
                    literal: bool = False, probe: bool = True,
                    scan_points: int = DEFAULT_SCAN_POINTS) -> ResponseSolution:
     """Solve the balance, take the expansion at the solved zeta (reused
-    from the solve when its last evaluation was the root, rebuilt
-    otherwise) and package the response with residuals.
+    from the solve when it still held the root's, rebuilt otherwise) and
+    package the response with residuals.
 
     When ``bounds`` (an EpsilonBounds) is supplied and eps exceeds its
     admissible estimate, a warning is issued but the solve proceeds.  With

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -195,71 +197,35 @@ class FourierSeries:
         full product's coefficient.
         """
         self._require_same_dim(other)
-        real = self.real_valued and other.real_valued
-        d = self.dimension
         if radius is not None and radius < 0:
             raise ValueError("radius must be >= 0")
-        a_keys = self.support()
+        a, b = DenseBlock.of(self), DenseBlock.of(other)
+        plan = a.product_plan(b, radius)
+        if plan is None:
+            return FourierSeries._from_table(
+                self.dimension, {}, self.real_valued and other.real_valued)
+        left, lo, hi = plan
+        if math.prod(h - l + 1 for l, h in zip(lo, hi)) > _DENSE_CELL_LIMIT:
+            return self._convolve_sparse(other, left, radius)
+        return a.convolve(b, radius, plan).series()
+
+    def _convolve_sparse(self, other: "FourierSeries", left,
+                         radius: int | None) -> "FourierSeries":
+        """Dict accumulation for boxes too large to hold densely.  Products
+        go through numpy, as on the dense path, so both paths give bitwise
+        equal coefficients."""
+        d = self.dimension
         b_keys = other.support()
-        if radius is not None and b_keys:
-            # a left mode farther out than this meets a kept mode only
-            # through cells outside the right factor's support
-            reach = radius + other.max_norm()
-            a_keys = [nu for nu in a_keys if _norm(nu) <= reach]
-        if not a_keys or not b_keys:
-            return FourierSeries._from_table(d, {}, real)
-
-        a_lo = [min(axis) for axis in zip(*a_keys)]
-        a_hi = [max(axis) for axis in zip(*a_keys)]
-        b_lo = [min(axis) for axis in zip(*b_keys)]
-        b_hi = [max(axis) for axis in zip(*b_keys)]
-        lo = [a_lo[i] + b_lo[i] for i in range(d)]
-        hi = [a_hi[i] + b_hi[i] for i in range(d)]
-        if radius is not None:
-            lo = [max(x, -radius) for x in lo]
-            hi = [min(x, radius) for x in hi]
-            if any(lo[i] > hi[i] for i in range(d)):
-                return FourierSeries._from_table(d, {}, real)
-        shape = tuple(hi[i] - lo[i] + 1 for i in range(d))
         b_vals = np.array([other._coeffs[nu] for nu in b_keys], dtype=complex)
-
-        if math.prod(shape) <= _DENSE_CELL_LIMIT:
-            b_shape = tuple(b_hi[i] - b_lo[i] + 1 for i in range(d))
-            b_arr = np.zeros(b_shape, dtype=complex)
-            b_arr[tuple(np.array(b_keys).T - np.array(b_lo)[:, None])] = b_vals
-            out = np.zeros(shape, dtype=complex)
-            for nu in a_keys:
-                # the part of nu + (b's box) that lies in the output box
-                dst, src = [], []
-                for i in range(d):
-                    first = max(lo[i], nu[i] + b_lo[i])
-                    last = min(hi[i], nu[i] + b_hi[i])
-                    if first > last:
-                        break
-                    dst.append(slice(first - lo[i], last - lo[i] + 1))
-                    src.append(slice(first - nu[i] - b_lo[i],
-                                     last - nu[i] - b_lo[i] + 1))
-                else:
-                    out[tuple(dst)] += self._coeffs[nu] * b_arr[tuple(src)]
-            keep = np.abs(out) >= DROP_THRESHOLD
-            if radius is not None:
-                norms = sum(np.abs(np.arange(lo[i], hi[i] + 1)).reshape(
-                    [-1 if j == i else 1 for j in range(d)]) for i in range(d))
-                keep &= norms <= radius
-            idx = np.nonzero(keep)
-            keys = zip(*((idx[i] + lo[i]).tolist() for i in range(d)))
-            table = dict(zip(keys, out[idx].tolist()))
-        else:
-            # products through numpy, as on the dense path, so both paths
-            # give bitwise equal coefficients
-            table: dict[MultiIndex, complex] = {}
-            for nu1 in a_keys:
-                for nu2, term in zip(b_keys, (self._coeffs[nu1] * b_vals).tolist()):
-                    key = tuple(nu1[i] + nu2[i] for i in range(d))
-                    table[key] = table.get(key, 0j) + term
-            table = {k: v for k, v in table.items() if abs(v) >= DROP_THRESHOLD
-                     and (radius is None or _norm(k) <= radius)}
-        return FourierSeries._from_table(d, table, real)
+        table: dict[MultiIndex, complex] = {}
+        for nu1 in map(tuple, left.tolist()):
+            for nu2, term in zip(b_keys, (self._coeffs[nu1] * b_vals).tolist()):
+                key = tuple(nu1[i] + nu2[i] for i in range(d))
+                table[key] = table.get(key, 0j) + term
+        table = {k: v for k, v in table.items() if abs(v) >= DROP_THRESHOLD
+                 and (radius is None or _norm(k) <= radius)}
+        return FourierSeries._from_table(
+            d, table, self.real_valued and other.real_valued)
 
     def power(self, p: int) -> "FourierSeries":
         """Repeated convolution; power(s, 1) is s itself."""
@@ -322,6 +288,11 @@ class FourierSeries:
         if xi_prime < 0:
             raise ValueError("strip half-width must be >= 0")
         total = 0.0
+        if xi_prime == 0.0:
+            # abs(c) * exp(0.0) is abs(c), bit for bit
+            for _, c in self.items_sorted():
+                total += abs(c)
+            return total
         for nu, c in self.items_sorted():
             total += abs(c) * math.exp(xi_prime * _norm(nu))
         return total
@@ -357,6 +328,237 @@ class FourierSeries:
             (tuple(m["nu"]), complex(m["re"], m.get("im", 0.0))) for m in data["modes"]
         ]
         return cls(int(data["d"]), coeffs, real_valued=real_valued)
+
+
+@lru_cache(maxsize=256)
+def _norm_grid(lo: tuple, shape: tuple) -> np.ndarray:
+    """l1 norm of the mode of every cell of the box at ``lo`` (read-only)."""
+    d = len(shape)
+    grid = sum(np.abs(np.arange(lo[i], lo[i] + shape[i])).reshape(
+        [-1 if j == i else 1 for j in range(d)]) for i in range(d))
+    grid.flags.writeable = False
+    return grid
+
+
+class DenseBlock:
+    """A batch of B series held on one box of modes.
+
+    ``values`` has shape ``(B, *box)``: ``values[b][i]`` is the coefficient
+    of mode ``lo + i`` in series ``b``, and a zero cell is a mode outside
+    that series' support.  Blocks are values, like series.  Every
+    operation returns a block cleaned by the rule of :func:`_clean`
+    (-0.0 parts become +0.0, cells with |c| < ``DROP_THRESHOLD`` or NaN
+    become zero) whose box is cut to the cells nonzero in some series, so
+    each series holds, bit for bit, the coefficients the same operation
+    on :class:`FourierSeries` gives.  Operands whose batch is 1 broadcast
+    against the others.
+
+    Products of two series go through numpy's complex multiply, as
+    :meth:`FourierSeries.convolve` always has.  Scalings multiply by
+    components, which is how Python multiplies complex numbers; numpy's
+    complex multiply may round differently.  Norms are ``hypot``s summed
+    one cell at a time in lexicographic order, as ``abs`` and a Python
+    loop give them.  numpy warnings are off inside the operations: a
+    series that overflows carries inf, as Python arithmetic would.
+    """
+
+    __slots__ = ("values", "lo", "real", "_present")
+
+    def __init__(self, values: np.ndarray, lo, real: bool):
+        self.values = values
+        self.lo = tuple(lo)
+        self.real = real
+        self._present = None
+
+    @classmethod
+    def empty(cls, dimension: int, batch: int = 1,
+              real: bool = True) -> "DenseBlock":
+        return cls(np.zeros((batch,) + (0,) * dimension, dtype=complex),
+                   (0,) * dimension, real)
+
+    @classmethod
+    def of(cls, series: FourierSeries) -> "DenseBlock":
+        """A batch of one holding ``series`` on its support's bounding box."""
+        keys = series.support()
+        if not keys:
+            return cls.empty(series.dimension, 1, series.real_valued)
+        modes = np.array(keys)
+        lo = modes.min(axis=0)
+        values = np.zeros((1,) + tuple((modes.max(axis=0) - lo + 1).tolist()),
+                          dtype=complex)
+        values[(0,) + tuple((modes - lo).T)] = [series._coeffs[nu] for nu in keys]
+        return cls(values, lo.tolist(), series.real_valued)
+
+    @property
+    def batch(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def dimension(self) -> int:
+        return self.values.ndim - 1
+
+    @property
+    def hi(self) -> tuple:
+        return tuple(l + n - 1 for l, n in zip(self.lo, self.values.shape[1:]))
+
+    def present(self) -> np.ndarray:
+        """Per series: whether it has a nonzero coefficient."""
+        if self._present is None:
+            self._present = (self.values != 0).reshape(self.batch, -1).any(axis=1)
+        return self._present
+
+    def series(self, b: int = 0) -> FourierSeries:
+        """Series ``b`` of the batch as a :class:`FourierSeries`."""
+        v = self.values[b if self.batch > 1 else 0]
+        idx = np.nonzero(v)
+        keys = zip(*((idx[i] + self.lo[i]).tolist() for i in range(v.ndim)))
+        return FourierSeries._from_table(v.ndim, dict(zip(keys, v[idx].tolist())),
+                                         self.real)
+
+    def take(self, rows) -> "DenseBlock":
+        """The series at ``rows`` (a list of batch indices)."""
+        if self.batch == 1:
+            return self
+        return DenseBlock(self.values[rows], self.lo, self.real)
+
+    def zero_mode(self) -> np.ndarray:
+        """Coefficient of the constant mode in each series."""
+        idx = tuple(-l for l in self.lo)
+        if all(0 <= i < n for i, n in zip(idx, self.values.shape[1:])):
+            return self.values[(slice(None),) + idx]
+        return np.zeros(self.batch, dtype=complex)
+
+    def max_norm(self) -> int:
+        """Largest l1 mode norm over all series (0 when all are empty)."""
+        cells = (self.values != 0).any(axis=0)
+        if not cells.any():
+            return 0
+        return int(_norm_grid(self.lo, cells.shape)[cells].max())
+
+    def norms(self) -> np.ndarray:
+        """``weighted_norm(0.0)`` of each series."""
+        with np.errstate(all="ignore"):
+            mags = np.hypot(self.values.real, self.values.imag)
+        # accumulate runs one cell at a time; numpy's sum would pair terms
+        return np.add.accumulate(mags.reshape(self.batch, -1), axis=1)[:, -1] \
+            if mags.size else np.zeros(self.batch)
+
+    # -- algebra ---------------------------------------------------------
+
+    def add(self, other: "DenseBlock") -> "DenseBlock":
+        """Mode-wise sum."""
+        real = self.real and other.real
+        batch = max(self.batch, other.batch)
+        parts = [x for x in (self, other) if x.values.size]
+        if not parts:
+            return DenseBlock.empty(self.dimension, batch, real)
+        if len(parts) == 1:
+            # 0 + c is c for a cleaned c; a batch of one stands for all
+            return DenseBlock(parts[0].values, parts[0].lo, real)
+        lo = [min(axis) for axis in zip(*(x.lo for x in parts))]
+        hi = [max(axis) for axis in zip(*(x.hi for x in parts))]
+        out = np.zeros((batch,) + tuple(h - l + 1 for l, h in zip(lo, hi)),
+                       dtype=complex)
+        with np.errstate(all="ignore"):
+            for x in parts:
+                region = tuple(slice(a - l, b - l + 1)
+                               for a, b, l in zip(x.lo, x.hi, lo))
+                out[(slice(None),) + region] += x.values
+        return _finish(out, lo, real)
+
+    def scaled(self, factor) -> "DenseBlock":
+        """Every coefficient multiplied by ``factor``, as Python multiplies
+        a complex ``factor`` by a complex coefficient."""
+        factor = complex(factor)
+        fr, fi = factor.real, factor.imag
+        real = self.real and abs(fi) == 0.0
+        v = self.values
+        out = np.empty_like(v)
+        with np.errstate(all="ignore"):
+            out.real = fr * v.real - fi * v.imag
+            out.imag = fr * v.imag + fi * v.real
+        return _finish(out, self.lo, real)
+
+    def product_plan(self, other: "DenseBlock", radius: int | None = None):
+        """The left modes (an (n, d) array in lexicographic order) and the
+        output box ``(lo, hi)`` of ``self.convolve(other, radius)``, or
+        None when the product is empty."""
+        if not self.values.size or not other.values.size:
+            return None
+        left = np.argwhere((self.values != 0).any(axis=0)) + self.lo
+        if radius is not None:
+            # a left mode farther out than this meets a kept mode only
+            # through cells outside the right factor's support
+            left = left[np.abs(left).sum(axis=1) <= radius + other.max_norm()]
+        if not len(left):
+            return None
+        lo = (left.min(axis=0) + other.lo).tolist()
+        hi = (left.max(axis=0) + other.hi).tolist()
+        if radius is not None:
+            lo = [max(x, -radius) for x in lo]
+            hi = [min(x, radius) for x in hi]
+            if any(l > h for l, h in zip(lo, hi)):
+                return None
+        return left, lo, hi
+
+    def convolve(self, other: "DenseBlock", radius: int | None = None,
+                 plan=None) -> "DenseBlock":
+        """Series-by-series :meth:`FourierSeries.convolve`: each output cell
+        sums its products in lexicographic order of the left mode, over the
+        left modes nonzero in some series (the others add exact zeros)."""
+        d = self.dimension
+        real = self.real and other.real
+        batch = max(self.batch, other.batch)
+        if plan is None:
+            plan = self.product_plan(other, radius)
+        if plan is None:
+            return DenseBlock.empty(d, batch, real)
+        left, lo, hi = plan
+        out = np.zeros((batch,) + tuple(h - l + 1 for l, h in zip(lo, hi)),
+                       dtype=complex)
+        b_lo, b_hi, b = other.lo, other.hi, other.values
+        # the part of nu + (b's box) that lies in the output box
+        first = np.maximum(lo, left + b_lo)
+        last = np.minimum(hi, left + b_hi)
+        hit = (first <= last).all(axis=1)
+        left, first, last = left[hit], first[hit], last[hit]
+        dst = [map(slice, (first[:, i] - lo[i]).tolist(),
+                   (last[:, i] - lo[i] + 1).tolist()) for i in range(d)]
+        src = [map(slice, (first[:, i] - left[:, i] - b_lo[i]).tolist(),
+                   (last[:, i] - left[:, i] - b_lo[i] + 1).tolist())
+               for i in range(d)]
+        coefs = self.values[(slice(None),) + tuple((left - self.lo).T)]
+        coefs = coefs.T.reshape((len(left), self.batch) + (1,) * d)
+        every = repeat(slice(None))
+        with np.errstate(all="ignore"):
+            for c, to, frm in zip(coefs, zip(every, *dst), zip(every, *src)):
+                cells = out[to]
+                cells += c * b[frm]
+        return _finish(out, lo, real, radius)
+
+
+def _finish(values: np.ndarray, lo, real: bool,
+            radius: int | None = None) -> DenseBlock:
+    """Clean ``values`` in place by the rule of :func:`_clean`, zero the
+    cells beyond ``radius``, and cut the box to the nonzero cells."""
+    d = values.ndim - 1
+    with np.errstate(all="ignore"):
+        np.add(values, 0.0, out=values)
+        keep = np.hypot(values.real, values.imag) >= DROP_THRESHOLD
+    if radius is not None:
+        keep &= _norm_grid(tuple(lo), values.shape[1:]) <= radius
+    np.copyto(values, 0, where=~keep)
+    cells = keep.any(axis=0)
+    if not cells.any():
+        return DenseBlock.empty(d, values.shape[0], real)
+    box = [slice(None)]
+    new_lo = []
+    for i in range(d):
+        others = tuple(j for j in range(d) if j != i)
+        used = np.flatnonzero(cells.any(axis=others) if others else cells)
+        box.append(slice(used[0], used[-1] + 1))
+        new_lo.append(lo[i] + int(used[0]))
+    return DenseBlock(values[tuple(box)], new_lo, real)
 
 
 def zero_series(dimension: int, real_valued: bool = True) -> FourierSeries:

@@ -9,16 +9,27 @@ fixed-point system (and hence directly comparable with the independent
 direct solver): a product of already-truncated orders is computed only out
 to the radius from which it can still reach the ball, and the coefficients
 it keeps are bitwise those of the full-support product.
+
+One engine builds every ladder: ``_Expansion`` runs the recursion for a
+batch of zetas at once on dense blocks (:class:`~.fourier.DenseBlock`),
+with 1/D(eps, omega . nu) read from a table built once per (eps, N).  The
+zeta scan uses a batch of several zetas; ``build_ladder``, ``first_order``
+and the ``next_order`` replays use a batch of one, and series objects are
+made only for what they return.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from statistics import median
 
+import numpy as np
+
 from .errors import LadderDivergenceError, ResonanceError
-from .fourier import FourierSeries, _clean, mode_norm, zero_series
+from .fourier import (DenseBlock, FourierSeries, _finish, _norm, mode_norm,
+                      zero_series)
 from .systems import GeneralSystem, SeparableSystem
 
 _D_FLOOR = 1e-300
@@ -86,48 +97,153 @@ class OrderLadder:
         }
 
 
-class _Expansion:
-    """Incremental ladder builder with memoized partial products."""
+def _propagator_table(sys, eps: float, N: int):
+    """1/D(eps, omega . nu) on the box [-N, N]^d, by components, in two
+    read-only arrays that are zero at the zero mode and beyond the ball.
+    Each reciprocal is taken in Python, as the scalar propagator takes it.
+    The third entry maps each ball mode where |D| < 1e-300 to its
+    omega . nu, in lexicographic order.  Tables are shared by the
+    expansions at one (omega, a, eps, N), keyed by the bits of the floats
+    so that -0.0 and 0.0 get tables of their own."""
+    return _table(tuple(float(w).hex() for w in sys.omega),
+                  float(sys.a).hex(), float(eps).hex(), int(N))
 
-    def __init__(self, sys, eps: float, zeta: float, N: int):
+
+@lru_cache(maxsize=8)
+def _table(omega_bits: tuple, a_bits: str, eps_bits: str, N: int):
+    omega = tuple(float.fromhex(w) for w in omega_bits)
+    a, eps = float.fromhex(a_bits), float.fromhex(eps_bits)
+    shape = (2 * N + 1,) * len(omega)
+    re, im = np.zeros(shape), np.zeros(shape)
+    resonant = {}
+    for idx in np.ndindex(*shape):
+        nu = tuple(i - N for i in idx)
+        if not any(nu) or _norm(nu) > N:
+            continue
+        s = 0.0
+        for x, w in zip(nu, omega):
+            s += x * w
+        d = propagator_denominator(eps, s, a)
+        if abs(d) < _D_FLOOR:
+            resonant[nu] = s
+            continue
+        p = 1.0 / d
+        re[idx], im[idx] = p.real, p.imag
+    re.flags.writeable = im.flags.writeable = False
+    return re, im, resonant
+
+
+def _resonance(s) -> ResonanceError:
+    return ResonanceError(
+        f"propagator denominator vanished at s = {s!r}: "
+        "resonance slipped through the non-resonance certificate",
+        value=s,
+    )
+
+
+class _Expansion:
+    """The ladder recursion for a batch of zetas at one (eps, N).
+
+    Each order is a :class:`DenseBlock` holding one series per live zeta;
+    partial products are memoized, so every convolution is computed once
+    per batch, and the propagator comes from one table.  A zeta whose
+    build fails (a resonant source mode or a blown-up order) records in
+    ``errors`` the exception the build at that zeta alone raises and
+    leaves the batch; the others go on exactly as they would alone.
+    ``rows`` maps each live batch index to its position in ``zetas``.
+    """
+
+    def __init__(self, sys, eps: float, zetas, N: int):
         sys.require_certified()
         self.sys = sys
         self.eps = float(eps)
-        self.zeta = float(zeta)
+        self.zetas = [float(z) for z in zetas]
         self.N = int(N)
         if self.N < 1:
             raise ValueError("mode cutoff N must be >= 1")
         self.d = sys.dimension
-        self.prop = Propagator(self.eps, sys.a)
-        self.orders: list[FourierSeries] = []
-        self._products: dict[tuple[int, int], FourierSeries] = {}
+        self.rows = list(range(len(self.zetas)))
+        self.errors: dict[int, Exception] = {}
+        self.orders: list[DenseBlock] = []
+        self.norms: list[np.ndarray] = []
+        self._products: dict[tuple[int, int], DenseBlock] = {}
         if isinstance(sys, SeparableSystem):
             self._powers = sorted(sys.nonlinear_taylor)
+            self._source, self._scale = DenseBlock.of(sys.forcing), self.eps
         elif isinstance(sys, GeneralSystem):
             self._powers = sys.nonlinear_powers()
+            self._source = DenseBlock.of(sys.forcing_series)
+            self._scale = -self.eps
+            self._alpha1 = DenseBlock.of(sys.alpha1_series)
+            self._alpha = {p: DenseBlock.of(sys.alpha_series(p))
+                           for p in self._powers}
         else:
             raise TypeError(f"unsupported system type {type(sys)!r}")
         self._coupling = _coupling_radius(sys)
         # largest |nu| an order can have: N for the orders built here
         self._step = self.N
+        self._table = _propagator_table(sys, self.eps, self.N)
 
-    def _dot(self, nu) -> float:
-        s = 0.0
-        for x, w in zip(nu, self.sys.omega):
-            s += x * w
-        return s
+    def drop(self, batch_rows) -> None:
+        """Remove the series at the live batch indices ``batch_rows``."""
+        gone = set(batch_rows)
+        if not gone:
+            return
+        kept = [i for i in range(len(self.rows)) if i not in gone]
+        self.rows = [self.rows[i] for i in kept]
+        self.orders = [u.take(kept) for u in self.orders]
+        self.norms = [n[kept] for n in self.norms]
+        self._products = {key: b.take(kept)
+                          for key, b in self._products.items()}
 
-    def _divide(self, series: FourierSeries, scale: float) -> FourierSeries:
+    def fail(self, failures: dict) -> None:
+        """Record ``{batch index: exception}`` and drop those series."""
+        for i, exc in failures.items():
+            self.errors[self.rows[i]] = exc
+        self.drop(failures)
+
+    def raise_first(self) -> None:
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+    def _divide(self, source: DenseBlock, scale: float) -> DenseBlock:
         """Multiply by scale/D(eps, omega.nu) mode-wise, dropping the zero
-        mode and everything beyond the ball."""
-        out = {}
-        for nu, c in series.items_sorted():
-            if not any(nu) or mode_norm(nu) > self.N:
-                continue
-            out[nu] = scale * c * self.prop(self._dot(nu))
-        return FourierSeries._from_table(self.d, _clean(out), series.real_valued)
+        mode and everything beyond the ball.  A series with a source mode
+        where D vanishes fails with the first such mode's ResonanceError
+        and leaves the batch."""
+        N, batch = self.N, len(self.rows)
+        lo = [max(x, -N) for x in source.lo]
+        hi = [min(x, N) for x in source.hi]
+        if not source.values.size or any(l > h for l, h in zip(lo, hi)):
+            return DenseBlock.empty(self.d, batch, source.real)
+        inner = (slice(None),) + tuple(
+            slice(l - s, h - s + 1) for l, h, s in zip(lo, hi, source.lo))
+        c = np.broadcast_to(source.values[inner],
+                            (batch,) + tuple(h - l + 1 for l, h in zip(lo, hi)))
+        re, im, resonant = self._table
+        # resonant modes come in lexicographic order, so the first one a
+        # series has in its source is the one its scalar division met
+        failures = {}
+        for nu, s in resonant.items():
+            if all(l <= x <= h for x, l, h in zip(nu, lo, hi)):
+                cell = c[(slice(None),) + tuple(x - l for x, l in zip(nu, lo))]
+                for i in np.flatnonzero(cell != 0).tolist():
+                    failures.setdefault(i, _resonance(s))
+        if failures:
+            self.fail(failures)
+            c = c[[i for i in range(batch) if i not in failures]]
+        table = tuple(slice(l + N, h + N + 1) for l, h in zip(lo, hi))
+        pr, pi = re[table], im[table]
+        out = np.empty(c.shape, dtype=complex)
+        with np.errstate(all="ignore"):
+            # (scale * c) * p, each product as Python forms it
+            xr = scale * c.real - 0.0 * c.imag
+            xi = scale * c.imag + 0.0 * c.real
+            out.real = xr * pr - xi * pi
+            out.imag = xr * pi + xi * pr
+        return _finish(out, lo, source.real)
 
-    def _partial_product(self, p: int, m: int) -> FourierSeries:
+    def _partial_product(self, p: int, m: int) -> DenseBlock:
         """Sum over ordered compositions k_1 + ... + k_p = m of the
         convolutions u^(k_1) * ... * u^(k_p), on the modes that can still
         reach the ball.
@@ -144,93 +260,135 @@ class _Expansion:
         if cached is not None:
             return cached
         radius = self.N + self._coupling + (self._powers[-1] - p) * self._step
-        total = zero_series(self.d)
+        total = DenseBlock.empty(self.d)
         for j in range(1, m - p + 2):
             left = self.orders[j - 1]
             right = self._partial_product(p - 1, m - j)
-            if len(left) and len(right):
+            if (left.present() & right.present()).any():
                 total = total.add(left.convolve(right, radius=radius))
         self._products[key] = total
         return total
 
-    def first_order(self) -> FourierSeries:
-        if isinstance(self.sys, SeparableSystem):
-            source = self.sys.forcing
-            scale = self.eps
-        else:
-            source = self.sys.forcing_series
-            scale = -self.eps
-        u1 = self._divide(source, scale)
-        table = dict(u1.items_sorted())
-        table[(0,) * self.d] = self.zeta
-        u1 = FourierSeries._from_table(self.d, _clean(table), u1.real_valued)
+    def first_order(self) -> None:
+        base = self._divide(self._source, self._scale)
+        if not self.rows:
+            return
+        zero = (0,) * self.d
+        lo = [min(x, 0) for x in base.lo] if base.values.size else list(zero)
+        hi = [max(x, 0) for x in base.hi] if base.values.size else list(zero)
+        values = np.zeros((len(self.rows),) + tuple(
+            h - l + 1 for l, h in zip(lo, hi)), dtype=complex)
+        if base.values.size:
+            values[(slice(None),) + tuple(
+                slice(a - l, b - l + 1)
+                for a, b, l in zip(base.lo, base.hi, lo))] = base.values
+        values[(slice(None),) + tuple(-l for l in lo)] = \
+            [self.zetas[r] for r in self.rows]
+        u1 = _finish(values, lo, base.real)
         self.orders.append(u1)
-        return u1
+        self.norms.append(u1.norms())
 
-    def next_order(self) -> FourierSeries:
+    def next_order(self) -> None:
         k = len(self.orders) + 1
         if k < 2:
             raise ValueError("first order must exist before higher orders")
-        source = zero_series(self.d)
+        source = DenseBlock.empty(self.d)
         if isinstance(self.sys, GeneralSystem):
-            alpha1 = self.sys.alpha1_series
             prev = self.orders[k - 2]
-            if len(alpha1) and len(prev):
-                source = source.add(alpha1.convolve(prev, radius=self.N))
+            if self._alpha1.values.size and prev.present().any():
+                source = source.add(self._alpha1.convolve(prev, radius=self.N))
         for p in self._powers:
             if p > k - 1:
                 break
             block = self._partial_product(p, k - 1)
-            if not len(block):
+            if not block.present().any():
                 continue
             if isinstance(self.sys, SeparableSystem):
                 source = source.add(block.scaled(self.sys.nonlinear_taylor[p]))
             else:
                 source = source.add(
-                    self.sys.alpha_series(p).convolve(block, radius=self.N))
+                    self._alpha[p].convolve(block, radius=self.N))
         u_k = self._divide(source, -self.eps)
-        if u_k.weighted_norm(0.0) > _BLOWUP_NORM:
-            raise LadderDivergenceError(
+        if not self.rows:
+            return
+        norms = u_k.norms()
+        blown = np.flatnonzero(norms > _BLOWUP_NORM).tolist()
+        if blown:
+            kept = [i for i in range(len(norms)) if i not in set(blown)]
+            u_k, norms = u_k.take(kept), norms[kept]
+            self.fail({i: LadderDivergenceError(
                 f"order {k} norm exceeded {_BLOWUP_NORM:.0e}: "
-                "expansion is blowing up"
-            )
+                "expansion is blowing up") for i in blown})
         self.orders.append(u_k)
-        return u_k
+        self.norms.append(norms)
 
-    def ladder(self) -> OrderLadder:
+    def build(self, K: int) -> None:
+        """Orders 1..K for every zeta that does not fail on the way."""
+        self.first_order()
+        for _ in range(2, K + 1):
+            if not self.rows:
+                break
+            self.next_order()
+        # the partial products are read only while the orders are built
+        self._products = {}
+
+    def take(self, rows) -> "_Expansion":
+        """The orders and norms of the live batch indices ``rows`` alone."""
+        part = object.__new__(_Expansion)
+        part.__dict__.update(self.__dict__)
+        part.rows = [self.rows[i] for i in rows]
+        part.errors = {}
+        part.orders = [u.take(rows) for u in self.orders]
+        part.norms = [n[rows] for n in self.norms]
+        part._products = {}
+        return part
+
+    def assembled(self) -> DenseBlock:
+        """Sum of the orders, as :func:`assemble` with mu = 1 forms it."""
+        total = DenseBlock.empty(self.d)
+        for u in self.orders:
+            total = total.add(u.scaled(1.0))
+        return total
+
+    def ladder(self, i: int = 0) -> OrderLadder:
+        """The ladder of live batch index ``i``."""
         return OrderLadder(
-            orders=list(self.orders),
-            zeta=self.zeta,
+            orders=[u.series(i) for u in self.orders],
+            zeta=self.zetas[self.rows[i]],
             eps=self.eps,
             N=self.N,
-            norms=[s.weighted_norm(0.0) for s in self.orders],
+            norms=[float(n[i]) for n in self.norms],
         )
 
 
 def first_order(sys, eps: float, zeta: float, N: int) -> FourierSeries:
     """u^(1): forcing modes divided by the propagator, zero mode set to zeta."""
-    exp = _Expansion(sys, eps, zeta, N)
-    return exp.first_order()
+    exp = _Expansion(sys, eps, [zeta], N)
+    exp.first_order()
+    exp.raise_first()
+    return exp.orders[0].series()
 
 
-def _replay(sys, ladder: OrderLadder, k: int) -> _Expansion:
+def _replay(sys, ladder: OrderLadder, k: int) -> FourierSeries:
     if k < 2:
         raise ValueError("recursion starts at k = 2")
     if len(ladder.orders) < k - 1:
         raise ValueError(f"orders 1..{k - 1} must be present")
-    exp = _Expansion(sys, ladder.eps, ladder.zeta, ladder.N)
-    exp.orders = list(ladder.orders[: k - 1])
+    exp = _Expansion(sys, ladder.eps, [ladder.zeta], ladder.N)
+    exp.orders = [DenseBlock.of(s) for s in ladder.orders[: k - 1]]
     # a caller's ladder may hold modes beyond its N; the products must
     # still reach the ball from them
-    exp._step = max([exp.N] + [s.max_norm() for s in exp.orders])
-    return exp
+    exp._step = max([exp.N] + [s.max_norm() for s in ladder.orders[: k - 1]])
+    exp.next_order()
+    exp.raise_first()
+    return exp.orders[-1].series()
 
 
 def next_order_thm1(sys: SeparableSystem, ladder: OrderLadder, k: int) -> FourierSeries:
     """Order k of the separable recursion (sum over powers p >= 2)."""
     if not isinstance(sys, SeparableSystem):
         raise TypeError("next_order_thm1 requires a SeparableSystem")
-    return _replay(sys, ladder, k).next_order()
+    return _replay(sys, ladder, k)
 
 
 def next_order_thm2(sys: GeneralSystem, ladder: OrderLadder, k: int) -> FourierSeries:
@@ -238,17 +396,16 @@ def next_order_thm2(sys: GeneralSystem, ladder: OrderLadder, k: int) -> FourierS
     the powers p >= 2 with angle-dependent coefficients)."""
     if not isinstance(sys, GeneralSystem):
         raise TypeError("next_order_thm2 requires a GeneralSystem")
-    return _replay(sys, ladder, k).next_order()
+    return _replay(sys, ladder, k)
 
 
 def build_ladder(sys, eps: float, zeta: float, K: int, N: int) -> OrderLadder:
     """Construct orders 1..K at the given (eps, zeta) on the radius-N ball."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    exp = _Expansion(sys, eps, zeta, N)
-    exp.first_order()
-    for _ in range(2, K + 1):
-        exp.next_order()
+    exp = _Expansion(sys, eps, [zeta], N)
+    exp.build(K)
+    exp.raise_first()
     return exp.ladder()
 
 
@@ -276,15 +433,18 @@ def convergence_ratio(ladder: OrderLadder, xi_prime: float = 0.0):
     normalised per order, (norm_2/norm_1)^(1/(k2-k1)).  The estimate is
     the median of the last ceil(K/3) ratios, 0 when no ratio exists.
     """
-    norms = [(k + 1, s.weighted_norm(xi_prime))
-             for k, s in enumerate(ladder.orders)]
-    populated = [(k, n) for k, n in norms if n > 0.0]
+    return _ratios([s.weighted_norm(xi_prime) for s in ladder.orders])
+
+
+def _ratios(norms):
+    """:func:`convergence_ratio` from the norms of orders 1..K."""
+    populated = [(k, n) for k, n in enumerate(norms, 1) if n > 0.0]
     ratios = []
     for (k1, n1), (k2, n2) in zip(populated, populated[1:]):
         ratios.append((n2 / n1) ** (1.0 / (k2 - k1)))
     if not ratios:
         return [], 0.0
-    tail = max(1, math.ceil(len(ladder.orders) / 3))
+    tail = max(1, math.ceil(len(norms) / 3))
     return ratios, float(median(ratios[-tail:]))
 
 
@@ -296,8 +456,8 @@ def _coupling_radius(sys) -> int:
     return 0
 
 
-def _powers_of(w: FourierSeries, powers, radius: int | None = None,
-              coupling: int = 0):
+def _powers_of(w: DenseBlock, powers, radius: int | None = None,
+               coupling: int = 0):
     """Yield (p, w^p) for the ascending ``powers``, each by repeated
     convolution with ``w``.
 
@@ -317,6 +477,26 @@ def _powers_of(w: FourierSeries, powers, radius: int | None = None,
         yield p, w_pow
 
 
+def _nonlinearity(sys, w: DenseBlock, radius: int | None = None) -> DenseBlock:
+    """:func:`nonlinearity_series` of each series in the block ``w``."""
+    total = DenseBlock.empty(w.dimension)
+    if isinstance(sys, SeparableSystem):
+        for p, w_pow in _powers_of(w, sorted(sys.nonlinear_taylor), radius):
+            total = total.add(w_pow.scaled(sys.nonlinear_taylor[p]))
+    elif isinstance(sys, GeneralSystem):
+        total = total.add(DenseBlock.of(sys.forcing_series))
+        alpha1 = DenseBlock.of(sys.alpha1_series)
+        if alpha1.values.size and w.present().any():
+            total = total.add(alpha1.convolve(w, radius=radius))
+        for p, w_pow in _powers_of(w, sys.nonlinear_powers(), radius,
+                                   _coupling_radius(sys)):
+            total = total.add(
+                DenseBlock.of(sys.alpha_series(p)).convolve(w_pow, radius=radius))
+    else:
+        raise TypeError(f"unsupported system type {type(sys)!r}")
+    return total
+
+
 def nonlinearity_series(sys, w: FourierSeries,
                         radius: int | None = None) -> FourierSeries:
     """The nonlinear block entering both equations.
@@ -329,30 +509,18 @@ def nonlinearity_series(sys, w: FourierSeries,
     block's coefficient; modes beyond the radius may be present but are not
     to be read.
     """
-    d = w.dimension
-    total = zero_series(d)
-    if isinstance(sys, SeparableSystem):
-        for p, w_pow in _powers_of(w, sorted(sys.nonlinear_taylor), radius):
-            total = total.add(w_pow.scaled(sys.nonlinear_taylor[p]))
-    elif isinstance(sys, GeneralSystem):
-        total = total.add(sys.forcing_series)
-        if len(sys.alpha1_series) and len(w):
-            total = total.add(sys.alpha1_series.convolve(w, radius=radius))
-        for p, w_pow in _powers_of(w, sys.nonlinear_powers(), radius,
-                                  _coupling_radius(sys)):
-            total = total.add(sys.alpha_series(p).convolve(w_pow, radius=radius))
-    else:
-        raise TypeError(f"unsupported system type {type(sys)!r}")
-    return total
+    return _nonlinearity(sys, DenseBlock.of(w), radius).series()
 
 
-def coupled_powers_zero_mode(sys: GeneralSystem, w: FourierSeries) -> complex:
-    """Zero mode of sum_{p>=2} alpha_p * w^p, each power of ``w`` formed
-    only out to the radius from which it can still reach the zero mode."""
-    total = 0j
+def coupled_powers_zero_mode(sys: GeneralSystem, w: DenseBlock) -> np.ndarray:
+    """Zero mode of sum_{p>=2} alpha_p * w^p for each series in the block
+    ``w``, each power formed only out to the radius from which it can
+    still reach the zero mode, and the terms summed in increasing p."""
+    total = np.zeros(w.batch, dtype=complex)
     for p, w_pow in _powers_of(w, sys.nonlinear_powers(), 0,
                                _coupling_radius(sys)):
-        total += sys.alpha_series(p).convolve(w_pow, radius=0).zero_mode()
+        total = total + DenseBlock.of(sys.alpha_series(p)).convolve(
+            w_pow, radius=0).zero_mode()
     return total
 
 
@@ -367,18 +535,18 @@ def forcing_term(sys) -> FourierSeries:
 def range_residual(sys, eps: float, w: FourierSeries, N: int) -> float:
     """Max over 0 < |nu| <= N of |D(eps, omega.nu) w_nu + eps [nl]_nu
     - eps f_nu|: the defect of the truncated range equation."""
-    nl = nonlinearity_series(sys, w, radius=N)
-    f = forcing_term(sys)
+    w_c = w._coeffs
+    nl_c = nonlinearity_series(sys, w, radius=N)._coeffs
+    f_c = forcing_term(sys)._coeffs
     a = sys.a
     worst = 0.0
-    modes = set(w.support()) | set(nl.support()) | set(f.support())
-    for nu in sorted(modes):
-        if not any(nu) or mode_norm(nu) > N:
+    for nu in sorted(set(w_c) | set(nl_c) | set(f_c)):
+        if not any(nu) or _norm(nu) > N:
             continue
         s = 0.0
         for x, om in zip(nu, sys.omega):
             s += x * om
         d = propagator_denominator(eps, s, a)
-        r = d * w.coeff(nu) + eps * nl.coeff(nu) - eps * f.coeff(nu)
+        r = d * w_c.get(nu, 0j) + eps * nl_c.get(nu, 0j) - eps * f_c.get(nu, 0j)
         worst = max(worst, abs(r))
     return worst

@@ -1,0 +1,424 @@
+"""The batched zeta scan against per-zeta scalar evaluation.
+
+``solve_zeta`` evaluates zeta = 0 and every scan point in one batched
+ladder build on dense blocks.  Each zeta of a batch must get, bit for
+bit, what evaluating it alone through the full-support reference
+recursion of ``test_fast_paths`` gives: the orders, their norms, the
+ratios, the assembled sum and the balance, or the same exception.  The
+scan must then read those outcomes in the order the sequential solve
+reads them, so a point's error counts only once the scan reaches it.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+import qpresponse.bifurcation as bifurcation
+from qpresponse.bifurcation import H, _Evaluation, solve_response, solve_zeta
+from qpresponse.diophantine import estimate_epsilon_bar
+from qpresponse.errors import (
+    LadderDivergenceError,
+    ResonanceError,
+    SymmetryError,
+)
+from qpresponse.fourier import (
+    DenseBlock,
+    FourierSeries,
+    cosine,
+    mode_norm,
+    zero_series,
+)
+from qpresponse.ladder import (
+    OrderLadder,
+    assemble,
+    convergence_ratio,
+    forcing_term,
+    nonlinearity_series,
+    propagator_denominator,
+    range_residual,
+)
+from qpresponse.systems import (
+    GeneralSystem,
+    SeparableSystem,
+    certify_envelope,
+    recentre,
+)
+
+from test_fast_paths import (
+    TAYLOR,
+    bits,
+    general_system,
+    random_series,
+    reference_ladder,
+    reference_next,
+    separable_system,
+    unmemoized_solve_zeta,
+)
+
+PHI = (1 + math.sqrt(5)) / 2
+
+
+def powers(sys):
+    if isinstance(sys, GeneralSystem):
+        return sys.nonlinear_powers()
+    return sorted(sys.nonlinear_taylor)
+
+
+def real_part(value, what):
+    if abs(value.imag) > 1e-12:
+        raise SymmetryError(
+            f"{what} has imaginary part {value.imag:.3e} beyond tolerance")
+    return value.real
+
+
+def reference_balance(sys, w, eps, literal):
+    """The zero-mode balance with every power of ``w`` at full support."""
+    zeta = real_part(w.zero_mode(), "the assembled zero mode")
+    general = isinstance(sys, GeneralSystem)
+    if general and literal:
+        lin0 = 0j
+        if len(sys.alpha1_series) and len(w):
+            lin0 = sys.alpha1_series.convolve(w).zero_mode()
+        nl0 = 0j
+        for p in powers(sys):
+            nl0 += sys.alpha_series(p).convolve(w.power(p)).zero_mode()
+        return eps * sys.a * zeta + real_part(lin0 + eps * nl0,
+                                              "the zero-mode balance")
+    total = zero_series(sys.dimension)
+    if general:
+        total = total.add(sys.forcing_series)
+        if len(sys.alpha1_series) and len(w):
+            total = total.add(sys.alpha1_series.convolve(w))
+        for p in powers(sys):
+            total = total.add(sys.alpha_series(p).convolve(w.power(p)))
+    else:
+        for p in powers(sys):
+            total = total.add(w.power(p).scaled(sys.nonlinear_taylor[p]))
+    return sys.a * zeta + real_part(total.zero_mode(), "the zero-mode balance")
+
+
+def reference_h(sys, eps, zeta, K, N, literal):
+    """One zeta alone: (ladder, ratios, estimate, w, balance), or the
+    exception the scalar evaluation raises."""
+    try:
+        orders = reference_ladder(sys, eps, zeta, 1, N)
+        for k in range(2, K + 1):
+            u = reference_next(sys, eps, orders, N)
+            if u.weighted_norm(0.0) > 1e12:
+                raise LadderDivergenceError(
+                    f"order {k} norm exceeded 1e+12: expansion is blowing up")
+            orders.append(u)
+        ladder = OrderLadder(orders=orders, zeta=zeta, eps=eps, N=N,
+                             norms=[s.weighted_norm(0.0) for s in orders])
+        ratios, estimate = convergence_ratio(ladder)
+        if not np.isfinite(estimate) or estimate >= 1.0:
+            raise LadderDivergenceError(
+                f"expansion does not contract at eps={eps!r}, zeta={zeta!r} "
+                f"(ratio estimate {estimate:.3g})")
+        w = assemble(ladder, 1.0)
+        return ladder, ratios, estimate, w, reference_balance(sys, w, eps,
+                                                              literal)
+    except (LadderDivergenceError, ResonanceError, SymmetryError) as exc:
+        return exc
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_batch_matches_alone(sys, eps, zetas, K, N, literal=False):
+    """Every zeta of the batch against its own reference evaluation;
+    returns the reference outcomes."""
+    batch = _Evaluation(sys, eps, zetas, K, N, literal)
+    expected = [reference_h(sys, eps, z, K, N, literal) for z in zetas]
+    live = batch.expansion.rows
+    for pos, (got, want) in enumerate(zip(batch.outcomes, expected)):
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            assert pos not in live
+            continue
+        ladder, ratios, estimate, w, value = want
+        assert float(got).hex() == value.hex()
+        i = live.index(pos)
+        mine = batch.expansion.ladder(i)
+        assert mine.zeta == zetas[pos] and mine.eps == eps and mine.N == N
+        assert [bits(s) for s in mine.orders] == [bits(s) for s in ladder.orders]
+        assert hexes(mine.norms) == hexes(ladder.norms)
+        got_ratios, got_estimate = batch.ratios[pos]
+        assert hexes(got_ratios) == hexes(ratios)
+        assert float(got_estimate).hex() == float(estimate).hex()
+        assert bits(batch.w.series(i)) == bits(w)
+        # what solve_zeta hands on when this zeta is the root
+        held_ladder, held_ratios, held_estimate, held_w = \
+            batch.one(zetas[pos]).result()
+        assert held_ladder.zeta == zetas[pos]
+        assert [bits(s) for s in held_ladder.orders] == \
+            [bits(s) for s in ladder.orders]
+        assert hexes(held_ladder.norms) == hexes(ladder.norms)
+        assert hexes(held_ratios) == hexes(ratios)
+        assert float(held_estimate).hex() == float(estimate).hex()
+        assert bits(held_w) == bits(w)
+        # the batch of one that H evaluates gives the same numbers
+        assert H(zetas[pos], eps, sys, K, N, literal=literal).hex() == \
+            value.hex()
+    return expected
+
+
+def near_resonant_system():
+    """omega . nu = -1e-7 at nu = (1, -1): a small divisor inside the ball."""
+    forcing = cosine(2, 0, 0.4).add(cosine(2, 1, 0.3))
+    return recentre(SeparableSystem((1.0, 1.0 + 1e-7), forcing, TAYLOR), 0.0)
+
+
+def eps_near_bar():
+    sys = separable_system(2, TAYLOR)
+    env = certify_envelope(sys, xi=0.5, rho=0.5)
+    return sys, 0.95 * estimate_epsilon_bar(env, sys.a, sys.omega).eps_bar
+
+
+SYSTEMS = {
+    "separable-d1": (lambda: (separable_system(1, TAYLOR), 0.05), 8, 4, False),
+    "separable-d2": (lambda: (separable_system(2, TAYLOR), 0.05), 7, 4, False),
+    "separable-d3": (lambda: (separable_system(3, TAYLOR), 0.05), 5, 2, False),
+    "general": (lambda: (general_system(), 0.04), 6, 3, False),
+    "general-literal": (lambda: (general_system(), 0.04), 6, 3, True),
+    "near-resonant": (lambda: (near_resonant_system(), 0.05), 6, 3, False),
+    "eps-near-bar": (eps_near_bar, 6, 3, False),
+}
+BATCHES = {
+    1: [0.0],
+    2: [0.0, 0.07],
+    7: [-0.2, -0.1, 0.0, 0.05, 0.1, 0.15, 0.2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("size", sorted(BATCHES))
+def test_batch_matches_each_zeta_alone(name, size):
+    make, K, N, literal = SYSTEMS[name]
+    sys, eps = make()
+    expected = assert_batch_matches_alone(sys, eps, BATCHES[size], K, N,
+                                          literal)
+    assert not any(isinstance(e, Exception) for e in expected)
+
+
+@pytest.mark.parametrize("name", ["separable-d2", "general"])
+def test_one_diverging_zeta_leaves_the_others_alone(name):
+    make, K, N, literal = SYSTEMS[name]
+    sys, eps = make()
+    zetas = [0.0, 0.1, 40.0, -0.05]
+    expected = assert_batch_matches_alone(sys, eps, zetas, K + 2, N, literal)
+    failed = [isinstance(e, Exception) for e in expected]
+    assert failed == [False, False, True, False]
+    assert isinstance(expected[2], LadderDivergenceError)
+
+
+def test_blow_up_and_contraction_errors_in_one_batch():
+    # a wide bracket: the far points blow up at some order, the near
+    # ones converge, and in between the ratio test fails
+    sys = separable_system(2, TAYLOR)
+    zetas = [0.0, 0.3, 3.0, 1000.0]
+    expected = assert_batch_matches_alone(sys, 0.05, zetas, 12, 3)
+    messages = [str(e) for e in expected if isinstance(e, Exception)]
+    assert any("norm exceeded" in m for m in messages)
+    assert any("does not contract" in m for m in messages)
+
+
+# -- the scan replays the sequential solve -----------------------------------
+
+def odd_cubic_system():
+    """g = x + x^3 with forcing on odd modes only: u has odd modes at
+    zeta = 0, so u^3 has no zero mode and H(0) is exactly 0."""
+    forcing = cosine(2, 0, 0.5).add(cosine(2, 1, 0.4))
+    return recentre(SeparableSystem((1.0, PHI), forcing, {1: 1.0, 3: 1.0}),
+                    0.0)
+
+
+def test_later_divergence_does_not_mask_a_zero_at_the_origin():
+    sys = odd_cubic_system()
+    bracket = (-40.0, 40.0)
+    scan = _Evaluation(sys, 0.05, [0.0, -40.0, 40.0], 10, 4, False)
+    assert scan.outcomes[0] == 0.0
+    assert all(isinstance(e, LadderDivergenceError) for e in scan.outcomes[1:])
+    keep = {}
+    assert solve_zeta(0.05, sys, 10, 4, bracket, keep=keep) == 0.0
+    assert unmemoized_solve_zeta(0.05, sys, 10, 4, bracket) == 0.0
+    (z, (ladder, _, _, w)), = keep.items()
+    assert z == 0.0 and ladder.zeta == 0.0 and len(ladder) == 10
+
+
+@pytest.mark.parametrize("bracket", [(-40.0, 0.25), (-0.25, 40.0),
+                                     (-0.2, 5.0)])
+def test_scan_raises_what_the_sequential_scan_raises(bracket):
+    sys = separable_system(2, TAYLOR)
+    with pytest.raises(LadderDivergenceError) as slow:
+        unmemoized_solve_zeta(0.05, sys, 9, 3, bracket)
+    with pytest.raises(LadderDivergenceError) as fast:
+        solve_zeta(0.05, sys, 9, 3, bracket)
+    # the sequential helper hands H the numpy scalars of the scan grid,
+    # where solve_zeta hands it floats: only the repr of zeta may differ
+    assert str(fast.value) == \
+        re.sub(r"np\.float64\(([^)]*)\)", r"\1", str(slow.value))
+    assert fast.value.advice == slow.value.advice
+
+
+def rational_system(forcing):
+    """omega = (1, 2): omega . nu = 0 at nu = +-(2, -1), so at eps = 0 the
+    propagator vanishes there."""
+    return recentre(SeparableSystem((1.0, 2.0), forcing, TAYLOR), 0.0)
+
+
+def test_resonance_only_where_the_source_has_the_mode():
+    quiet = rational_system(cosine(2, 0, 0.3))
+    # at eps = 0 the ladder is the constant zeta, so H(zeta) = g(zeta)
+    for zeta in (0.0, 0.1):
+        assert H(zeta, 0.0, quiet, 4, 4) == \
+            pytest.approx(zeta + zeta**2 + 0.5 * zeta**3)
+    scan = _Evaluation(quiet, 0.0, [0.0, 0.1], 4, 4, False)
+    assert not any(isinstance(e, Exception) for e in scan.outcomes)
+
+    resonant = FourierSeries(2, {(2, -1): 0.1, (-2, 1): 0.1},
+                             real_valued=True)
+    loud = rational_system(cosine(2, 0, 0.3).add(resonant))
+    with pytest.raises(ResonanceError) as alone:
+        H(0.1, 0.0, loud, 4, 4)
+    assert alone.value.value == 0.0
+    scan = _Evaluation(loud, 0.0, [0.0, 0.1], 4, 4, False)
+    for exc in scan.outcomes:
+        assert isinstance(exc, ResonanceError)
+        assert str(exc) == str(alone.value) and exc.value == 0.0
+    with pytest.raises(ResonanceError, match="s = 0.0"):
+        solve_zeta(0.0, loud, 4, 4)
+
+
+def test_resonance_at_a_higher_order_fails_only_its_zeta():
+    # at eps = 0 the first order is the constant zeta, and the angle
+    # coupling carries it onto the resonant mode (2, -1) at order 2 only
+    # when zeta != 0
+    grid = {
+        ((0, 0), 1): 1.0,
+        ((2, -1), 1): 0.1,
+        ((-2, 1), 1): 0.1,
+        ((0, 0), 2): 1.0,
+        ((0, 1), 0): 0.05,
+        ((0, -1), 0): 0.05,
+    }
+    sys = recentre(GeneralSystem((1.0, 2.0), grid), 0.0)
+    scan = _Evaluation(sys, 0.0, [0.0, 0.1, -0.2], 3, 4, False)
+    assert scan.outcomes[0] == H(0.0, 0.0, sys, 3, 4)
+    for pos, zeta in ((1, 0.1), (2, -0.2)):
+        with pytest.raises(ResonanceError) as alone:
+            H(zeta, 0.0, sys, 3, 4)
+        assert isinstance(scan.outcomes[pos], ResonanceError)
+        assert str(scan.outcomes[pos]) == str(alone.value)
+    assert scan.expansion.rows == [0]
+
+
+def stacked(series_list):
+    """One block holding the given series, one per batch row."""
+    blocks = [DenseBlock.of(s) for s in series_list]
+    d = series_list[0].dimension
+    lo = [min(b.lo[i] for b in blocks if b.values.size) for i in range(d)]
+    hi = [max(b.hi[i] for b in blocks if b.values.size) for i in range(d)]
+    values = np.zeros((len(blocks),) + tuple(h - l + 1 for l, h in zip(lo, hi)),
+                      dtype=complex)
+    for row, b in enumerate(blocks):
+        if b.values.size:
+            values[(row,) + tuple(slice(a - l, z - l + 1) for a, z, l
+                                  in zip(b.lo, b.hi, lo))] = b.values[0]
+    return DenseBlock(values, lo, all(s.real_valued for s in series_list))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_operations_match_series_operations(d):
+    rng = np.random.default_rng([d, 13])
+    left = [random_series(rng, d, 8, 3, real=False) for _ in range(3)]
+    right = [random_series(rng, d, 6, 2, real=False) for _ in range(3)]
+    left[1] = zero_series(d, real_valued=False)
+    a, b = stacked(left), stacked(right)
+    for radius in (None, 0, 2, 4):
+        prod = a.convolve(b, radius=radius)
+        for row in range(3):
+            want = left[row].convolve(right[row], radius=radius)
+            assert bits(prod.series(row)) == bits(want)
+    total = a.add(b)
+    scaled = a.scaled(0.3 - 1.7j)
+    for row in range(3):
+        assert bits(total.series(row)) == bits(left[row].add(right[row]))
+        assert bits(scaled.series(row)) == bits(left[row].scaled(0.3 - 1.7j))
+    assert hexes(a.norms()) == hexes([s.weighted_norm(0.0) for s in left])
+
+
+# -- held expansions ---------------------------------------------------------
+
+@pytest.mark.parametrize("make, eps, K, N, kwargs", [
+    (lambda: separable_system(2, TAYLOR), 0.05, 8, 6, dict(probe=True)),
+    (general_system, 0.04, 7, 4, dict(probe=False)),
+    (general_system, 0.04, 7, 4, dict(probe=False, literal=True)),
+])
+def test_solve_builds_no_ladder_twice(make, eps, K, N, kwargs, monkeypatch):
+    sys = make()
+    built, evaluated = [], []
+    real_build, real_h = bifurcation.build_ladder, bifurcation.H
+
+    def spy_build(*args):
+        built.append(args[2])
+        return real_build(*args)
+
+    def spy_h(zeta, *args, **kw):
+        evaluated.append(zeta)
+        return real_h(zeta, *args, **kw)
+
+    monkeypatch.setattr(bifurcation, "build_ladder", spy_build)
+    monkeypatch.setattr(bifurcation, "H", spy_h)
+    sol = solve_response(eps, sys, K, N, **kwargs)
+    # the root's expansion was held: nothing rebuilt, and brentq and the
+    # secant are the only single evaluations
+    assert built == []
+    assert len(evaluated) == len(set(evaluated))
+    assert sol.ladder.zeta == sol.zeta
+
+
+# -- the per-mode loops left outside the kernel ---------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_weighted_norm_at_zero_width_is_unchanged(d):
+    rng = np.random.default_rng([d, 11])
+    coeffs = {tuple(int(x) for x in rng.integers(-4, 5, size=d)):
+              complex(rng.normal(), rng.normal()) * 10.0 ** rng.integers(-9, 9)
+              for _ in range(40)}
+    s = FourierSeries(d, coeffs)
+    total = 0.0
+    for nu, c in s.items_sorted():
+        total += abs(c) * math.exp(0.0 * mode_norm(nu))
+    assert s.weighted_norm(0.0).hex() == total.hex()
+
+
+def scalar_range_residual(sys, eps, w, N):
+    """The range residual read mode by mode through ``coeff``."""
+    nl = nonlinearity_series(sys, w, radius=N)
+    f = forcing_term(sys)
+    worst = 0.0
+    modes = set(w.support()) | set(nl.support()) | set(f.support())
+    for nu in sorted(modes):
+        if not any(nu) or mode_norm(nu) > N:
+            continue
+        s = 0.0
+        for x, om in zip(nu, sys.omega):
+            s += x * om
+        d = propagator_denominator(eps, s, sys.a)
+        r = d * w.coeff(nu) + eps * nl.coeff(nu) - eps * f.coeff(nu)
+        worst = max(worst, abs(r))
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_range_residual_is_unchanged(name):
+    make, K, N, literal = SYSTEMS[name]
+    sys, eps = make()
+    sol = solve_response(eps, sys, K, N, probe=False, literal=literal)
+    for w in (sol.u, sol.u.scaled(1.5)):
+        assert range_residual(sys, eps, w, N).hex() == \
+            scalar_range_residual(sys, eps, w, N).hex()
