@@ -5,8 +5,8 @@ fixes it by a derivative-free root solve of the balance
 
     a zeta + [nonlinear part](zero mode) = 0
 
-over a bracket inside the analyticity disk.  For general systems the
-balance is implemented in its dissipation-homogeneous form; the literal
+over a bracket inside the analyticity disk.  The balance is implemented
+in its dissipation-homogeneous form; for theorem-2 systems the literal
 scaled variant (the linear angle-coupling term not carrying the
 dissipation factor) is available behind ``literal=True`` for comparison.
 """
@@ -36,7 +36,6 @@ from .ladder import (
     coupled_powers_zero_mode,
     range_residual,
 )
-from .systems import SeparableSystem
 
 _IMAG_TOL = 1e-12
 DEFAULT_BRACKET = (-0.25, 0.25)
@@ -56,15 +55,15 @@ def _balances(sys, w: DenseBlock, eps: float, literal: bool) -> list:
     or the SymmetryError that :func:`bifurcation_balance` raises for it."""
     zetas = np.broadcast_to(w.zero_mode(), (w.batch,))
     a = sys.a
-    plain = isinstance(sys, SeparableSystem) or not literal
+    plain = sys.theorem == 1 or not literal
     if plain:
         nl0 = _nonlinearity(sys, w, radius=0).zero_mode()
     else:
-        # literal scaled form, general systems only
+        # literal scaled form, theorem 2 only
         lin0 = np.zeros(w.batch, dtype=complex)
-        alpha1 = DenseBlock.of(sys.alpha1_series)
-        if alpha1.values.size and w.present().any():
-            lin0 = alpha1.convolve(w, radius=0).zero_mode()
+        coupling = sys.layers.coupling
+        if coupling.values.size and w.present().any():
+            lin0 = coupling.convolve(w, radius=0).zero_mode()
         nl0 = coupled_powers_zero_mode(sys, w)
     nl0 = np.broadcast_to(nl0, (w.batch,)).tolist()
     out = []
@@ -86,9 +85,9 @@ def bifurcation_balance(sys, w: FourierSeries, eps: float,
     """Evaluate the zero-mode balance at an assembled solution ``w``
     (whose zero mode is the free parameter zeta).
 
-    ``literal`` switches general systems to the alternative scaling in
+    ``literal`` switches theorem-2 systems to the alternative scaling in
     which only the linear angle-coupling average enters undamped; it is a
-    no-op for separable systems.
+    no-op on theorem 1.
     """
     with np.errstate(all="ignore"):
         (value,) = _balances(sys, DenseBlock.of(w), eps, literal)

@@ -230,10 +230,8 @@ def build_system(config: dict):
         forcing = FourierSeries.from_json_dict(config["f"], real_valued=True)
         g_spec = config["g"]
         coeffs = {int(p): float(c) for p, c in g_spec["coeffs"]}
-        c_ref = float(g_spec.get("c_ref", 0.0))
-        f0 = forcing.zero_mode().real
-        roots = find_c0(coeffs, f0, interval, center=c_ref)
-        raw = SeparableSystem(omega, forcing, coeffs, center=c_ref)
+        raw = SeparableSystem(omega, forcing, coeffs,
+                              center=float(g_spec.get("c_ref", 0.0)))
     else:
         h_spec = config["h"]
         grid = {}
@@ -242,9 +240,9 @@ def build_system(config: dict):
             im = entry[3] if len(entry) > 3 else 0.0
             key = (tuple(int(x) for x in nu), int(p))
             grid[key] = grid.get(key, 0j) + complex(re, im)
-        c_ref = float(h_spec.get("c_ref", 0.0))
-        raw = GeneralSystem(omega, grid, center=c_ref)
-        roots = find_c0(raw.averaged_taylor(), 0.0, interval, center=c_ref)
+        raw = GeneralSystem(omega, grid, center=float(h_spec.get("c_ref", 0.0)))
+    # the averaged equation h_0(c0) = 0; for theorem 1, g(c0) = f0
+    roots = find_c0(raw.averaged_taylor(), 0.0, interval, center=raw.center)
     simple = [r for r in roots if r.simple]
     if not simple:
         found = ", ".join(f"(c0={r.c0:.6g}, slope={r.slope:.3g})" for r in roots)

@@ -466,18 +466,26 @@ class DenseBlock:
                 out[(slice(None),) + region] += x.values
         return _finish(out, lo, real)
 
-    def scaled(self, factor) -> "DenseBlock":
+    def scaled(self, factor, radius: int | None = None) -> "DenseBlock":
         """Every coefficient multiplied by ``factor``, as Python multiplies
-        a complex ``factor`` by a complex coefficient."""
+        a complex ``factor`` by a complex coefficient.  With ``radius`` only
+        the modes with |nu| <= radius are computed and kept."""
         factor = complex(factor)
         fr, fi = factor.real, factor.imag
         real = self.real and abs(fi) == 0.0
-        v = self.values
+        lo, v = self.lo, self.values
+        if radius is not None:
+            lo = [max(x, -radius) for x in self.lo]
+            hi = [min(x, radius) for x in self.hi]
+            if any(l > h for l, h in zip(lo, hi)):
+                return DenseBlock.empty(self.dimension, self.batch, real)
+            v = v[(slice(None),) + tuple(
+                slice(l - s, h - s + 1) for l, h, s in zip(lo, hi, self.lo))]
         out = np.empty_like(v)
         with np.errstate(all="ignore"):
             out.real = fr * v.real - fi * v.imag
             out.imag = fr * v.imag + fi * v.real
-        return _finish(out, self.lo, real)
+        return _finish(out, lo, real, radius)
 
     def product_plan(self, other: "DenseBlock", radius: int | None = None):
         """The left modes (an (n, d) array in lexicographic order) and the
@@ -505,7 +513,16 @@ class DenseBlock:
                  plan=None) -> "DenseBlock":
         """Series-by-series :meth:`FourierSeries.convolve`: each output cell
         sums its products in lexicographic order of the left mode, over the
-        left modes nonzero in some series (the others add exact zeros)."""
+        left modes nonzero in some series (the others add exact zeros).
+
+        A real left factor that is one series holding a single real
+        zero-mode coefficient c scales ``other`` by c instead.  Each
+        product is then the same single rounding of c times a part, and
+        the sum it lands in is exact (0 + x), so the result is bitwise the
+        convolution's."""
+        if self.real and self.values.size == 1 and not any(self.lo) \
+                and self.values.imag.item() == 0.0:
+            return other.scaled(self.values.real.item(), radius)
         d = self.dimension
         real = self.real and other.real
         batch = max(self.batch, other.batch)

@@ -1,5 +1,14 @@
 """Order-by-order construction of the auxiliary-parameter expansion of the
-range equation, for both separable and general systems.
+range equation D(eps, omega . nu) w + eps nl(w) = eps f on the nonzero
+modes, for every system.
+
+The equation is read off the system's grid (:attr:`~.systems.System.layers`):
+f := -(p = 0 layer) on the nonzero modes, and nl(w) = alpha_1 * w +
+sum_{p>=2} alpha_p * w^p, where alpha_1 is the p = 1 layer without its
+zero mode a (the propagator carries a) and alpha_p is the p-th layer.
+A layer that is a single real zero-mode coefficient, as every p >= 1
+layer of a separable system is, multiplies as a scaling (see
+:meth:`~.fourier.DenseBlock.convolve`).
 
 Each order u^(k) is a Fourier series on the l1 ball of radius N; the
 composition sums over lower orders are evaluated through memoized
@@ -28,12 +37,18 @@ from statistics import median
 import numpy as np
 
 from .errors import LadderDivergenceError, ResonanceError
-from .fourier import (DenseBlock, FourierSeries, _finish, _norm, mode_norm,
-                      zero_series)
-from .systems import GeneralSystem, SeparableSystem
+from .fourier import DenseBlock, FourierSeries, _finish, _norm, zero_series
 
 _D_FLOOR = 1e-300
 _BLOWUP_NORM = 1e12
+
+
+def _resonance(s) -> ResonanceError:
+    return ResonanceError(
+        f"propagator denominator vanished at s = {s!r}: "
+        "resonance slipped through the non-resonance certificate",
+        value=s,
+    )
 
 
 def propagator_denominator(eps: float, s: float, a: float) -> complex:
@@ -59,11 +74,7 @@ class Propagator:
     def __call__(self, s: float) -> complex:
         d = self.denominator(s)
         if abs(d) < _D_FLOOR:
-            raise ResonanceError(
-                f"propagator denominator vanished at s = {s!r}: "
-                "resonance slipped through the non-resonance certificate",
-                value=s,
-            )
+            raise _resonance(s)
         return 1.0 / d
 
 
@@ -133,14 +144,6 @@ def _table(omega_bits: tuple, a_bits: str, eps_bits: str, N: int):
     return re, im, resonant
 
 
-def _resonance(s) -> ResonanceError:
-    return ResonanceError(
-        f"propagator denominator vanished at s = {s!r}: "
-        "resonance slipped through the non-resonance certificate",
-        value=s,
-    )
-
-
 class _Expansion:
     """The ladder recursion for a batch of zetas at one (eps, N).
 
@@ -155,7 +158,6 @@ class _Expansion:
 
     def __init__(self, sys, eps: float, zetas, N: int):
         sys.require_certified()
-        self.sys = sys
         self.eps = float(eps)
         self.zetas = [float(z) for z in zetas]
         self.N = int(N)
@@ -167,19 +169,8 @@ class _Expansion:
         self.orders: list[DenseBlock] = []
         self.norms: list[np.ndarray] = []
         self._products: dict[tuple[int, int], DenseBlock] = {}
-        if isinstance(sys, SeparableSystem):
-            self._powers = sorted(sys.nonlinear_taylor)
-            self._source, self._scale = DenseBlock.of(sys.forcing), self.eps
-        elif isinstance(sys, GeneralSystem):
-            self._powers = sys.nonlinear_powers()
-            self._source = DenseBlock.of(sys.forcing_series)
-            self._scale = -self.eps
-            self._alpha1 = DenseBlock.of(sys.alpha1_series)
-            self._alpha = {p: DenseBlock.of(sys.alpha_series(p))
-                           for p in self._powers}
-        else:
-            raise TypeError(f"unsupported system type {type(sys)!r}")
-        self._coupling = _coupling_radius(sys)
+        self._layers = sys.layers
+        self._powers = [p for p, _ in self._layers.powers]
         # largest |nu| an order can have: N for the orders built here
         self._step = self.N
         self._table = _propagator_table(sys, self.eps, self.N)
@@ -248,8 +239,8 @@ class _Expansion:
         convolutions u^(k_1) * ... * u^(k_p), on the modes that can still
         reach the ball.
 
-        A p-fold product is read on the ball (after the coupling
-        convolution, for general systems) and feeds the (p+1)-fold products
+        A p-fold product is read on the ball (after the convolution with
+        the p-th layer of the grid) and feeds the (p+1)-fold products
         through one more order, so it is needed out to N plus the coupling
         radius plus (p_max - p) times the largest order norm.
         """
@@ -259,7 +250,8 @@ class _Expansion:
         cached = self._products.get(key)
         if cached is not None:
             return cached
-        radius = self.N + self._coupling + (self._powers[-1] - p) * self._step
+        radius = self.N + self._layers.radius \
+            + (self._powers[-1] - p) * self._step
         total = DenseBlock.empty(self.d)
         for j in range(1, m - p + 2):
             left = self.orders[j - 1]
@@ -270,7 +262,7 @@ class _Expansion:
         return total
 
     def first_order(self) -> None:
-        base = self._divide(self._source, self._scale)
+        base = self._divide(self._layers.source, self.eps)
         if not self.rows:
             return
         zero = (0,) * self.d
@@ -293,21 +285,16 @@ class _Expansion:
         if k < 2:
             raise ValueError("first order must exist before higher orders")
         source = DenseBlock.empty(self.d)
-        if isinstance(self.sys, GeneralSystem):
-            prev = self.orders[k - 2]
-            if self._alpha1.values.size and prev.present().any():
-                source = source.add(self._alpha1.convolve(prev, radius=self.N))
-        for p in self._powers:
+        coupling = self._layers.coupling
+        prev = self.orders[k - 2]
+        if coupling.values.size and prev.present().any():
+            source = source.add(coupling.convolve(prev, radius=self.N))
+        for p, alpha in self._layers.powers:
             if p > k - 1:
                 break
             block = self._partial_product(p, k - 1)
-            if not block.present().any():
-                continue
-            if isinstance(self.sys, SeparableSystem):
-                source = source.add(block.scaled(self.sys.nonlinear_taylor[p]))
-            else:
-                source = source.add(
-                    self._alpha[p].convolve(block, radius=self.N))
+            if block.present().any():
+                source = source.add(alpha.convolve(block, radius=self.N))
         u_k = self._divide(source, -self.eps)
         if not self.rows:
             return
@@ -384,18 +371,18 @@ def _replay(sys, ladder: OrderLadder, k: int) -> FourierSeries:
     return exp.orders[-1].series()
 
 
-def next_order_thm1(sys: SeparableSystem, ladder: OrderLadder, k: int) -> FourierSeries:
+def next_order_thm1(sys, ladder: OrderLadder, k: int) -> FourierSeries:
     """Order k of the separable recursion (sum over powers p >= 2)."""
-    if not isinstance(sys, SeparableSystem):
-        raise TypeError("next_order_thm1 requires a SeparableSystem")
+    if sys.theorem != 1:
+        raise TypeError("next_order_thm1 requires a theorem-1 (separable) system")
     return _replay(sys, ladder, k)
 
 
-def next_order_thm2(sys: GeneralSystem, ladder: OrderLadder, k: int) -> FourierSeries:
+def next_order_thm2(sys, ladder: OrderLadder, k: int) -> FourierSeries:
     """Order k of the general recursion (linear angle-coupling term plus
     the powers p >= 2 with angle-dependent coefficients)."""
-    if not isinstance(sys, GeneralSystem):
-        raise TypeError("next_order_thm2 requires a GeneralSystem")
+    if sys.theorem != 2:
+        raise TypeError("next_order_thm2 requires a theorem-2 (general) system")
     return _replay(sys, ladder, k)
 
 
@@ -448,14 +435,6 @@ def _ratios(norms):
     return ratios, float(median(ratios[-tail:]))
 
 
-def _coupling_radius(sys) -> int:
-    """Largest |nu| among the angle coefficients that multiply powers of
-    the solution: 0 for separable systems."""
-    if isinstance(sys, GeneralSystem):
-        return max((mode_norm(nu) for nu, p in sys.grid if p >= 1), default=0)
-    return 0
-
-
 def _powers_of(w: DenseBlock, powers, radius: int | None = None,
                coupling: int = 0):
     """Yield (p, w^p) for the ascending ``powers``, each by repeated
@@ -477,32 +456,30 @@ def _powers_of(w: DenseBlock, powers, radius: int | None = None,
         yield p, w_pow
 
 
+def _coupled_powers(layers, w: DenseBlock, radius: int | None):
+    """Yield alpha_p * w^p for p >= 2 in increasing p, cut to ``radius``."""
+    powers = [p for p, _ in layers.powers]
+    for (_, alpha), (_, w_pow) in zip(
+            layers.powers, _powers_of(w, powers, radius, layers.radius)):
+        yield alpha.convolve(w_pow, radius=radius)
+
+
 def _nonlinearity(sys, w: DenseBlock, radius: int | None = None) -> DenseBlock:
     """:func:`nonlinearity_series` of each series in the block ``w``."""
+    layers = sys.layers
     total = DenseBlock.empty(w.dimension)
-    if isinstance(sys, SeparableSystem):
-        for p, w_pow in _powers_of(w, sorted(sys.nonlinear_taylor), radius):
-            total = total.add(w_pow.scaled(sys.nonlinear_taylor[p]))
-    elif isinstance(sys, GeneralSystem):
-        total = total.add(DenseBlock.of(sys.forcing_series))
-        alpha1 = DenseBlock.of(sys.alpha1_series)
-        if alpha1.values.size and w.present().any():
-            total = total.add(alpha1.convolve(w, radius=radius))
-        for p, w_pow in _powers_of(w, sys.nonlinear_powers(), radius,
-                                   _coupling_radius(sys)):
-            total = total.add(
-                DenseBlock.of(sys.alpha_series(p)).convolve(w_pow, radius=radius))
-    else:
-        raise TypeError(f"unsupported system type {type(sys)!r}")
+    if layers.coupling.values.size and w.present().any():
+        total = total.add(layers.coupling.convolve(w, radius=radius))
+    for term in _coupled_powers(layers, w, radius):
+        total = total.add(term)
     return total
 
 
 def nonlinearity_series(sys, w: FourierSeries,
                         radius: int | None = None) -> FourierSeries:
-    """The nonlinear block entering both equations.
+    """The nonlinear block nl(w) = alpha_1 * w + sum_{p>=2} alpha_p * w^p
+    entering both equations (for a separable system, sum_{p>=2} g_p w^p).
 
-    Separable: sum_{p>=2} a_p w^p.  General: the constant layer at nonzero
-    modes plus the linear angle coupling plus sum_{p>=2} alpha_p * w^p.
     The zero mode of the result is exactly the nonlinear part of the
     zero-mode balance.  Without ``radius`` the block has full support.
     With it, every mode with |nu| <= radius is bitwise equal to the full
@@ -512,24 +489,20 @@ def nonlinearity_series(sys, w: FourierSeries,
     return _nonlinearity(sys, DenseBlock.of(w), radius).series()
 
 
-def coupled_powers_zero_mode(sys: GeneralSystem, w: DenseBlock) -> np.ndarray:
+def coupled_powers_zero_mode(sys, w: DenseBlock) -> np.ndarray:
     """Zero mode of sum_{p>=2} alpha_p * w^p for each series in the block
     ``w``, each power formed only out to the radius from which it can
     still reach the zero mode, and the terms summed in increasing p."""
     total = np.zeros(w.batch, dtype=complex)
-    for p, w_pow in _powers_of(w, sys.nonlinear_powers(), 0,
-                               _coupling_radius(sys)):
-        total = total + DenseBlock.of(sys.alpha_series(p)).convolve(
-            w_pow, radius=0).zero_mode()
+    for term in _coupled_powers(sys.layers, w, 0):
+        total = total + term.zero_mode()
     return total
 
 
 def forcing_term(sys) -> FourierSeries:
-    """The additive forcing of the range equation (zero for general systems,
-    whose forcing layer lives inside the nonlinearity block)."""
-    if isinstance(sys, SeparableSystem):
-        return sys.forcing
-    return zero_series(sys.dimension)
+    """The forcing f := -(p = 0 layer) of the range equation, on the
+    nonzero modes."""
+    return sys.range_forcing
 
 
 def range_residual(sys, eps: float, w: FourierSeries, N: int) -> float:

@@ -1,7 +1,10 @@
-"""Problem instances: separable systems (autonomous nonlinearity plus
-additive quasi-periodic forcing) and general systems (angle-dependent
-nonlinearity given as a coefficient grid), hypothesis certification at a
-simple zero, and analyticity-envelope majorants.
+"""Problem instances, hypothesis certification at a simple zero, and
+analyticity-envelope majorants.
+
+Every system is one coefficient grid for h in eps x'' + x' + eps h = 0.
+A separable system (autonomous nonlinearity g plus additive
+quasi-periodic forcing f) is the grid of h = g - f; a general system
+gives its angle-dependent grid directly.
 
 Nonlinearities are supplied as finite Taylor data so re-expansions are
 exact binomial shifts rather than quadrature.
@@ -19,7 +22,7 @@ from numpy.polynomial import Polynomial
 
 from .diophantine import min_small_divisor
 from .errors import HypothesisError, SymmetryError
-from .fourier import FourierSeries, MultiIndex, mode_norm
+from .fourier import DenseBlock, FourierSeries, MultiIndex, _clean, mode_norm
 
 ROOT_RESIDUAL_TOL = 1e-13
 SIMPLE_ZERO_TOL = 1e-9
@@ -139,8 +142,126 @@ class AnalyticityEnvelope:
             raise ValueError("xi and rho must be strictly positive")
 
 
-class SeparableSystem:
-    """Autonomous nonlinearity g plus additive quasi-periodic forcing f.
+class Layers(NamedTuple):
+    """The grid of a system as the range equation reads it, in dense form.
+
+    ``source`` is the forcing f := -(p = 0 layer) on the nonzero modes,
+    ``coupling`` the p = 1 layer on the nonzero modes (its zero mode is
+    ``a``, which the propagator carries), ``powers`` the (p, layer) pairs
+    for p >= 2 in increasing p, and ``radius`` the largest |nu| of an
+    entry with p >= 1.  The blocks are read-only."""
+
+    source: DenseBlock
+    coupling: DenseBlock
+    powers: tuple
+    radius: int
+
+
+class System:
+    """The problem eps x'' + x' + eps h(x, omega t) = 0 with h given by its
+    coefficient grid: h(x, psi) = sum a[nu, p] e^{i nu . psi} (x - center)^p.
+
+    The grid may be complex; every entry is nonzero and the grid is
+    conjugate symmetric, a[-nu, p] == conj(a[nu, p]), so h is real.  Once
+    :func:`recentre` has certified a simple zero, ``center == c0``, the
+    averaged constant a[0, 0] is gone and ``a = a[0, 1] != 0``.  The
+    solver reads a system only through its grid; the ladder and the
+    balance read it through :attr:`layers`, built once per system.
+    ``theorem`` tags which of the paper's theorems covers the system; only
+    the statements that differ between them read it.
+    """
+
+    theorem: int
+
+    def __init__(self, omega, grid: dict, *, center: float, c0: float | None):
+        self.omega = tuple(float(w) for w in omega)
+        self.dimension = len(self.omega)
+        self.grid = grid
+        self.center = float(center)
+        self.c0 = None if c0 is None else float(c0)
+
+    @property
+    def certified(self) -> bool:
+        return self.c0 is not None
+
+    @property
+    def a(self) -> float:
+        """Averaged slope a[0, 1]; only meaningful once certified."""
+        return self.grid.get(((0,) * self.dimension, 1), 0j).real
+
+    def averaged_taylor(self) -> dict[int, float]:
+        """Taylor coefficients of the averaged nonlinearity h_0(x)."""
+        zero = (0,) * self.dimension
+        return {p: c.real for (nu, p), c in self.grid.items() if nu == zero}
+
+    def alpha_series(self, p: int) -> FourierSeries:
+        """Full angle series of the coefficient of (x - c0)^p."""
+        return FourierSeries(
+            self.dimension,
+            {nu: c for (nu, q), c in self.grid.items() if q == p},
+            real_valued=True,
+        )
+
+    @cached_property
+    def forcing_series(self) -> FourierSeries:
+        """Constant-in-x layer at nonzero modes: h_nu(c0) for nu != 0."""
+        return self.alpha_series(0).without_zero_mode()
+
+    @cached_property
+    def alpha1_series(self) -> FourierSeries:
+        """Linear-in-x layer at nonzero modes."""
+        return self.alpha_series(1).without_zero_mode()
+
+    @cached_property
+    def range_forcing(self) -> FourierSeries:
+        """f := -(p = 0 layer) on the nonzero modes: the right-hand side of
+        the range equation D w + eps nl(w) = eps f."""
+        return FourierSeries._from_table(
+            self.dimension,
+            _clean({nu: -c for nu, c in self.forcing_series.items_sorted()}),
+            True,
+        )
+
+    def nonlinear_powers(self) -> list[int]:
+        return sorted({p for (_, p) in self.grid if p >= 2})
+
+    @cached_property
+    def layers(self) -> Layers:
+        def block(series):
+            out = DenseBlock.of(series)
+            out.values.flags.writeable = False
+            return out
+
+        return Layers(
+            source=block(self.range_forcing),
+            coupling=block(self.alpha1_series),
+            powers=tuple((p, block(self.alpha_series(p)))
+                         for p in self.nonlinear_powers()),
+            radius=max((mode_norm(nu) for nu, p in self.grid if p >= 1),
+                       default=0),
+        )
+
+    def h_value(self, x: float, psi) -> float:
+        """Evaluate h(x, psi) directly from the grid."""
+        t = x - self.center
+        total = 0j
+        for p in sorted({q for (_, q) in self.grid}):
+            total += self.alpha_series(p).evaluate(psi) * t**p
+        if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
+            raise SymmetryError("h evaluated to a non-real value")
+        return total.real
+
+    def require_certified(self):
+        if not self.certified:
+            raise HypothesisError("system is not certified at a simple zero")
+        if abs(self.a) <= SIMPLE_ZERO_TOL:
+            raise HypothesisError("linear coefficient a = a[0, 1] vanishes")
+
+
+class SeparableSystem(System):
+    """Autonomous nonlinearity g plus additive quasi-periodic forcing f:
+    the grid {(0, p): g_p} together with {(nu, 0): -f_nu}, that is
+    h(x, psi) = g(x) - f(psi).
 
     ``g_taylor`` holds Taylor coefficients of g about ``center``; once
     :func:`recentre` has certified a simple zero, ``center == c0``, the
@@ -151,9 +272,7 @@ class SeparableSystem:
 
     def __init__(self, omega, forcing: FourierSeries, g_taylor, *,
                  center: float = 0.0, c0: float | None = None):
-        self.omega = tuple(float(w) for w in omega)
-        self.dimension = len(self.omega)
-        if forcing.dimension != self.dimension:
+        if forcing.dimension != len(omega):
             raise ValueError("forcing dimension does not match omega")
         if not forcing.real_valued:
             forcing = FourierSeries(
@@ -161,17 +280,12 @@ class SeparableSystem:
             )
         self.forcing = forcing
         self.g_taylor = {int(p): float(c) for p, c in dict(g_taylor).items()}
-        self.center = float(center)
-        self.c0 = None if c0 is None else float(c0)
-
-    @property
-    def certified(self) -> bool:
-        return self.c0 is not None
-
-    @property
-    def a(self) -> float:
-        """Linear coefficient g'(c0); only meaningful once certified."""
-        return self.g_taylor.get(1, 0.0)
+        grid = {(nu, 0): -c for nu, c in forcing.items_sorted()}
+        zero = (0,) * forcing.dimension
+        for p, c in self.g_taylor.items():
+            grid[(zero, p)] = grid.get((zero, p), 0j) + c
+        super().__init__(omega, {k: c for k, c in grid.items() if c != 0j},
+                         center=center, c0=c0)
 
     @property
     def g_const(self) -> float:
@@ -191,46 +305,36 @@ class SeparableSystem:
         t = x - self.center
         return float(sum(c * t**p for p, c in sorted(self.g_taylor.items())))
 
-    def g_slope(self, x: float) -> float:
-        t = x - self.center
-        return float(sum(p * c * t ** (p - 1)
-                         for p, c in sorted(self.g_taylor.items()) if p >= 1))
-
-    def require_certified(self):
-        if not self.certified:
-            raise HypothesisError("system is not certified at a simple zero")
-        if abs(self.a) <= SIMPLE_ZERO_TOL:
-            raise HypothesisError("linear coefficient a = g'(c0) vanishes")
+    def _recentred(self, grid, c0):
+        # the forcing does not depend on x; g(c0) = f0 once certified
+        zero = (0,) * self.dimension
+        g = {0: self.f0}
+        g.update((p, c.real) for (nu, p), c in grid.items() if nu == zero)
+        return SeparableSystem(self.omega, self.forcing, g, center=c0, c0=c0)
 
 
-class GeneralSystem:
+class GeneralSystem(System):
     """Angle-dependent nonlinearity given by its coefficient grid
-    a[nu, p] about ``center``.
-
-    The grid may be complex; conjugate symmetry a[-nu, p] == conj(a[nu, p])
-    is enforced so the nonlinearity is real-valued.  Once certified,
-    ``center == c0``, the averaged constant a[0, 0] vanishes and
-    ``a = a[0, 1] != 0``.
+    a[nu, p] about ``center``, validated here: modes of the right length,
+    powers p >= 0, exact zeros dropped, and conjugate symmetry enforced to
+    1e-14 so the nonlinearity is real-valued.
     """
 
     theorem = 2
 
     def __init__(self, omega, grid, *, center: float = 0.0, c0: float | None = None):
-        self.omega = tuple(float(w) for w in omega)
-        self.dimension = len(self.omega)
+        d = len(omega)
         table: dict[tuple[MultiIndex, int], complex] = {}
         for (nu, p), c in dict(grid).items():
             mode = tuple(int(x) for x in nu)
-            if len(mode) != self.dimension:
+            if len(mode) != d:
                 raise ValueError(f"grid mode {nu!r} has wrong length")
             if p < 0:
                 raise ValueError("negative Taylor power in grid")
             c = complex(c)
             if c != 0j:
                 table[(mode, int(p))] = c
-        self.grid = table
-        self.center = float(center)
-        self.c0 = None if c0 is None else float(c0)
+        super().__init__(omega, table, center=center, c0=c0)
         self._check_reality()
 
     def _check_reality(self):
@@ -242,139 +346,67 @@ class GeneralSystem:
                     f"grid entry ({nu}, {p}) breaks conjugate symmetry"
                 )
 
-    @property
-    def certified(self) -> bool:
-        return self.c0 is not None
-
-    @property
-    def a(self) -> float:
-        zero = (0,) * self.dimension
-        return self.grid.get((zero, 1), 0j).real
-
-    @property
-    def p_max(self) -> int:
-        return max((p for (_, p) in self.grid), default=0)
-
-    def averaged_taylor(self) -> dict[int, float]:
-        """Taylor coefficients of the averaged nonlinearity h_0(x)."""
-        zero = (0,) * self.dimension
-        return {p: c.real for (nu, p), c in self.grid.items() if nu == zero}
-
-    @cached_property
-    def forcing_series(self) -> FourierSeries:
-        """Constant-in-x layer at nonzero modes: h_nu(c0) for nu != 0."""
-        return FourierSeries(
-            self.dimension,
-            {nu: c for (nu, p), c in self.grid.items() if p == 0 and any(nu)},
-            real_valued=True,
-        )
-
-    @cached_property
-    def alpha1_series(self) -> FourierSeries:
-        """Linear-in-x layer at nonzero modes."""
-        return FourierSeries(
-            self.dimension,
-            {nu: c for (nu, p), c in self.grid.items() if p == 1 and any(nu)},
-            real_valued=True,
-        )
-
-    def alpha_series(self, p: int) -> FourierSeries:
-        """Full angle series of the coefficient of (x - c0)^p."""
-        return FourierSeries(
-            self.dimension,
-            {nu: c for (nu, q), c in self.grid.items() if q == p},
-            real_valued=True,
-        )
-
-    def nonlinear_powers(self) -> list[int]:
-        return sorted({p for (_, p) in self.grid if p >= 2})
-
-    def h_value(self, x: float, psi) -> float:
-        """Evaluate h(x, psi) directly from the grid."""
-        t = x - self.center
-        total = 0j
-        for p in sorted({q for (_, q) in self.grid}):
-            total += self.alpha_series(p).evaluate(psi) * t**p
-        if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
-            raise SymmetryError("h evaluated to a non-real value")
-        return total.real
-
-    def require_certified(self):
-        if not self.certified:
-            raise HypothesisError("system is not certified at a simple zero")
-        if abs(self.a) <= SIMPLE_ZERO_TOL:
-            raise HypothesisError("linear coefficient a = a[0, 1] vanishes")
+    def _recentred(self, grid, c0):
+        return GeneralSystem(self.omega, grid, center=c0, c0=c0)
 
 
 def recentre(system, c0: float):
-    """Re-expand the Taylor data about a certified simple zero.
+    """Re-expand the grid about a certified simple zero of the averaged
+    equation h_0(c0) = 0 (for separable systems, g(c0) = f0).
 
-    For separable systems the zero condition is g(c0) = f0 (the forcing
-    average); for general systems it is h_0(c0) = 0.  Raises
-    :class:`HypothesisError` if the residual exceeds 1e-13 or the
-    derivative is within 1e-9 of zero.
+    Raises :class:`HypothesisError` if the residual exceeds 1e-13 or the
+    averaged slope is within 1e-9 of zero.
     """
     c0 = float(c0)
-    if isinstance(system, SeparableSystem):
-        shifted = shift_taylor(system.g_taylor, system.center, c0)
-        residual = shifted.get(0, 0.0) - system.f0
-        if abs(residual) > ROOT_RESIDUAL_TOL:
-            raise HypothesisError(
-                f"g(c0) - f0 = {residual:.3e} exceeds the certification tolerance"
-            )
-        if abs(shifted.get(1, 0.0)) <= SIMPLE_ZERO_TOL:
-            raise HypothesisError("zero is not simple: g'(c0) vanishes")
-        return SeparableSystem(
-            system.omega, system.forcing, shifted, center=c0, c0=c0
-        )
-    if isinstance(system, GeneralSystem):
-        by_mode: dict[MultiIndex, dict[int, complex]] = {}
-        for (nu, p), c in system.grid.items():
-            by_mode.setdefault(nu, {})[p] = c
-        zero = (0,) * system.dimension
-        new_grid: dict[tuple[MultiIndex, int], complex] = {}
-        for nu, coeffs in by_mode.items():
-            re = shift_taylor({p: c.real for p, c in coeffs.items()},
-                              system.center, c0)
+    by_mode: dict[MultiIndex, dict[int, complex]] = {}
+    for (nu, p), c in system.grid.items():
+        by_mode.setdefault(nu, {})[p] = c
+    zero = (0,) * system.dimension
+    new_grid: dict[tuple[MultiIndex, int], complex] = {}
+    for nu, coeffs in by_mode.items():
+        if list(coeffs) == [0]:
+            # a layer entry constant in x is its own re-expansion
+            new_grid[(nu, 0)] = coeffs[0]
+            continue
+        re = shift_taylor({p: c.real for p, c in coeffs.items()},
+                          system.center, c0)
+        im = {}
+        if any(c.imag for c in coeffs.values()):
             im = shift_taylor({p: c.imag for p, c in coeffs.items()},
                               system.center, c0)
-            for p in set(re) | set(im):
-                val = complex(re.get(p, 0.0), im.get(p, 0.0))
-                if val != 0j:
-                    new_grid[(nu, p)] = val
-        residual = new_grid.get((zero, 0), 0j)
-        if abs(residual) > ROOT_RESIDUAL_TOL:
-            raise HypothesisError(
-                f"h_0(c0) = {abs(residual):.3e} exceeds the certification tolerance"
-            )
-        new_grid.pop((zero, 0), None)
-        if abs(new_grid.get((zero, 1), 0j)) <= SIMPLE_ZERO_TOL:
-            raise HypothesisError("zero is not simple: the averaged slope vanishes")
-        return GeneralSystem(system.omega, new_grid, center=c0, c0=c0)
-    raise TypeError(f"unsupported system type {type(system)!r}")
+        for p in set(re) | set(im):
+            val = complex(re.get(p, 0.0), im.get(p, 0.0))
+            if val != 0j:
+                new_grid[(nu, p)] = val
+    residual = new_grid.pop((zero, 0), 0j)
+    if abs(residual) > ROOT_RESIDUAL_TOL:
+        raise HypothesisError(
+            f"h_0(c0) = {abs(residual):.3e} exceeds the certification tolerance"
+        )
+    if abs(new_grid.get((zero, 1), 0j)) <= SIMPLE_ZERO_TOL:
+        raise HypothesisError("zero is not simple: the averaged slope vanishes")
+    return system._recentred(new_grid, c0)
 
 
 def certify_envelope(system, xi: float, rho: float) -> AnalyticityEnvelope:
     """Weighted-l1 majorants making the decay inequalities hold by
     construction: |f_nu| <= Phi e^{-xi |nu|} and
-    |a_{nu,p}| <= Gamma rho^{-p} e^{-xi |nu|}."""
-    if isinstance(system, SeparableSystem):
-        system.require_certified()
+    |a_{nu,p}| <= Gamma rho^{-p} e^{-xi |nu|}.
+
+    Theorem 1 majorises the forcing, its average included, by Phi and
+    only the powers p >= 1 of g by Gamma; theorem 2 majorises every layer
+    of the grid by Gamma and the forcing layer also by Phi."""
+    system.require_certified()
+    weighted: dict[int, float] = {}
+    for (nu, p), c in system.grid.items():
+        weighted[p] = weighted.get(p, 0.0) + abs(c) * math.exp(xi * mode_norm(nu))
+    if system.theorem == 1:
+        weighted.pop(0, None)
         phi = system.forcing.weighted_norm(xi)
-        gamma = max(
-            (abs(c) * rho**p for p, c in system.g_taylor.items() if p >= 1),
-            default=0.0,
-        )
-        return AnalyticityEnvelope(xi=xi, rho=rho, Phi=phi, Gamma=gamma)
-    if isinstance(system, GeneralSystem):
-        system.require_certified()
-        weighted: dict[int, float] = {}
-        for (nu, p), c in system.grid.items():
-            weighted[p] = weighted.get(p, 0.0) + abs(c) * math.exp(xi * mode_norm(nu))
-        gamma = max((w * rho**p for p, w in weighted.items()), default=0.0)
+    else:
         phi = system.forcing_series.weighted_norm(xi)
-        return AnalyticityEnvelope(xi=xi, rho=rho, Phi=phi, Gamma=gamma)
-    raise TypeError(f"unsupported system type {type(system)!r}")
+    gamma = max((w * rho**p for p, w in weighted.items()), default=0.0)
+    return AnalyticityEnvelope(xi=xi, rho=rho, Phi=phi, Gamma=gamma)
 
 
 class NonresonanceReport(NamedTuple):

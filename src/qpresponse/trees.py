@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .errors import GuardExceededError
 from .fourier import mode_norm
 from .ladder import Propagator
-from .systems import GeneralSystem, SeparableSystem
 
 MAX_TREE_ORDER = 5
 
@@ -99,26 +98,18 @@ class TreeSupport:
 
     @classmethod
     def from_system(cls, sys) -> "TreeSupport":
-        if isinstance(sys, SeparableSystem):
-            return cls(
-                dimension=sys.dimension,
-                end_modes=tuple(sys.forcing.without_zero_mode().support()),
-                v1_modes=(),
-                v2_layers=tuple(
-                    (p, (None,)) for p in sorted(sys.nonlinear_taylor)
-                ),
-            )
-        if isinstance(sys, GeneralSystem):
-            return cls(
-                dimension=sys.dimension,
-                end_modes=tuple(sys.forcing_series.support()),
-                v1_modes=tuple(sys.alpha1_series.support()),
-                v2_layers=tuple(
-                    (p, tuple(sys.alpha_series(p).support()))
-                    for p in sys.nonlinear_powers()
-                ),
-            )
-        raise TypeError(f"unsupported system type {type(sys)!r}")
+        """The alphabets of the system's grid; theorem-1 trees leave their
+        internal nodes unlabelled."""
+        return cls(
+            dimension=sys.dimension,
+            end_modes=tuple(sys.range_forcing.support()),
+            v1_modes=tuple(sys.alpha1_series.support()),
+            v2_layers=tuple(
+                (p, (None,) if sys.theorem == 1
+                 else tuple(sys.alpha_series(p).support()))
+                for p in sys.nonlinear_powers()
+            ),
+        )
 
 
 def _compositions(total: int, parts: int):
@@ -214,7 +205,6 @@ class TreeValueContext:
     def __post_init__(self):
         self.system.require_certified()
         self._prop = Propagator(self.eps, self.system.a)
-        self._sep = isinstance(self.system, SeparableSystem)
         self._zero = (0,) * self.system.dimension
 
     def propagator(self, nu) -> complex:
@@ -228,13 +218,13 @@ class TreeValueContext:
     def end_factor(self, mode) -> complex:
         if not any(mode):
             return complex(self.zeta)
-        if self._sep:
-            return self.eps * self.system.forcing.coeff(mode)
-        return -self.eps * self.system.grid.get((mode, 0), 0j)
+        return self.eps * self.system.range_forcing.coeff(mode)
 
     def internal_factor(self, mode, p: int) -> complex:
-        if self._sep:
-            return -self.eps * self.system.nonlinear_taylor.get(p, 0.0)
+        """-eps a[mode, p]; an unlabelled (theorem-1) node reads the zero
+        mode."""
+        if mode is None:
+            mode = self._zero
         return -self.eps * self.system.grid.get((mode, p), 0j)
 
 
@@ -253,9 +243,9 @@ def sum_trees(k: int, nu, ctx: TreeValueContext,
     """Sum of tree values over all order-k trees of momentum nu; equals the
     recursion's order-k coefficient at that mode."""
     support = TreeSupport.from_system(ctx.system)
-    theorem = 1 if isinstance(ctx.system, SeparableSystem) else 2
     total = 0j
-    for tree in enumerate_trees(k, nu, support, theorem, max_order=max_order):
+    for tree in enumerate_trees(k, nu, support, ctx.system.theorem,
+                                max_order=max_order):
         total += tree_value(tree, ctx)
     return total
 

@@ -25,7 +25,6 @@ from .ladder import (
     nonlinearity_series,
     propagator_denominator,
 )
-from .systems import GeneralSystem, SeparableSystem
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 10_000
@@ -142,10 +141,12 @@ class Trajectory:
 
 
 def _rhs_factory(sys, eps: float):
-    """Right-hand side on the stacked state [x1, v1, x2, v2, ...].
+    """Right-hand side of x'' = -x'/eps - h(x, omega t) on the stacked
+    state [x1, v1, x2, v2, ...], with h summed layer by layer from the grid.
 
-    The forcing and angle terms depend on t alone: each call evaluates
-    them once and shares them across all (x, v) pairs.  Scalar Python
+    The layer weights depend on t alone: each call evaluates them once and
+    shares them across all (x, v) pairs, and a zero-mode entry adds its
+    real part, which is (c * exp(0j)).real bit for bit.  Scalar Python
     arithmetic throughout: supports and stacks are tiny, and DOP853 calls
     this hundreds of thousands of times on stiff runs.
     """
@@ -153,60 +154,36 @@ def _rhs_factory(sys, eps: float):
 
     omega = sys.omega
     c0 = sys.center
-    if isinstance(sys, SeparableSystem):
-        modes = [
-            (1j * sum(x * w for x, w in zip(nu, omega)), sys.forcing.coeff(nu))
-            for nu in sys.forcing.support()
-        ]
-        powers = sorted(sys.g_taylor.items())
+    by_power: dict[int, list] = {}
+    for (nu, p), c in sorted(sys.grid.items()):
+        js = 1j * sum(x * w for x, w in zip(nu, omega))
+        by_power.setdefault(p, []).append((js, c))
+    layers = sorted(by_power.items())
 
-        def rhs(t, y):
-            force = 0.0
-            for js, c in modes:
-                force += (c * cmath.exp(js * t)).real
-            state = y.tolist()
-            out = []
-            for x, v in zip(state[0::2], state[1::2]):
-                dx = x - c0
-                g = 0.0
-                for p, c in powers:
-                    g += c * dx**p
-                out += (v, -v / eps - g + force)
-            return out
+    def rhs(t, y):
+        weights = []
+        for p, entries in layers:
+            total = 0.0
+            for js, c in entries:
+                total += (c * cmath.exp(js * t)).real if js else c.real
+            weights.append((p, total))
+        state = y.tolist()
+        out = []
+        for x, v in zip(state[0::2], state[1::2]):
+            dx = x - c0
+            h = 0.0
+            for p, weight in weights:
+                h += weight * dx**p
+            out += (v, -v / eps - h)
+        return out
 
-        return rhs
-    if isinstance(sys, GeneralSystem):
-        by_power: dict[int, list] = {}
-        for (nu, p), c in sorted(sys.grid.items()):
-            js = 1j * sum(x * w for x, w in zip(nu, omega))
-            by_power.setdefault(p, []).append((js, c))
-        layers = sorted(by_power.items())
-
-        def rhs(t, y):
-            weights = []
-            for p, entries in layers:
-                total = 0.0
-                for js, c in entries:
-                    total += (c * cmath.exp(js * t)).real
-                weights.append((p, total))
-            state = y.tolist()
-            out = []
-            for x, v in zip(state[0::2], state[1::2]):
-                dx = x - c0
-                h = 0.0
-                for p, weight in weights:
-                    h += weight * dx**p
-                out += (v, -v / eps - h)
-            return out
-
-        return rhs
-    raise TypeError(f"unsupported system type {type(sys)!r}")
+    return rhs
 
 
 def integrate(sys, eps: float, x0, v0, T: float, tol: float = 1e-10, *,
               t0: float = 0.0, samples: int = 1000,
               t_eval=None) -> Trajectory:
-    """Integrate x' = v, v' = -v/eps - (autonomous + forced terms) with the
+    """Integrate x' = v, v' = -v/eps - h(x, omega t) with the
     explicit Runge-Kutta method DOP853 (scipy's compiled ``ode('dop853')``)
     under rtol = atol = ``tol``.
 
