@@ -1,7 +1,11 @@
-"""Exact-support arithmetic on truncated multi-dimensional Fourier series.
+"""Arithmetic on truncated multi-dimensional Fourier series held on dense
+boxes of modes.
 
-A series is a finite map from integer mode vectors ``nu`` (tuples of length
-``d``) to complex coefficients; absent modes are zero.  All mode norms are
+A :class:`DenseBlock` holds a batch of series on one box: cell ``i`` of a
+series is the complex coefficient of the integer mode vector ``lo + i``,
+and a zero cell is an absent mode.  A :class:`FourierSeries` is one such
+series, held as a block of batch 1 cut to the bounding box of its support;
+the ladder runs many series at once on larger batches.  All mode norms are
 l1 throughout the package (truncation balls, decay weights, small-divisor
 balls), and every coefficient accumulation runs in lexicographic mode order
 so results are bit-reproducible run to run.
@@ -13,6 +17,7 @@ import cmath
 import math
 from functools import lru_cache
 from itertools import repeat
+from operator import lt, sub
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -25,9 +30,6 @@ MultiIndex = tuple[int, ...]
 # only removes exact zeros (cancellations and untouched box cells).
 DROP_THRESHOLD = 1e-300
 
-# Above this dense-box cell count, convolution falls back to dict accumulation.
-_DENSE_CELL_LIMIT = 4_000_000
-
 _REALITY_TOL = 1e-14
 
 
@@ -39,13 +41,6 @@ def mode_norm(nu) -> int:
 def _norm(nu: MultiIndex) -> int:
     """l1 norm of a mode already held as a tuple of ints."""
     return sum(map(abs, nu))
-
-
-def _clean(table: dict) -> dict:
-    """The coefficient rule of the public constructor without its mode
-    checks: values become complex, exact zeros are dropped and ``0j + c``
-    turns a -0.0 part into +0.0."""
-    return {nu: 0j + c for nu, c in table.items() if abs(c) >= DROP_THRESHOLD}
 
 
 def _as_mode(nu, d) -> MultiIndex:
@@ -66,56 +61,58 @@ class FourierSeries:
         Number of angles d >= 1.
     coeffs : mapping or iterable of (mode, coefficient) pairs
         Finite support; modes are integer tuples of length ``dimension``.
+        Coefficients given for the same mode are summed in input order.
     real_valued : bool
         Declares conjugate symmetry ``coeff(-nu) == conj(coeff(nu))``; the
         symmetry is validated (to 1e-14) at construction and the flag is
         preserved by convolve/power/truncate.
 
     Instances are treated as immutable values: every operation returns a new
-    series.  Input is validated here, at the boundary; series built by the
-    package's own operations skip the per-mode checks.
+    series.  Input is validated here, at the boundary.  A series holds one
+    cleaned :class:`DenseBlock` of batch 1 on the bounding box of its
+    support, and its arithmetic is that block's.
     """
 
-    __slots__ = ("dimension", "_coeffs", "real_valued", "_sorted")
+    __slots__ = ("_block",)
 
     def __init__(self, dimension: int, coeffs=(), real_valued: bool = False):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        self.dimension = int(dimension)
+        d = int(dimension)
+        real = bool(real_valued)
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         table: dict[MultiIndex, complex] = {}
         for nu, c in items:
-            mode = _as_mode(nu, self.dimension)
+            mode = _as_mode(nu, d)
             c = complex(c)
             if abs(c) >= DROP_THRESHOLD:
                 table[mode] = table.get(mode, 0j) + c
-        self._coeffs = table
-        self.real_valued = bool(real_valued)
-        self._sorted = None
-        if self.real_valued:
+        self._block = DenseBlock.empty(d, 1, real)
+        if table:
+            modes = np.array(list(table))
+            lo = modes.min(axis=0)
+            values = np.zeros((1,) + tuple((modes.max(axis=0) - lo + 1).tolist()),
+                              dtype=complex)
+            values[(0,) + tuple((modes - lo).T)] = list(table.values())
+            self._block = _finish(values, lo.tolist(), real)
+        if real:
             self._check_reality()
-
-    @classmethod
-    def _from_table(cls, dimension: int, table: dict,
-                    real_valued: bool) -> "FourierSeries":
-        """Wrap a table the package built itself: int-tuple keys of length
-        ``dimension`` and complex values with no exact zeros and no -0.0
-        parts (see :func:`_clean`).  Derived series propagate the
-        real-valued flag without re-checking the symmetry; the property
-        tests assert it for operation outputs instead."""
-        series = object.__new__(cls)
-        series.dimension = dimension
-        series._coeffs = table
-        series.real_valued = real_valued
-        series._sorted = None
-        return series
 
     # -- basics ---------------------------------------------------------
 
+    @property
+    def dimension(self) -> int:
+        return self._block.dimension
+
+    @property
+    def real_valued(self) -> bool:
+        return self._block.real
+
     def _check_reality(self):
-        for nu, c in self._coeffs.items():
+        table = dict(self.items_sorted())
+        for nu, c in table.items():
             neg = tuple(-x for x in nu)
-            mirror = self._coeffs.get(neg, 0j)
+            mirror = table.get(neg, 0j)
             if abs(mirror - c.conjugate()) > _REALITY_TOL * max(1.0, abs(c)):
                 raise SymmetryError(
                     f"coefficient at {nu} breaks conjugate symmetry: "
@@ -124,32 +121,32 @@ class FourierSeries:
 
     def support(self) -> list[MultiIndex]:
         """Stored modes in lexicographic order."""
-        if self._sorted is None:
-            self._sorted = sorted(self._coeffs)
-        return list(self._sorted)
+        return [nu for nu, _ in self.items_sorted()]
 
     def items_sorted(self):
-        if self._sorted is None:
-            self._sorted = sorted(self._coeffs)
-        for nu in self._sorted:
-            yield nu, self._coeffs[nu]
+        """(mode, coefficient) pairs of the stored modes in lexicographic
+        order."""
+        v = self._block.values[0]
+        idx = np.nonzero(v)
+        modes = zip(*((i + l).tolist() for i, l in zip(idx, self._block.lo)))
+        return zip(modes, v[idx].tolist())
 
     def coeff(self, nu) -> complex:
-        return self._coeffs.get(_as_mode(nu, self.dimension), 0j)
+        return self._block.at(_as_mode(nu, self.dimension))[0].item()
 
     def zero_mode(self) -> complex:
         """Coefficient of the constant mode (0, ..., 0); zero if absent."""
-        return self._coeffs.get((0,) * self.dimension, 0j)
+        return self._block.zero_mode()[0].item()
 
     def max_norm(self) -> int:
         """Largest l1 mode norm in the support (0 for the empty series)."""
-        return max(map(_norm, self._coeffs), default=0)
+        return self._block.max_norm()
 
     def __len__(self):
-        return len(self._coeffs)
+        return int(np.count_nonzero(self._block.values))
 
     def __repr__(self):
-        return f"FourierSeries(d={self.dimension}, modes={len(self._coeffs)})"
+        return f"FourierSeries(d={self.dimension}, modes={len(self)})"
 
     # -- algebra ---------------------------------------------------------
 
@@ -162,25 +159,14 @@ class FourierSeries:
     def add(self, other: "FourierSeries") -> "FourierSeries":
         """Mode-wise sum."""
         self._require_same_dim(other)
-        out = dict(self._coeffs)
-        for nu in sorted(other._coeffs):
-            out[nu] = out.get(nu, 0j) + other._coeffs[nu]
-        return FourierSeries._from_table(
-            self.dimension, _clean(out), self.real_valued and other.real_valued
-        )
+        return self._block.add(other._block).series()
 
     def __add__(self, other):
         return self.add(other)
 
     def scaled(self, factor) -> "FourierSeries":
         """Series with every coefficient multiplied by ``factor``."""
-        factor = complex(factor)
-        real = self.real_valued and abs(factor.imag) == 0.0
-        return FourierSeries._from_table(
-            self.dimension,
-            _clean({nu: factor * c for nu, c in self._coeffs.items()}),
-            real,
-        )
+        return self._block.scaled(factor).series()
 
     def convolve(self, other: "FourierSeries",
                  radius: int | None = None) -> "FourierSeries":
@@ -199,33 +185,7 @@ class FourierSeries:
         self._require_same_dim(other)
         if radius is not None and radius < 0:
             raise ValueError("radius must be >= 0")
-        a, b = DenseBlock.of(self), DenseBlock.of(other)
-        plan = a.product_plan(b, radius)
-        if plan is None:
-            return FourierSeries._from_table(
-                self.dimension, {}, self.real_valued and other.real_valued)
-        left, lo, hi = plan
-        if math.prod(h - l + 1 for l, h in zip(lo, hi)) > _DENSE_CELL_LIMIT:
-            return self._convolve_sparse(other, left, radius)
-        return a.convolve(b, radius, plan).series()
-
-    def _convolve_sparse(self, other: "FourierSeries", left,
-                         radius: int | None) -> "FourierSeries":
-        """Dict accumulation for boxes too large to hold densely.  Products
-        go through numpy, as on the dense path, so both paths give bitwise
-        equal coefficients."""
-        d = self.dimension
-        b_keys = other.support()
-        b_vals = np.array([other._coeffs[nu] for nu in b_keys], dtype=complex)
-        table: dict[MultiIndex, complex] = {}
-        for nu1 in map(tuple, left.tolist()):
-            for nu2, term in zip(b_keys, (self._coeffs[nu1] * b_vals).tolist()):
-                key = tuple(nu1[i] + nu2[i] for i in range(d))
-                table[key] = table.get(key, 0j) + term
-        table = {k: v for k, v in table.items() if abs(v) >= DROP_THRESHOLD
-                 and (radius is None or _norm(k) <= radius)}
-        return FourierSeries._from_table(
-            d, table, self.real_valued and other.real_valued)
+        return self._block.convolve(other._block, radius).series()
 
     def power(self, p: int) -> "FourierSeries":
         """Repeated convolution; power(s, 1) is s itself."""
@@ -240,12 +200,10 @@ class FourierSeries:
         """Drop every mode with l1 norm > cutoff; coefficients are untouched."""
         if cutoff < 1:
             raise ValueError("truncation cutoff must be >= 1")
-        kept = {nu: c for nu, c in self._coeffs.items() if _norm(nu) <= cutoff}
-        return FourierSeries._from_table(self.dimension, kept, self.real_valued)
+        return self._block.truncate(cutoff).series()
 
     def without_zero_mode(self) -> "FourierSeries":
-        kept = {nu: c for nu, c in self._coeffs.items() if any(nu)}
-        return FourierSeries._from_table(self.dimension, kept, self.real_valued)
+        return self._block.without_zero_mode().series()
 
     # -- analysis ---------------------------------------------------------
 
@@ -273,26 +231,25 @@ class FourierSeries:
             raise DimensionMismatchError(
                 f"angle rows have length {angles.shape[1]}, expected {self.dimension}"
             )
-        if not self._coeffs:
+        v = self._block.values[0]
+        idx = np.nonzero(v)
+        if not idx[0].size:
             return np.zeros(angles.shape[0], dtype=complex)
-        keys = np.array(self.support(), dtype=float)
-        vals = np.array([self._coeffs[nu] for nu in self.support()])
+        keys = np.add(np.stack(idx, axis=1), self._block.lo, dtype=float)
         # real matmul for the phases, exp in place: bitwise equal to
         # exp((1j * angles) @ keys.T) without the complex matmul
         z = 1j * (angles @ keys.T)
         np.exp(z, out=z)
-        return z @ vals
+        return z @ v[idx]
 
     def weighted_norm(self, xi_prime: float = 0.0) -> float:
         """Majorant sum_nu |coeff(nu)| exp(xi' |nu|) of the sup on a strip."""
         if xi_prime < 0:
             raise ValueError("strip half-width must be >= 0")
-        total = 0.0
         if xi_prime == 0.0:
             # abs(c) * exp(0.0) is abs(c), bit for bit
-            for _, c in self.items_sorted():
-                total += abs(c)
-            return total
+            return float(self._block.norms()[0])
+        total = 0.0
         for nu, c in self.items_sorted():
             total += abs(c) * math.exp(xi_prime * _norm(nu))
         return total
@@ -302,13 +259,12 @@ class FourierSeries:
         if len(omega) != self.dimension:
             raise DimensionMismatchError("omega length does not match dimension")
         out = {}
-        for nu, c in self._coeffs.items():
+        for nu, c in self.items_sorted():
             s = 0.0
             for x, w in zip(nu, omega):
                 s += x * w
             out[nu] = 1j * s * c
-        return FourierSeries._from_table(self.dimension, _clean(out),
-                                         self.real_valued)
+        return FourierSeries(self.dimension, out, self.real_valued)
 
     # -- serialization ----------------------------------------------------
 
@@ -346,20 +302,18 @@ class DenseBlock:
     ``values`` has shape ``(B, *box)``: ``values[b][i]`` is the coefficient
     of mode ``lo + i`` in series ``b``, and a zero cell is a mode outside
     that series' support.  Blocks are values, like series.  Every
-    operation returns a block cleaned by the rule of :func:`_clean`
-    (-0.0 parts become +0.0, cells with |c| < ``DROP_THRESHOLD`` or NaN
-    become zero) whose box is cut to the cells nonzero in some series, so
-    each series holds, bit for bit, the coefficients the same operation
-    on :class:`FourierSeries` gives.  Operands whose batch is 1 broadcast
+    operation returns a cleaned block: -0.0 parts become +0.0, cells with
+    |c| < ``DROP_THRESHOLD`` or NaN become zero, and the box is cut to the
+    cells nonzero in some series.  Operands whose batch is 1 broadcast
     against the others.
 
-    Products of two series go through numpy's complex multiply, as
-    :meth:`FourierSeries.convolve` always has.  Scalings multiply by
-    components, which is how Python multiplies complex numbers; numpy's
-    complex multiply may round differently.  Norms are ``hypot``s summed
-    one cell at a time in lexicographic order, as ``abs`` and a Python
-    loop give them.  numpy warnings are off inside the operations: a
-    series that overflows carries inf, as Python arithmetic would.
+    Products of two series go through numpy's complex multiply.  Scalings
+    multiply by components, which is how Python multiplies complex
+    numbers; numpy's complex multiply may round differently.  Norms are
+    ``hypot``s summed one cell at a time in lexicographic order, as
+    ``abs`` and a Python loop give them.  numpy warnings are off inside
+    the operations: a series that overflows carries inf, as Python
+    arithmetic would.
     """
 
     __slots__ = ("values", "lo", "real", "_present")
@@ -376,18 +330,11 @@ class DenseBlock:
         return cls(np.zeros((batch,) + (0,) * dimension, dtype=complex),
                    (0,) * dimension, real)
 
-    @classmethod
-    def of(cls, series: FourierSeries) -> "DenseBlock":
-        """A batch of one holding ``series`` on its support's bounding box."""
-        keys = series.support()
-        if not keys:
-            return cls.empty(series.dimension, 1, series.real_valued)
-        modes = np.array(keys)
-        lo = modes.min(axis=0)
-        values = np.zeros((1,) + tuple((modes.max(axis=0) - lo + 1).tolist()),
-                          dtype=complex)
-        values[(0,) + tuple((modes - lo).T)] = [series._coeffs[nu] for nu in keys]
-        return cls(values, lo.tolist(), series.real_valued)
+    @staticmethod
+    def of(series: FourierSeries) -> "DenseBlock":
+        """The batch of one that holds ``series`` on its support's bounding
+        box (not a copy)."""
+        return series._block
 
     @property
     def batch(self) -> int:
@@ -408,25 +355,35 @@ class DenseBlock:
         return self._present
 
     def series(self, b: int = 0) -> FourierSeries:
-        """Series ``b`` of the batch as a :class:`FourierSeries`."""
-        v = self.values[b if self.batch > 1 else 0]
-        idx = np.nonzero(v)
-        keys = zip(*((idx[i] + self.lo[i]).tolist() for i in range(v.ndim)))
-        return FourierSeries._from_table(v.ndim, dict(zip(keys, v[idx].tolist())),
-                                         self.real)
+        """Series ``b`` of the batch as a :class:`FourierSeries`.  A batch
+        of one is wrapped as it is; a row of a larger batch is copied out
+        on its own box."""
+        block = self
+        if self.batch > 1:
+            block = _cut(self.values[b:b + 1].copy(), self.lo, self.real)
+        series = object.__new__(FourierSeries)
+        series._block = block
+        return series
 
     def take(self, rows) -> "DenseBlock":
-        """The series at ``rows`` (a list of batch indices)."""
+        """The series at ``rows`` (a list of batch indices); a single row
+        is cut to its own box."""
         if self.batch == 1:
             return self
+        if len(rows) == 1:
+            return _cut(self.values[rows], self.lo, self.real)
         return DenseBlock(self.values[rows], self.lo, self.real)
+
+    def at(self, mode) -> np.ndarray:
+        """Coefficient of ``mode`` in each series."""
+        idx = tuple(map(sub, mode, self.lo))
+        if min(idx) >= 0 and all(map(lt, idx, self.values.shape[1:])):
+            return self.values[(slice(None), *idx)]
+        return np.zeros(self.batch, dtype=complex)
 
     def zero_mode(self) -> np.ndarray:
         """Coefficient of the constant mode in each series."""
-        idx = tuple(-l for l in self.lo)
-        if all(0 <= i < n for i, n in zip(idx, self.values.shape[1:])):
-            return self.values[(slice(None),) + idx]
-        return np.zeros(self.batch, dtype=complex)
+        return self.at((0,) * self.dimension)
 
     def max_norm(self) -> int:
         """Largest l1 mode norm over all series (0 when all are empty)."""
@@ -466,6 +423,34 @@ class DenseBlock:
                 out[(slice(None),) + region] += x.values
         return _finish(out, lo, real)
 
+    def _within(self, radius: int | None):
+        """``(lo, values)`` of the part of the box with every |nu_i| <=
+        ``radius`` (a view), or None when that part is empty."""
+        if radius is None:
+            return self.lo, self.values
+        lo = [max(x, -radius) for x in self.lo]
+        hi = [min(x, radius) for x in self.hi]
+        if any(l > h for l, h in zip(lo, hi)):
+            return None
+        return lo, self.values[(slice(None),) + tuple(
+            slice(l - s, h - s + 1) for l, h, s in zip(lo, hi, self.lo))]
+
+    def truncate(self, radius: int) -> "DenseBlock":
+        """The modes with |nu| <= radius; coefficients are untouched."""
+        part = self._within(radius)
+        if part is None:
+            return DenseBlock.empty(self.dimension, self.batch, self.real)
+        lo, v = part
+        return _finish(v.copy(), lo, self.real, radius)
+
+    def without_zero_mode(self) -> "DenseBlock":
+        """Every series with its constant mode removed."""
+        if not self.zero_mode().any():
+            return self
+        values = self.values.copy()
+        values[(slice(None),) + tuple(-l for l in self.lo)] = 0
+        return _cut(values, self.lo, self.real)
+
     def scaled(self, factor, radius: int | None = None) -> "DenseBlock":
         """Every coefficient multiplied by ``factor``, as Python multiplies
         a complex ``factor`` by a complex coefficient.  With ``radius`` only
@@ -473,14 +458,10 @@ class DenseBlock:
         factor = complex(factor)
         fr, fi = factor.real, factor.imag
         real = self.real and abs(fi) == 0.0
-        lo, v = self.lo, self.values
-        if radius is not None:
-            lo = [max(x, -radius) for x in self.lo]
-            hi = [min(x, radius) for x in self.hi]
-            if any(l > h for l, h in zip(lo, hi)):
-                return DenseBlock.empty(self.dimension, self.batch, real)
-            v = v[(slice(None),) + tuple(
-                slice(l - s, h - s + 1) for l, h, s in zip(lo, hi, self.lo))]
+        part = self._within(radius)
+        if part is None:
+            return DenseBlock.empty(self.dimension, self.batch, real)
+        lo, v = part
         out = np.empty_like(v)
         with np.errstate(all="ignore"):
             out.real = fr * v.real - fi * v.imag
@@ -509,8 +490,8 @@ class DenseBlock:
                 return None
         return left, lo, hi
 
-    def convolve(self, other: "DenseBlock", radius: int | None = None,
-                 plan=None) -> "DenseBlock":
+    def convolve(self, other: "DenseBlock",
+                 radius: int | None = None) -> "DenseBlock":
         """Series-by-series :meth:`FourierSeries.convolve`: each output cell
         sums its products in lexicographic order of the left mode, over the
         left modes nonzero in some series (the others add exact zeros).
@@ -526,8 +507,7 @@ class DenseBlock:
         d = self.dimension
         real = self.real and other.real
         batch = max(self.batch, other.batch)
-        if plan is None:
-            plan = self.product_plan(other, radius)
+        plan = self.product_plan(other, radius)
         if plan is None:
             return DenseBlock.empty(d, batch, real)
         left, lo, hi = plan
@@ -556,16 +536,25 @@ class DenseBlock:
 
 def _finish(values: np.ndarray, lo, real: bool,
             radius: int | None = None) -> DenseBlock:
-    """Clean ``values`` in place by the rule of :func:`_clean`, zero the
-    cells beyond ``radius``, and cut the box to the nonzero cells."""
-    d = values.ndim - 1
+    """Clean ``values`` in place, zero the cells beyond ``radius``, and cut
+    the box to the nonzero cells.  Cleaning is ``0.0 + c``, which turns a
+    -0.0 part into +0.0, and drops cells with |c| < ``DROP_THRESHOLD``
+    (exact zeros, underflows and NaN)."""
     with np.errstate(all="ignore"):
         np.add(values, 0.0, out=values)
         keep = np.hypot(values.real, values.imag) >= DROP_THRESHOLD
     if radius is not None:
         keep &= _norm_grid(tuple(lo), values.shape[1:]) <= radius
     np.copyto(values, 0, where=~keep)
-    cells = keep.any(axis=0)
+    return _cut(values, lo, real, keep.any(axis=0))
+
+
+def _cut(values: np.ndarray, lo, real: bool, cells=None) -> DenseBlock:
+    """The block on ``values`` with its box cut to the ``cells`` (by
+    default the cells nonzero in some series)."""
+    d = values.ndim - 1
+    if cells is None:
+        cells = (values != 0).any(axis=0)
     if not cells.any():
         return DenseBlock.empty(d, values.shape[0], real)
     box = [slice(None)]

@@ -508,9 +508,9 @@ def forcing_term(sys) -> FourierSeries:
 def range_residual(sys, eps: float, w: FourierSeries, N: int) -> float:
     """Max over 0 < |nu| <= N of |D(eps, omega.nu) w_nu + eps [nl]_nu
     - eps f_nu|: the defect of the truncated range equation."""
-    w_c = w._coeffs
-    nl_c = nonlinearity_series(sys, w, radius=N)._coeffs
-    f_c = forcing_term(sys)._coeffs
+    w_c = dict(w.items_sorted())
+    nl_c = dict(nonlinearity_series(sys, w, radius=N).items_sorted())
+    f_c = dict(forcing_term(sys).items_sorted())
     a = sys.a
     worst = 0.0
     for nu in sorted(set(w_c) | set(nl_c) | set(f_c)):

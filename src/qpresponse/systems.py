@@ -22,7 +22,7 @@ from numpy.polynomial import Polynomial
 
 from .diophantine import min_small_divisor
 from .errors import HypothesisError, SymmetryError
-from .fourier import DenseBlock, FourierSeries, MultiIndex, _clean, mode_norm
+from .fourier import DenseBlock, FourierSeries, MultiIndex, mode_norm
 
 ROOT_RESIDUAL_TOL = 1e-13
 SIMPLE_ZERO_TOL = 1e-9
@@ -82,7 +82,7 @@ def find_c0(g_coeffs, f0: float, search_interval, *,
         return float(dresid(x - center))
 
     xs = np.linspace(lo, hi, int(grid_points))
-    vals = np.array([r(x) for x in xs])
+    vals = resid(xs - center)
 
     candidates = []
     for i in range(len(xs) - 1):
@@ -216,11 +216,7 @@ class System:
     def range_forcing(self) -> FourierSeries:
         """f := -(p = 0 layer) on the nonzero modes: the right-hand side of
         the range equation D w + eps nl(w) = eps f."""
-        return FourierSeries._from_table(
-            self.dimension,
-            _clean({nu: -c for nu, c in self.forcing_series.items_sorted()}),
-            True,
-        )
+        return self.forcing_series.scaled(-1.0)
 
     def nonlinear_powers(self) -> list[int]:
         return sorted({p for (_, p) in self.grid if p >= 2})

@@ -16,10 +16,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import ode
 
 from .errors import StiffnessError
-from .fourier import FourierSeries, _clean, mode_norm
+from .fourier import FourierSeries, mode_norm
 from .ladder import (
     forcing_term,
     nonlinearity_series,
@@ -121,7 +120,7 @@ def direct_solve(sys, eps: float, N: int, seed=None, *,
                     / (balance - g_prev)
         zeta_hist.append((zeta_now, balance))
         table[(0,) * d] = zeta_new
-        w_new = FourierSeries._from_table(d, _clean(table), w.real_valued)
+        w_new = FourierSeries(d, table, w.real_valued)
         if damping != 1.0:
             w = w.scaled(1.0 - damping).add(w_new.scaled(damping))
         else:
@@ -194,6 +193,9 @@ def integrate(sys, eps: float, x0, v0, T: float, tol: float = 1e-10, *,
     Refuses eps < 1e-3 (the fast rate 1/eps makes explicit integration
     pointless below that) and tol < 1e-12; the step count is not capped.
     """
+    # imported here: only verify integrates, and the import is slow
+    from scipy.integrate import ode
+
     sys.require_certified()
     if eps < MIN_EPS_FOR_INTEGRATION:
         raise StiffnessError(

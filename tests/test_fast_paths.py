@@ -117,17 +117,6 @@ class TestConvolveRadius:
                 assert_cut_equal(fast, full, radius)
                 assert fast.real_valued == full.real_valued
 
-    def test_dict_path_matches_dense_path(self, d, real, monkeypatch):
-        rng = np.random.default_rng([d, real, 2])
-        a = random_series(rng, d, n_modes=10, span=3, real=real)
-        b = random_series(rng, d, n_modes=10, span=3, real=real)
-        dense = a.convolve(b)
-        dense_cut = {r: a.convolve(b, radius=r) for r in radii(dense)}
-        monkeypatch.setattr("qpresponse.fourier._DENSE_CELL_LIMIT", 0)
-        assert bits(a.convolve(b)) == bits(dense)
-        for radius, expected in dense_cut.items():
-            assert bits(a.convolve(b, radius=radius)) == bits(expected)
-
 
 def test_convolve_radius_edge_cases():
     a = FourierSeries(1, {(2,): 1.0})

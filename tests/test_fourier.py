@@ -77,15 +77,6 @@ class TestConvolve:
         with pytest.raises(DimensionMismatchError):
             delta((1, 0)).convolve(delta((1,)))
 
-    def test_dense_and_dict_paths_agree(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        a = random_series(rng, n_modes=10)
-        b = random_series(rng, n_modes=10)
-        dense = a.convolve(b)
-        monkeypatch.setattr("qpresponse.fourier._DENSE_CELL_LIMIT", 0)
-        sparse = a.convolve(b)
-        assert max_coeff_diff(dense, sparse) <= 1e-15
-
 
 class TestPower:
     def test_delta_cubed(self):

@@ -1,0 +1,122 @@
+"""What every CLI command pays before it solves anything: the imports of
+``qpresponse.cli`` and the root search that each system build runs.
+
+``find_c0`` scans its interval in one vectorised polynomial evaluation; it
+is compared with the per-point scan it replaced, kept below as it was.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from numpy.polynomial import Polynomial
+
+import qpresponse
+from qpresponse.systems import (
+    ROOT_RESIDUAL_TOL,
+    SIMPLE_ZERO_TOL,
+    Root,
+    _poly_from_taylor,
+    find_c0,
+)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(qpresponse.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, qpresponse.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def find_c0_pointwise(g_coeffs, f0, search_interval, *, center=0.0,
+                      grid_points=601):
+    """``find_c0`` with its scan evaluated one grid point at a time."""
+    lo, hi = float(search_interval[0]), float(search_interval[1])
+    poly = _poly_from_taylor(g_coeffs)
+    resid = poly - Polynomial([float(f0)])
+    dresid = resid.deriv()
+
+    def r(x):
+        return float(resid(x - center))
+
+    def dr(x):
+        return float(dresid(x - center))
+
+    xs = np.linspace(lo, hi, int(grid_points))
+    vals = np.array([r(x) for x in xs])
+
+    candidates = []
+    for i in range(len(xs) - 1):
+        if abs(vals[i]) <= ROOT_RESIDUAL_TOL:
+            candidates.append(xs[i])
+        elif vals[i] * vals[i + 1] < 0:
+            a, b, fa = xs[i], xs[i + 1], vals[i]
+            for _ in range(80):
+                m = 0.5 * (a + b)
+                fm = r(m)
+                if fm == 0.0 or b - a < 1e-15 * max(1.0, abs(m)):
+                    a = b = m
+                    break
+                if fa * fm < 0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            candidates.append(0.5 * (a + b))
+    if abs(vals[-1]) <= ROOT_RESIDUAL_TOL:
+        candidates.append(xs[-1])
+
+    roots = []
+    for x in candidates:
+        for _ in range(60):
+            fx = r(x)
+            if abs(fx) <= ROOT_RESIDUAL_TOL:
+                break
+            dfx = dr(x)
+            if abs(dfx) < 1e-14:
+                break
+            step = fx / dfx
+            x -= step
+            if abs(step) < 1e-16 * max(1.0, abs(x)):
+                break
+        if abs(r(x)) > ROOT_RESIDUAL_TOL or not lo - 1e-12 <= x <= hi + 1e-12:
+            continue
+        if any(abs(x - found.c0) <= 1e-8 * max(1.0, abs(x)) for found in roots):
+            continue
+        slope = dr(x)
+        roots.append(Root(float(x), float(slope), abs(slope) > SIMPLE_ZERO_TOL))
+    roots.sort(key=lambda root: root.c0)
+    return roots
+
+
+def root_bits(roots):
+    return [(r.c0.hex(), r.slope.hex(), r.simple) for r in roots]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+def test_find_c0_scan_matches_the_pointwise_scan(degree):
+    rng = np.random.default_rng([degree, 31])
+    for _ in range(40):
+        coeffs = {p: float(c) for p, c in enumerate(rng.normal(size=degree + 1))}
+        center = float(rng.uniform(-1.0, 1.0))
+        f0 = float(rng.normal(scale=0.5))
+        grid = int(rng.choice([7, 601]))
+        args = (coeffs, f0, (-3.0, 2.5))
+        assert root_bits(find_c0(*args, center=center, grid_points=grid)) == \
+            root_bits(find_c0_pointwise(*args, center=center, grid_points=grid))
+
+
+def test_find_c0_keeps_a_root_on_a_grid_point():
+    # x^2 - 1 on a grid through -1 and 1, and x on a grid through 0
+    for coeffs, interval in (({0: -1.0, 2: 1.0}, (-2.0, 2.0)),
+                             ({1: 1.0}, (-1.0, 1.0))):
+        assert root_bits(find_c0(coeffs, 0.0, interval)) == \
+            root_bits(find_c0_pointwise(coeffs, 0.0, interval))
