@@ -9,7 +9,6 @@ piece, and small-divisor diagnostics size the admissible dissipation.
 """
 
 from .bifurcation import (
-    BifurcationProblem,
     H,
     ResponseSolution,
     bifurcation_balance,

@@ -30,12 +30,11 @@ from .ladder import (
     _Expansion,
     _nonlinearity,
     _ratios,
-    assemble,
-    build_ladder,
-    convergence_ratio,
     coupled_powers_zero_mode,
     range_residual,
 )
+# not called here: bench/test_checks.py reads this binding of the name
+from .ladder import build_ladder  # noqa: F401
 
 _IMAG_TOL = 1e-12
 DEFAULT_BRACKET = (-0.25, 0.25)
@@ -104,15 +103,6 @@ def _contraction_error(eps, zeta, estimate):
             f"(ratio estimate {estimate:.3g})"
         )
     return None
-
-
-def _ladder_and_sum(sys, eps, zeta, K, N):
-    ladder = build_ladder(sys, eps, zeta, K, N)
-    ratios, estimate = convergence_ratio(ladder)
-    error = _contraction_error(eps, zeta, estimate)
-    if error is not None:
-        raise error
-    return ladder, ratios, estimate, assemble(ladder, 1.0)
 
 
 class _Evaluation:
@@ -286,6 +276,19 @@ def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
     )
 
 
+def _root(eps, sys, K, N, bracket, tol, literal, scan_points):
+    """The root zeta of the balance and its expansion (ladder, ratios,
+    estimate, assembled series): the one :func:`solve_zeta` held, or else
+    the root evaluated again as a batch of one."""
+    held: dict = {}
+    zeta = solve_zeta(eps, sys, K, N, bracket, tol=tol, literal=literal,
+                      scan_points=scan_points, keep=held)
+    if zeta in held:
+        return zeta, held[zeta]
+    # the solve evaluated the root, so its expansion contracts
+    return zeta, _Evaluation(sys, eps, [zeta], K, N, literal).result()
+
+
 @dataclass
 class ResponseSolution:
     """Assembled quasi-periodic response with residual diagnostics."""
@@ -309,10 +312,6 @@ class ResponseSolution:
     def response_norm(self) -> float:
         """|zeta| + sum of nonzero-mode amplitudes (sup-norm majorant)."""
         return abs(self.zeta) + self.u.without_zero_mode().weighted_norm(0.0)
-
-    def x_at_angles(self, psi) -> float:
-        value = self.u.evaluate(psi)
-        return self.c0 + _real_part(value, "the response evaluation")
 
     def x_at_times(self, times, omega) -> np.ndarray:
         angles = np.outer(np.asarray(times, dtype=float), omega)
@@ -349,37 +348,16 @@ class ResponseSolution:
         }
 
 
-@dataclass
-class BifurcationProblem:
-    """A solve request: certified system, dissipation, expansion sizes and
-    solver knobs."""
-
-    sys: object
-    eps: float
-    K: int
-    N: int
-    bracket: tuple = DEFAULT_BRACKET
-    tol: float | None = None
-    literal: bool = False
-
-    def solve(self, **kwargs) -> ResponseSolution:
-        return solve_response(
-            self.eps, self.sys, self.K, self.N, bracket=self.bracket,
-            tol=self.tol, literal=self.literal, **kwargs
-        )
-
-
 def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
                    bounds=None, bracket=None, tol: float | None = None,
                    literal: bool = False, probe: bool = True,
                    scan_points: int = DEFAULT_SCAN_POINTS) -> ResponseSolution:
-    """Solve the balance, take the expansion at the solved zeta (reused
-    from the solve when it still held the root's, rebuilt otherwise) and
+    """Solve the balance, take the expansion at the solved zeta and
     package the response with residuals.
 
     When ``bounds`` (an EpsilonBounds) is supplied and eps exceeds its
     admissible estimate, a warning is issued but the solve proceeds.  With
-    ``probe=True`` the solve is repeated at eps/2 and eps/4 and
+    ``probe=True`` the root is also solved at eps/2 and eps/4 and
     ``continuity_checked`` records whether the response norm decreases
     towards zero dissipation.
     """
@@ -393,14 +371,8 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
     if bracket is None and envelope is not None:
         bracket = (-envelope.rho / 4.0, envelope.rho / 4.0)
 
-    held: dict = {}
-    zeta = solve_zeta(eps, sys, K, N, bracket, tol=tol, literal=literal,
-                      scan_points=scan_points, keep=held)
-    expansion = held.pop(zeta, None)
-    held.clear()
-    if expansion is None:
-        expansion = _ladder_and_sum(sys, eps, zeta, K, N)
-    ladder, ratios, estimate, w = expansion
+    zeta, (ladder, ratios, estimate, w) = _root(
+        eps, sys, K, N, bracket, tol, literal, scan_points)
     solution = ResponseSolution(
         c0=sys.c0,
         zeta=zeta,
@@ -419,12 +391,10 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
     if probe and eps != 0.0:
         norms = [solution.response_norm()]
         for frac in (0.5, 0.25):
-            sub = solve_response(
-                eps * frac, sys, K, N, envelope=envelope, bracket=bracket,
-                tol=tol, literal=literal, probe=False,
-                scan_points=scan_points,
-            )
-            norms.append(sub.response_norm())
+            # the response norm of the solve at eps * frac
+            z, (_, _, _, u) = _root(eps * frac, sys, K, N, bracket, tol,
+                                    literal, scan_points)
+            norms.append(abs(z) + u.without_zero_mode().weighted_norm(0.0))
         solution.probe_norms = norms
         solution.continuity_checked = norms[0] > norms[1] > norms[2]
         if not solution.continuity_checked:

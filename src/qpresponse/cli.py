@@ -374,28 +374,26 @@ def cmd_diagnose(config: dict, out_dir: Path) -> int:
 
 
 def _sweep_point(args):
+    """One row of the sweep table, with the solve's warnings silenced."""
     config, eps, literal = args
-    try:
-        _, _, _, solution = _solve_once(config, eps, literal, probe=False)
-        return {
-            "epsilon": eps,
-            "zeta": solution.zeta,
-            "u_norm": solution.u.without_zero_mode().weighted_norm(0.0),
-            "ratio_estimate": solution.ratio_estimate,
-            "residual_range": solution.residual_range,
-            "residual_bifurcation": solution.residual_bifurcation,
-            "converged": True,
-        }
-    except (LadderDivergenceError, BifurcationSolveError):
-        return {
-            "epsilon": eps,
-            "zeta": math.nan,
-            "u_norm": math.nan,
-            "ratio_estimate": math.nan,
-            "residual_range": math.nan,
-            "residual_bifurcation": math.nan,
-            "converged": False,
-        }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            _, _, _, solution = _solve_once(config, eps, literal,
+                                            probe=False)
+            return {
+                "epsilon": eps,
+                "zeta": solution.zeta,
+                "u_norm": solution.u.without_zero_mode().weighted_norm(0.0),
+                "ratio_estimate": solution.ratio_estimate,
+                "residual_range": solution.residual_range,
+                "residual_bifurcation": solution.residual_bifurcation,
+                "converged": True,
+            }
+        except (LadderDivergenceError, BifurcationSolveError):
+            row = dict.fromkeys(_SWEEP_COLUMNS, math.nan)
+            row.update(epsilon=eps, converged=False)
+            return row
 
 
 _SWEEP_COLUMNS = ["epsilon", "zeta", "u_norm", "ratio_estimate",
@@ -409,9 +407,7 @@ def cmd_sweep(config: dict, out_dir: Path, literal: bool, parallel: int) -> int:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_sweep_point, jobs))
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            results = [_sweep_point(job) for job in jobs]
+        results = [_sweep_point(job) for job in jobs]
     results.sort(key=lambda row: row["epsilon"])
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="") as fh:

@@ -313,27 +313,15 @@ def estimate_epsilon_bar(
             worst = max(zeta_bar, delta / abs(a), eps / alpha, b)
             return worst <= margin_budget
 
-        hi = alpha * margin_budget  # eps/alpha <= margin_budget is necessary
-        while not admissible(hi):
-            hi *= 0.5
-            if hi < 1e-300:
-                raise ValueError("no admissible eps_bar found (envelope too tight)")
-        lo = hi
-        grow = hi * 2.0
-        for _ in range(200):
-            if admissible(grow):
-                lo = grow
-                grow *= 2.0
-            else:
-                break
-        hi = grow
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if admissible(mid):
-                lo = mid
-            else:
-                hi = mid
-        eps_bar = lo
+        if not admissible(0.0):  # the eps-free terms exceed the budget
+            raise ValueError("no admissible eps_bar found (envelope too tight)")
+        # eps enters only through eps/alpha and 2|eps a|/alpha, both
+        # monotone: the bound is this start up to a few roundings
+        eps_bar = alpha * margin_budget / max(1.0, 2.0 * abs(a))
+        while not admissible(eps_bar):
+            eps_bar = math.nextafter(eps_bar, 0.0)
+        while admissible(math.nextafter(eps_bar, math.inf)):
+            eps_bar = math.nextafter(eps_bar, math.inf)
         beta = max(delta, 2.0 * abs(eps_bar * a) / alpha)
 
     return EpsilonBounds(

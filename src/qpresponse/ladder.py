@@ -203,14 +203,12 @@ class _Expansion:
         where D vanishes fails with the first such mode's ResonanceError
         and leaves the batch."""
         N, batch = self.N, len(self.rows)
-        lo = [max(x, -N) for x in source.lo]
-        hi = [min(x, N) for x in source.hi]
-        if not source.values.size or any(l > h for l, h in zip(lo, hi)):
+        part = source._within(N)
+        if part is None:
             return DenseBlock.empty(self.d, batch, source.real)
-        inner = (slice(None),) + tuple(
-            slice(l - s, h - s + 1) for l, h, s in zip(lo, hi, source.lo))
-        c = np.broadcast_to(source.values[inner],
-                            (batch,) + tuple(h - l + 1 for l, h in zip(lo, hi)))
+        lo, c = part
+        c = np.broadcast_to(c, (batch,) + c.shape[1:])
+        hi = [l + n - 1 for l, n in zip(lo, c.shape[1:])]
         re, im, resonant = self._table
         # resonant modes come in lexicographic order, so the first one a
         # series has in its source is the one its scalar division met
@@ -265,18 +263,9 @@ class _Expansion:
         base = self._divide(self._layers.source, self.eps)
         if not self.rows:
             return
-        zero = (0,) * self.d
-        lo = [min(x, 0) for x in base.lo] if base.values.size else list(zero)
-        hi = [max(x, 0) for x in base.hi] if base.values.size else list(zero)
-        values = np.zeros((len(self.rows),) + tuple(
-            h - l + 1 for l, h in zip(lo, hi)), dtype=complex)
-        if base.values.size:
-            values[(slice(None),) + tuple(
-                slice(a - l, b - l + 1)
-                for a, b, l in zip(base.lo, base.hi, lo))] = base.values
-        values[(slice(None),) + tuple(-l for l in lo)] = \
-            [self.zetas[r] for r in self.rows]
-        u1 = _finish(values, lo, base.real)
+        zetas = np.array([self.zetas[r] for r in self.rows], dtype=complex)
+        u1 = base.add(_finish(zetas.reshape((-1,) + (1,) * self.d),
+                              (0,) * self.d, True))
         self.orders.append(u1)
         self.norms.append(u1.norms())
 

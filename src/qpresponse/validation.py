@@ -49,20 +49,21 @@ class FixedPointResult:
     converged: bool
 
 
-def _full_residual(sys, eps, w, nl, N) -> float:
-    f = forcing_term(sys)
+def _full_residual(sys, eps, w_c, nl_c, f_c, N) -> float:
+    """The residual max-norm of the truncated system, from the
+    ``{mode: coefficient}`` tables of w, nl(w) and f."""
     a = sys.a
-    worst = abs(a * w.zero_mode().real + nl.zero_mode().real)
-    modes = set(w.support()) | set(nl.support()) | set(f.support())
-    for nu in sorted(modes):
+    zero = (0,) * sys.dimension
+    worst = abs(a * w_c.get(zero, 0j).real + nl_c.get(zero, 0j).real)
+    for nu in sorted(set(w_c) | set(nl_c) | set(f_c)):
         if not any(nu) or mode_norm(nu) > N:
             continue
         s = 0.0
         for x, om in zip(nu, sys.omega):
             s += x * om
         d = propagator_denominator(eps, s, a)
-        worst = max(worst, abs(d * w.coeff(nu) + eps * nl.coeff(nu)
-                               - eps * f.coeff(nu)))
+        worst = max(worst, abs(d * w_c.get(nu, 0j) + eps * nl_c.get(nu, 0j)
+                               - eps * f_c.get(nu, 0j)))
     return worst
 
 
@@ -86,13 +87,15 @@ def direct_solve(sys, eps: float, N: int, seed=None, *,
         w = seed.u.truncate(N)
     else:
         w = FourierSeries(d, {}, real_valued=True)
-    f = forcing_term(sys)
+    f_c = dict(forcing_term(sys).items_sorted())
     zeta_hist: list[tuple[float, float]] = []
     iterations = 0
     residual = math.inf
     for iterations in range(max_iter + 1):
         nl = nonlinearity_series(sys, w)
-        residual = _full_residual(sys, eps, w, nl, N)
+        nl_c = dict(nl.items_sorted())
+        residual = _full_residual(sys, eps, dict(w.items_sorted()), nl_c,
+                                  f_c, N)
         if residual <= tol:
             return FixedPointResult(w, w.zero_mode().real, iterations,
                                     residual, True)
@@ -101,15 +104,14 @@ def direct_solve(sys, eps: float, N: int, seed=None, *,
         if iterations == max_iter:
             break
         table = {}
-        modes = set(f.support()) | set(nl.support())
-        for nu in sorted(modes):
+        for nu in sorted(set(f_c) | set(nl_c)):
             if not any(nu) or mode_norm(nu) > N:
                 continue
             s = 0.0
             for x, om in zip(nu, sys.omega):
                 s += x * om
             dd = propagator_denominator(eps, s, a)
-            table[nu] = eps * (f.coeff(nu) - nl.coeff(nu)) / dd
+            table[nu] = eps * (f_c.get(nu, 0j) - nl_c.get(nu, 0j)) / dd
         zeta_now = w.zero_mode().real
         balance = a * zeta_now + nl.zero_mode().real
         zeta_new = -nl.zero_mode().real / a

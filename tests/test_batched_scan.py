@@ -11,6 +11,7 @@ reads them, so a point's error counts only once the scan reaches it.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,7 @@ SYSTEMS = {
 BATCHES = {
     1: [0.0],
     2: [0.0, 0.07],
+    3: [-0.1, -0.0, 0.07],
     7: [-0.2, -0.1, 0.0, 0.05, 0.1, 0.15, 0.2],
 }
 
@@ -361,24 +363,40 @@ def test_block_operations_match_series_operations(d):
 def test_solve_builds_no_ladder_twice(make, eps, K, N, kwargs, monkeypatch):
     sys = make()
     built, evaluated = [], []
-    real_build, real_h = bifurcation.build_ladder, bifurcation.H
+    real_h = bifurcation.H
 
-    def spy_build(*args):
-        built.append(args[2])
-        return real_build(*args)
+    class SpyEvaluation(bifurcation._Evaluation):
+        def __init__(self, sys_, eps_, zetas, *args):
+            built.extend((eps_, z) for z in zetas)
+            super().__init__(sys_, eps_, zetas, *args)
 
     def spy_h(zeta, *args, **kw):
         evaluated.append(zeta)
         return real_h(zeta, *args, **kw)
 
-    monkeypatch.setattr(bifurcation, "build_ladder", spy_build)
+    monkeypatch.setattr(bifurcation, "_Evaluation", SpyEvaluation)
     monkeypatch.setattr(bifurcation, "H", spy_h)
     sol = solve_response(eps, sys, K, N, **kwargs)
-    # the root's expansion was held: nothing rebuilt, and brentq and the
-    # secant are the only single evaluations
-    assert built == []
+    # the root's expansion was held: no zeta is built twice, and brentq
+    # and the secant are the only single evaluations
+    assert len(built) == len(set(built))
     assert len(evaluated) == len(set(evaluated))
     assert sol.ladder.zeta == sol.zeta
+
+
+@pytest.mark.parametrize("make, eps, K, N", [
+    (lambda: separable_system(2, TAYLOR), 0.05, 8, 6),
+    (general_system, 0.04, 7, 4),
+])
+def test_probe_norms_are_those_of_the_solves_at_smaller_eps(make, eps, K, N):
+    sys = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve_response(eps, sys, K, N, probe=True)
+    assert sol.probe_norms[0].hex() == sol.response_norm().hex()
+    for norm, frac in zip(sol.probe_norms[1:], (0.5, 0.25)):
+        alone = solve_response(eps * frac, sys, K, N, probe=False)
+        assert norm.hex() == alone.response_norm().hex()
 
 
 # -- the per-mode loops left outside the kernel ---------------------------------

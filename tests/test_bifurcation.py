@@ -5,7 +5,6 @@ import pytest
 
 from qpresponse.bifurcation import (
     H,
-    BifurcationProblem,
     bifurcation_balance,
     solve_response,
     solve_zeta,
@@ -175,12 +174,6 @@ class TestSolveResponse:
         with pytest.warns(UserWarning, match="eps_bar"):
             solve_response(2 * bounds.eps_bar, sys, 8, 10, bounds=bounds,
                            envelope=env, probe=False)
-
-    def test_bifurcation_problem_wrapper(self):
-        sys = separable({1: 1.0, 2: 0.5})
-        problem = BifurcationProblem(sys, 0.04, 8, 10)
-        sol = problem.solve(probe=False)
-        assert abs(sol.residual_bifurcation) <= 1e-12
 
     def test_general_system_solution(self):
         sys = grid_system()

@@ -224,6 +224,17 @@ class TestSweep:
         assert (tmp_path / "serial" / "sweep.csv").read_bytes() == \
             (tmp_path / "par" / "sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_sweep_prints_no_warnings(self, tmp_path, capfd, parallel):
+        # both eps exceed this system's constructive eps_bar; the run is a
+        # fresh interpreter, whose workers print warnings to its stderr
+        cfg = write_config(tmp_path, thm2_config(epsilon_grid=[0.05, 0.1]))
+        done = run_module("qpresponse", "sweep", "--config", cfg,
+                          "--parallel", parallel, "--out", str(tmp_path),
+                          capture=False)
+        assert done.returncode == 0
+        assert capfd.readouterr().err == ""
+
 
 class TestVerify:
     def verify_config(self):
@@ -287,14 +298,14 @@ def test_solve_divergence_exits_2(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-def run_module(module, *args):
+def run_module(module, *args, capture=True):
     """Run ``python -m module args`` with the package's source on the path."""
     src = str(Path(qpresponse.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", module, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=capture, text=True, timeout=120)
 
 
 class TestModuleEntry:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -169,3 +170,74 @@ def test_min_small_divisor_matches_brute_force():
 
 def test_epsilon_n_formula():
     assert epsilon_n(0.25, 2) == pytest.approx(math.log(4.0) / 4.0)
+
+
+def bisected_eps_bar(alpha, delta, a, A, C0):
+    """The theorem-2 eps_bar as a halving, doubling and bisection search
+    finds it: the reference for the direct computation."""
+    margin_budget = (A / C0) ** 4 * (1.0 - 1e-12)
+    zeta_bar = 0.5 * margin_budget
+
+    def admissible(eps):
+        b = max(delta, 2.0 * abs(eps * a) / alpha)
+        worst = max(zeta_bar, delta / abs(a), eps / alpha, b)
+        return worst <= margin_budget
+
+    hi = alpha * margin_budget
+    while not admissible(hi):
+        hi *= 0.5
+        if hi < 1e-300:
+            raise ValueError("no admissible eps_bar found (envelope too tight)")
+    lo = hi
+    grow = hi * 2.0
+    for _ in range(200):
+        if admissible(grow):
+            lo = grow
+            grow *= 2.0
+        else:
+            break
+    hi = grow
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if admissible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_theorem2_eps_bar_is_the_bisection_limit():
+    import numpy as np
+
+    from qpresponse.diophantine import propagator_floor_constant
+
+    rng = np.random.default_rng(2024)
+    omegas = [GOLDEN, (1.0, math.sqrt(2.0)), (0.83, 1.37), (1.0,)]
+    outcomes = {"value": 0, "error": 0}
+    for _ in range(3000):
+        omega = omegas[rng.integers(len(omegas))]
+        env = AnalyticityEnvelope(
+            xi=10 ** rng.uniform(-1.5, 0.5), rho=10 ** rng.uniform(-1, 0.5),
+            Phi=10 ** rng.uniform(-1, 1), Gamma=10 ** rng.uniform(-1, 1))
+        a = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2, 2))
+        A_fraction = rng.uniform(0.02, 0.98)
+        n0 = int(rng.integers(0, 5))
+        C0 = propagator_floor_constant(env, a, 2)
+        alpha = min_small_divisor(omega, 2**n0)[0]
+        delta = math.exp(-env.xi * 2**n0 / 4.0)
+        try:
+            want = bisected_eps_bar(alpha, delta, a, A_fraction * C0, C0)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                estimate_epsilon_bar(env, a, omega, A_fraction, theorem=2,
+                                     n0=n0)
+            outcomes["error"] += 1
+            continue
+        bounds = estimate_epsilon_bar(env, a, omega, A_fraction, theorem=2,
+                                      n0=n0)
+        assert (bounds.alpha_n0, bounds.delta, bounds.C0) == (alpha, delta, C0)
+        assert bounds.eps_bar.hex() == want.hex()
+        assert bounds.beta.hex() == \
+            max(delta, 2.0 * abs(want * a) / alpha).hex()
+        outcomes["value"] += 1
+    assert min(outcomes.values()) > 300

@@ -492,14 +492,15 @@ MEMO_CASES = {
 def test_memoized_solve_builds_each_zeta_once(case, monkeypatch):
     make, eps, K, N, kwargs = MEMO_CASES[case]
     sys = make()
-    built, evaluated, roots = [], [], []
-    real_build = bifurcation.build_ladder
+    built, batches, evaluated, roots = [], [], [], []
     real_h = bifurcation.H
     real_solve = bifurcation.solve_zeta
 
-    def spy_build(sys_, eps_, zeta, K_, N_):
-        built.append((eps_, zeta))
-        return real_build(sys_, eps_, zeta, K_, N_)
+    class SpyEvaluation(bifurcation._Evaluation):
+        def __init__(self, sys_, eps_, zetas, *args):
+            batches.append(zetas)
+            built.extend((eps_, z) for z in zetas)
+            super().__init__(sys_, eps_, zetas, *args)
 
     def spy_h(zeta, eps_, *args, **kw):
         evaluated.append((eps_, zeta))
@@ -509,16 +510,17 @@ def test_memoized_solve_builds_each_zeta_once(case, monkeypatch):
         roots.append((eps_, real_solve(eps_, *args, **kw)))
         return roots[-1][1]
 
-    monkeypatch.setattr(bifurcation, "build_ladder", spy_build)
+    monkeypatch.setattr(bifurcation, "_Evaluation", SpyEvaluation)
     monkeypatch.setattr(bifurcation, "H", spy_h)
     monkeypatch.setattr(bifurcation, "solve_zeta", spy_solve)
     fast = solve_response(eps, sys, K, N, **kwargs)
     # H sees each zeta once; the only repeat build is a root whose
-    # expansion was no longer held, rebuilt once by solve_response
+    # expansion was no longer held, evaluated again by solve_response
     assert len(evaluated) == len(set(evaluated))
     repeats = [b for b in built if built.count(b) > 1]
     assert set(repeats) <= set(roots)
-    assert len(built) <= len(evaluated) + len(roots)
+    singles = [b for b in batches if len(b) == 1]
+    assert len(singles) <= len(evaluated) + len(roots)
     fast_builds = len(built)
 
     monkeypatch.setattr(bifurcation, "solve_zeta", unmemoized_solve_zeta)
