@@ -5,19 +5,23 @@ fixes it by a derivative-free root solve of the balance
 
     a zeta + [nonlinear part](zero mode) = 0
 
-over a bracket inside the analyticity disk.  The balance is implemented
-in its dissipation-homogeneous form; for theorem-2 systems the literal
+over a bracket inside the analyticity disk, by Brent's method: a port of
+scipy's ``Zeros/brentq.c`` that evaluates the same points and returns the
+same root bit for bit, with the argument checks of
+``scipy.optimize.brentq``.  The balance is implemented in its
+dissipation-homogeneous form; for theorem-2 systems the literal
 scaled variant (the linear angle-coupling term not carrying the
 dissipation factor) is available behind ``literal=True`` for comparison.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BifurcationSolveError,
@@ -39,6 +43,105 @@ from .ladder import build_ladder  # noqa: F401
 _IMAG_TOL = 1e-12
 DEFAULT_BRACKET = (-0.25, 0.25)
 DEFAULT_SCAN_POINTS = 7
+_RTOL_MIN = 4 * np.finfo(float).eps
+
+
+def _div(n: float, d: float) -> float:
+    """``n / d`` as C computes it: inf or nan where Python raises."""
+    if d:
+        return n / d
+    if n == 0 or math.isnan(n):
+        return math.nan
+    return math.copysign(math.inf, n) * math.copysign(1.0, d)
+
+
+def brent_steps(a, b, xtol=2e-12, rtol=_RTOL_MIN, maxiter=100):
+    """Brent's method on [a, b] as a generator: it yields each x at which
+    f is needed, is sent f(x), and returns the root.
+
+    A line-for-line port of scipy's ``Zeros/brentq.c`` with the checks of
+    ``scipy.optimize.brentq``: the same arguments give the same points and
+    root, bit for bit, and the same exceptions.
+    """
+    maxiter = operator.index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+    xtol, rtol = float(xtol), float(rtol)
+
+    def value(x):
+        fx = float((yield x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = yield from value(xpre)
+    fcur = yield from value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre),
+                            dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = yield from value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=_RTOL_MIN, maxiter=100):
+    """Root of ``f`` on [a, b] by :func:`brent_steps`: what
+    ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol,
+    maxiter=maxiter)`` returns."""
+    steps = brent_steps(a, b, xtol, rtol, maxiter)
+    x = next(steps)
+    while True:
+        fx = f(x)
+        try:
+            x = steps.send(fx)
+        except StopIteration as done:
+            return done.value
 
 
 def _real_part(value: complex, what: str) -> float:
@@ -255,7 +358,8 @@ def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
     # brentq starts from the bracket ends: they are the first two held
     held = {float(x): scan.one(float(x)) for x in xs[i:i + 2]}
     scan = None
-    root = brentq(h, xs[i], xs[i + 1], xtol=1e-15, rtol=1e-15, maxiter=200)
+    root = brentq(h, float(xs[i]), float(xs[i + 1]), xtol=1e-15, rtol=1e-15,
+                  maxiter=200)
     value = h(root)
     if abs(value) <= tol:
         return found(root)

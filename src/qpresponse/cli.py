@@ -20,7 +20,6 @@ import json
 import math
 import sys as _sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -404,6 +403,9 @@ def cmd_sweep(config: dict, out_dir: Path, literal: bool, parallel: int) -> int:
     grid = sorted(float(e) for e in config.get("epsilon_grid", []))
     jobs = [(config, eps, literal) for eps in grid]
     if parallel > 1 and len(jobs) > 1:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_sweep_point, jobs))
     else:

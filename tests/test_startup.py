@@ -1,10 +1,16 @@
 """What every CLI command pays before it solves anything: the imports of
 ``qpresponse.cli`` and the root search that each system build runs.
 
+No command but ``verify`` loads scipy: the zeta balance is solved by the
+package's own Brent's method, and ``verify`` imports ``scipy.integrate``
+for its DOP853 oracle inside ``validation.integrate``.  Each check runs in
+a fresh interpreter, since this test session has scipy loaded already.
+
 ``find_c0`` scans its interval in one vectorised polynomial evaluation; it
 is compared with the per-point scan it replaced, kept below as it was.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -23,18 +29,58 @@ from qpresponse.systems import (
     find_c0,
 )
 
+SRC = Path(qpresponse.__file__).resolve().parents[1]
+CUBIC = SRC.parent / "demos" / "configs" / "cubic.json"
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    src = str(Path(qpresponse.__file__).resolve().parents[1])
+# prints the scipy modules loaded so far, as one JSON line
+LOADED = ("print(json.dumps(sorted(m for m in sys.modules "
+          "if m.split('.')[0] == 'scipy')))")
+
+
+def fresh_interpreter(code, cwd=None):
+    """stdout lines of ``code`` run by a new Python on this package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys, qpresponse.cli; "
-            "print('scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                         capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.splitlines()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # and every other scipy module, after either import
+    for module in ("qpresponse", "qpresponse.cli"):
+        (line,) = fresh_interpreter(f"import json, sys, {module}; {LOADED}")
+        assert json.loads(line) == [], module
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only ``sweep --parallel`` starts workers, and imports the pool then
+    (line,) = fresh_interpreter(
+        "import sys, qpresponse.cli; "
+        "print('concurrent.futures.process' in sys.modules)")
+    assert line == "False"
+
+
+def test_only_verify_loads_scipy_and_only_scipy_integrate(tmp_path):
+    code = "\n".join([
+        "import contextlib, io, json, sys, warnings",
+        "from qpresponse.cli import main",
+        "warnings.simplefilter('ignore')",
+        "for command in ('solve', 'diagnose', 'sweep', 'verify'):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        f"        code = main([command, '--config', {str(CUBIC)!r}, "
+        "'--out', command])",
+        "    assert code == 0, (command, code)",
+        "    " + LOADED,
+    ])
+    *before_verify, after_verify = fresh_interpreter(code, cwd=tmp_path)
+    assert [json.loads(line) for line in before_verify] == [[], [], []]
+    (path,) = fresh_interpreter(f"import json, sys, scipy.integrate; {LOADED}")
+    loaded = set(json.loads(after_verify))
+    assert "scipy.integrate" in loaded
+    assert loaded <= set(json.loads(path))
 
 
 def find_c0_pointwise(g_coeffs, f0, search_interval, *, center=0.0,
