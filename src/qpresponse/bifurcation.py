@@ -12,6 +12,14 @@ same root bit for bit, with the argument checks of
 dissipation-homogeneous form; for theorem-2 systems the literal
 scaled variant (the linear angle-coupling term not carrying the
 dissipation factor) is available behind ``literal=True`` for comparison.
+
+The solves at several eps (the continuity probe's eps, eps/2 and eps/4,
+or the points of a sweep) advance in lockstep.  Brent's method and the
+secant polish are generators that yield the next zeta they need; each
+step gathers the next zeta of every live solve and evaluates them all in
+one batched expansion whose rows differ in eps as well as in zeta.  Every
+row is bitwise what its evaluation alone gives, so the lockstep solves
+return what the solves one eps at a time return.
 """
 
 from __future__ import annotations
@@ -152,9 +160,10 @@ def _real_part(value: complex, what: str) -> float:
     return value.real
 
 
-def _balances(sys, w: DenseBlock, eps: float, literal: bool) -> list:
-    """The zero-mode balance of each series in the block ``w``: a float,
-    or the SymmetryError that :func:`bifurcation_balance` raises for it."""
+def _balances(sys, w: DenseBlock, eps: list, literal: bool) -> list:
+    """The zero-mode balance of each series in the block ``w``, series
+    ``b`` at ``eps[b]``: a float, or the SymmetryError that
+    :func:`bifurcation_balance` raises for it."""
     zetas = np.broadcast_to(w.zero_mode(), (w.batch,))
     a = sys.a
     plain = sys.theorem == 1 or not literal
@@ -175,8 +184,8 @@ def _balances(sys, w: DenseBlock, eps: float, literal: bool) -> list:
             if plain:
                 out.append(a * zeta + _real_part(nl0[b], "the zero-mode balance"))
             else:
-                out.append(eps * a * zeta + _real_part(
-                    complex(lin0[b]) + eps * nl0[b], "the zero-mode balance"))
+                out.append(eps[b] * a * zeta + _real_part(
+                    complex(lin0[b]) + eps[b] * nl0[b], "the zero-mode balance"))
         except SymmetryError as exc:
             out.append(exc)
     return out
@@ -192,7 +201,7 @@ def bifurcation_balance(sys, w: FourierSeries, eps: float,
     no-op on theorem 1.
     """
     with np.errstate(all="ignore"):
-        (value,) = _balances(sys, DenseBlock.of(w), eps, literal)
+        (value,) = _balances(sys, DenseBlock.of(w), [eps], literal)
     if isinstance(value, Exception):
         raise value
     return value
@@ -209,136 +218,144 @@ def _contraction_error(eps, zeta, estimate):
 
 
 class _Evaluation:
-    """The balance at a batch of zetas from one batched K-order expansion.
+    """The balance at a batch of (eps, zeta) rows from one batched K-order
+    expansion.
 
-    ``outcomes[i]`` is the balance at ``zetas[i]`` or the exception that
-    evaluating :func:`H` there alone raises.  The expansion, its ratios and
-    its assembled sums are kept for every zeta whose ladder contracted.
+    ``eps`` is one value for every zeta or one per zeta.  ``outcomes[i]``
+    is the balance at ``(eps[i], zetas[i])`` or the exception that
+    evaluating :func:`H` there alone raises.  The expansion, its ratios
+    and its assembled sums are kept for every row whose ladder contracted;
+    ``ratios`` is keyed by the positions of those rows.  ``tables`` is
+    handed to :class:`~.ladder._Expansion`.
     """
 
-    def __init__(self, sys, eps, zetas, K, N, literal):
+    def __init__(self, sys, eps, zetas, K, N, literal, tables=None):
         if K < 1:
             raise ValueError("K must be >= 1")
-        exp = _Expansion(sys, eps, zetas, N)
+        exp = _Expansion(sys, eps, zetas, N, tables)
         with np.errstate(all="ignore"):
             exp.build(K)
             self.ratios = {}
             failed = {}
             for i, norms in enumerate(zip(*exp.norms)):
+                pos = exp.rows[i]
                 ratios, estimate = _ratios([float(n) for n in norms])
-                error = _contraction_error(eps, zetas[exp.rows[i]], estimate)
+                error = _contraction_error(exp.eps[pos], zetas[pos], estimate)
                 if error is None:
-                    self.ratios[exp.rows[i]] = (ratios, estimate)
+                    self.ratios[pos] = (ratios, estimate)
                 else:
                     failed[i] = error
             exp.fail(failed)
             self.w = exp.assembled()
-            balances = _balances(sys, self.w, eps, literal)
+            balances = _balances(sys, self.w, [exp.eps[r] for r in exp.rows],
+                                 literal)
         outcomes = dict(exp.errors)
         outcomes.update(zip(exp.rows, balances))
         self.outcomes = [outcomes[i] for i in range(len(zetas))]
-        self.zetas = list(zetas)
         self.expansion = exp
 
-    def one(self, zeta) -> "_Evaluation":
-        """The evaluation at ``zeta`` alone, from copies of its series."""
-        pos = self.zetas.index(zeta)
+    def result(self, pos: int):
+        """(ladder, ratios, estimate, assembled series) of the row at
+        position ``pos``, copied out of the batch; its ladder must have
+        contracted."""
         i = self.expansion.rows.index(pos)
-        part = object.__new__(_Evaluation)
-        part.zetas, part.outcomes = self.zetas, self.outcomes
-        part.expansion = self.expansion.take([i])
-        part.w = self.w.take([i])
-        part.ratios = {pos: self.ratios[pos]}
-        return part
-
-    def result(self):
-        """(ladder, ratios, estimate, assembled series) of the first zeta
-        still in the batch."""
-        ratios, estimate = self.ratios[self.expansion.rows[0]]
-        return self.expansion.ladder(0), ratios, estimate, self.w.series(0)
+        ratios, estimate = self.ratios[pos]
+        return self.expansion.ladder(i), ratios, estimate, self.w.series(i)
 
 
 def H(zeta: float, eps: float, sys, K: int, N: int,
-      literal: bool = False, *, keep: dict | None = None) -> float:
-    """Zero-mode balance evaluated through a fresh K-order expansion.
-
-    ``keep``, when given, also maps ``zeta`` to that expansion, held in
-    dense form; :func:`solve_zeta` holds its last two evaluations this way.
-    """
+      literal: bool = False) -> float:
+    """Zero-mode balance evaluated through a fresh K-order expansion."""
     sys.require_certified()
-    evaluation = _Evaluation(sys, eps, [zeta], K, N, literal)
-    (value,) = evaluation.outcomes
-    if keep is not None and evaluation.ratios:
-        keep[zeta] = evaluation
+    (value,) = _Evaluation(sys, eps, [zeta], K, N, literal).outcomes
     if isinstance(value, Exception):
         raise value
     return value
 
 
-def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
-               tol: float | None = None, literal: bool = False,
-               scan_points: int = DEFAULT_SCAN_POINTS,
-               keep: dict | None = None) -> float:
-    """Solve the balance for zeta on a bracket.
+def _follow(steps, h):
+    """Run the step generator ``steps`` (as :func:`brent_steps`), answering
+    each x it yields with ``yield from h(x)``, and return its result."""
+    x = next(steps)
+    while True:
+        fx = yield from h(x)
+        try:
+            x = steps.send(fx)
+        except StopIteration as done:
+            return done.value
 
-    The bracket is scanned first: a point already below tolerance is
-    returned as is (zeta = 0 is probed up front, so linear systems return
-    exactly 0.0), the sign change must be unique, and the root is then
-    polished by a safeguarded secant/bisection iteration to
-    |H| <= 1e-12 max(1, |a|).
 
-    zeta = 0 and the scan points are evaluated together in one batched
-    expansion, then read in the order above: a value, or an error a point
-    raised, counts only once the scan reaches that point.  After the
-    scan, H is evaluated once per distinct zeta, and the expansions of the
-    last two evaluations are held.  ``keep``, when given, is emptied and
-    on return maps the root to its expansion (ladder, ratios, estimate,
-    assembled series) whenever that was held.
+def _secant_steps(x0: float, f0: float, tol: float):
+    """The secant polish from x0, where f is f0, as a generator like
+    :func:`brent_steps`: it yields each x at which f is needed, is sent
+    f(x), and returns the first x it finds with |f(x)| <= tol."""
+    x1 = x0 + max(1e-13, 1e-10 * abs(x0))
+    f1 = yield x1
+    for _ in range(10):
+        if abs(f1) <= tol:
+            return x1
+        if f1 == f0:
+            break
+        x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+        f1 = yield x1
+    if abs(f1) <= tol:
+        return x1
+    raise BifurcationSolveError(
+        f"balance residual {abs(f1):.3e} stayed above tolerance {tol:.3e}"
+    )
+
+
+def _zeta_steps(lo, hi, xs: list, tol: float):
+    """The zeta solve at one eps, as a generator.
+
+    It yields the list of zetas whose balance it needs next and is sent
+    ``(evaluation, positions)``, the :class:`_Evaluation` holding them at
+    ``positions``.  It asks first for zeta = 0 and the scan points ``xs``
+    together, then for one zeta at a time; each zeta is evaluated once.
+    It returns the root and its expansion (ladder, ratios, estimate,
+    assembled series), asking for the root once more when it no longer
+    holds that.  It raises what :func:`solve_zeta` raises.
     """
-    sys.require_certified()
-    a = sys.a
-    if tol is None:
-        tol = 1e-12 * max(1.0, abs(a))
-    lo, hi = DEFAULT_BRACKET if bracket is None else (bracket[0], bracket[1])
-    if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
-
-    xs = list(np.linspace(lo, hi, max(3, scan_points)))
-    zetas = ([0.0] if lo <= 0.0 <= hi else []) + [float(x) for x in xs]
-    scan = _Evaluation(sys, eps, list(dict.fromkeys(zetas)), K, N, literal)
-    values = dict(zip(scan.zetas, scan.outcomes))
+    zetas = list(dict.fromkeys(([0.0] if lo <= 0.0 <= hi else []) + xs))
+    scan, positions = yield zetas
+    at = dict(zip(zetas, positions))
+    values = {z: scan.outcomes[p] for z, p in at.items()}
+    # (evaluation, position) of the last two zetas evaluated after the
+    # scan whose ladders contracted
     held: dict = {}
 
-    def h(z: float) -> float:
-        z = float(z)
+    def h(z):
         if z not in values:
+            evaluation, (p,) = yield [z]
             if len(held) == 2:
                 del held[next(iter(held))]
-            values[z] = H(z, eps, sys, K, N, literal=literal, keep=held)
+            values[z] = evaluation.outcomes[p]
+            if p in evaluation.ratios:
+                held[z] = evaluation, p
         if isinstance(values[z], Exception):
             raise values[z]
         return values[z]
 
-    def found(z) -> float:
-        """Return the root ``z``, handing its expansion to ``keep``."""
-        z = float(z)
-        if keep is not None:
-            keep.clear()
-            held_z = held.get(z) or (scan.one(z) if scan is not None else None)
-            if held_z is not None:
-                keep[z] = held_z.result()
-        return z
+    def found(z):
+        if z in held:
+            evaluation, p = held[z]
+        elif scan is not None:
+            evaluation, p = scan, at[z]
+        else:
+            # the solve evaluated the root, so its expansion contracts
+            evaluation, (p,) = yield [z]
+        return z, evaluation.result(p)
 
     if lo <= 0.0 <= hi:
-        h0 = h(0.0)
+        h0 = yield from h(0.0)
         if abs(h0) <= tol:
-            return found(0.0)
+            return (yield from found(0.0))
 
     vals = []
     for x in xs:
-        v = h(x)
+        v = yield from h(x)
         if abs(v) <= tol:
-            return found(x)
+            return (yield from found(x))
         vals.append(v)
 
     changes = [
@@ -356,41 +373,94 @@ def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
         )
     i = changes[0]
     # brentq starts from the bracket ends: they are the first two held
-    held = {float(x): scan.one(float(x)) for x in xs[i:i + 2]}
+    held.update((x, (scan, at[x])) for x in xs[i:i + 2])
     scan = None
-    root = brentq(h, float(xs[i]), float(xs[i + 1]), xtol=1e-15, rtol=1e-15,
-                  maxiter=200)
-    value = h(root)
+    root = yield from _follow(
+        brent_steps(xs[i], xs[i + 1], xtol=1e-15, rtol=1e-15, maxiter=200), h)
+    value = yield from h(root)
     if abs(value) <= tol:
-        return found(root)
+        return (yield from found(root))
     # secant polish from the brentq endpoint pair
-    x0, x1 = root, root + max(1e-13, 1e-10 * abs(root))
-    f0, f1 = value, h(x1)
-    for _ in range(10):
-        if abs(f1) <= tol:
-            return found(x1)
-        if f1 == f0:
-            break
-        x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
-        f1 = h(x1)
-    if abs(f1) <= tol:
-        return found(x1)
-    raise BifurcationSolveError(
-        f"balance residual {abs(f1):.3e} stayed above tolerance {tol:.3e}"
-    )
+    x1 = yield from _follow(_secant_steps(root, value, tol), h)
+    return (yield from found(x1))
 
 
-def _root(eps, sys, K, N, bracket, tol, literal, scan_points):
-    """The root zeta of the balance and its expansion (ladder, ratios,
-    estimate, assembled series): the one :func:`solve_zeta` held, or else
-    the root evaluated again as a batch of one."""
-    held: dict = {}
-    zeta = solve_zeta(eps, sys, K, N, bracket, tol=tol, literal=literal,
-                      scan_points=scan_points, keep=held)
-    if zeta in held:
-        return zeta, held[zeta]
-    # the solve evaluated the root, so its expansion contracts
-    return zeta, _Evaluation(sys, eps, [zeta], K, N, literal).result()
+def _lockstep(sys, eps_list, K, N, bracket, tol, literal,
+              scan_points) -> list:
+    """Solve the balance for zeta at every eps of ``eps_list`` together.
+
+    Each eps runs :func:`_zeta_steps` on its own memo.  The first batched
+    expansion evaluates the scan of every eps; each later one evaluates
+    the zetas that the live solves ask for next, one row per solve.
+    Entry i of the result is ``(zeta, expansion)`` as :func:`_zeta_steps`
+    returns it at ``eps_list[i]``, or the exception that solve raised;
+    the caller raises those in the order the solves one at a time would.
+    """
+    sys.require_certified()
+    if tol is None:
+        tol = 1e-12 * max(1.0, abs(sys.a))
+    lo, hi = DEFAULT_BRACKET if bracket is None else (bracket[0], bracket[1])
+    if not lo < hi:
+        raise ValueError("bracket must satisfy lo < hi")
+    xs = [float(x) for x in np.linspace(lo, hi, max(3, scan_points))]
+    solves = [_zeta_steps(lo, hi, xs, tol) for _ in eps_list]
+    wanted = {i: next(solve) for i, solve in enumerate(solves)}
+    outcomes: list = [None] * len(solves)
+    # every build reads the propagator tables of all live eps, more of
+    # them than the shared table cache may hold
+    tables: dict = {}
+    while wanted:
+        live = list(wanted)
+        evaluation = _Evaluation(
+            sys, [eps_list[i] for i in live for _ in wanted[i]],
+            [z for i in live for z in wanted[i]], K, N, literal, tables)
+        stop = 0
+        for i in live:
+            positions = range(stop, stop + len(wanted[i]))
+            stop = positions.stop
+            try:
+                wanted[i] = solves[i].send((evaluation, positions))
+            except StopIteration as done:
+                outcomes[i] = done.value
+                del wanted[i]
+            except Exception as exc:
+                # the caller raises it where the solves in turn would
+                outcomes[i] = exc
+                del wanted[i]
+    return outcomes
+
+
+def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
+               tol: float | None = None, literal: bool = False,
+               scan_points: int = DEFAULT_SCAN_POINTS,
+               keep: dict | None = None) -> float:
+    """Solve the balance for zeta on a bracket.
+
+    The bracket is scanned first: a point already below tolerance is
+    returned as is (zeta = 0 is probed up front, so linear systems return
+    exactly 0.0), the sign change must be unique, and the root is then
+    polished by a safeguarded secant/bisection iteration to
+    |H| <= 1e-12 max(1, |a|).
+
+    zeta = 0 and the scan points are evaluated together in one batched
+    expansion, then read in the order above: a value, or an error a point
+    raised, counts only once the scan reaches that point.  After the
+    scan, the balance is evaluated once per distinct zeta, and the
+    expansions of the last two evaluations are held; a root whose
+    expansion is no longer held is evaluated again.  ``keep``, when
+    given, is emptied and on return maps the root to its expansion
+    (ladder, ratios, estimate, assembled series).  This is the lockstep
+    solve of :func:`solve_response` over one eps.
+    """
+    (outcome,) = _lockstep(sys, [eps], K, N, bracket, tol, literal,
+                           scan_points)
+    if isinstance(outcome, Exception):
+        raise outcome
+    zeta, expansion = outcome
+    if keep is not None:
+        keep.clear()
+        keep[zeta] = expansion
+    return zeta
 
 
 @dataclass
@@ -452,32 +522,14 @@ class ResponseSolution:
         }
 
 
-def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
-                   bounds=None, bracket=None, tol: float | None = None,
-                   literal: bool = False, probe: bool = True,
-                   scan_points: int = DEFAULT_SCAN_POINTS) -> ResponseSolution:
-    """Solve the balance, take the expansion at the solved zeta and
-    package the response with residuals.
-
-    When ``bounds`` (an EpsilonBounds) is supplied and eps exceeds its
-    admissible estimate, a warning is issued but the solve proceeds.  With
-    ``probe=True`` the root is also solved at eps/2 and eps/4 and
-    ``continuity_checked`` records whether the response norm decreases
-    towards zero dissipation.
-    """
-    sys.require_certified()
-    if bounds is not None and abs(eps) > bounds.eps_bar:
-        warnings.warn(
-            f"eps = {eps!r} exceeds the constructive estimate "
-            f"eps_bar = {bounds.eps_bar:.3e}; the expansion may diverge",
-            stacklevel=2,
-        )
-    if bracket is None and envelope is not None:
-        bracket = (-envelope.rho / 4.0, envelope.rho / 4.0)
-
-    zeta, (ladder, ratios, estimate, w) = _root(
-        eps, sys, K, N, bracket, tol, literal, scan_points)
-    solution = ResponseSolution(
+def _response(sys, eps, K, N, root, literal) -> ResponseSolution:
+    """The response at ``eps`` from its root ``(zeta, (ladder, ratios,
+    estimate, assembled series))``, with its residuals; a root that is an
+    exception is raised."""
+    if isinstance(root, Exception):
+        raise root
+    zeta, (ladder, ratios, estimate, w) = root
+    return ResponseSolution(
         c0=sys.c0,
         zeta=zeta,
         u=w,
@@ -492,12 +544,45 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
         literal_balance=literal,
         ladder=ladder,
     )
-    if probe and eps != 0.0:
+
+
+def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
+                   bounds=None, bracket=None, tol: float | None = None,
+                   literal: bool = False, probe: bool = True,
+                   scan_points: int = DEFAULT_SCAN_POINTS) -> ResponseSolution:
+    """Solve the balance, take the expansion at the solved zeta and
+    package the response with residuals.
+
+    When ``bounds`` (an EpsilonBounds) is supplied and eps exceeds its
+    admissible estimate, a warning is issued but the solve proceeds.  With
+    ``probe=True`` the root is also solved at eps/2 and eps/4, in lockstep
+    with the solve at eps, and ``continuity_checked`` records whether the
+    response norm decreases towards zero dissipation.  A failed solve
+    raises its error; the one at eps comes first, then eps/2's, then
+    eps/4's.
+    """
+    sys.require_certified()
+    if bounds is not None and abs(eps) > bounds.eps_bar:
+        warnings.warn(
+            f"eps = {eps!r} exceeds the constructive estimate "
+            f"eps_bar = {bounds.eps_bar:.3e}; the expansion may diverge",
+            stacklevel=2,
+        )
+    if bracket is None and envelope is not None:
+        bracket = (-envelope.rho / 4.0, envelope.rho / 4.0)
+
+    probing = probe and eps != 0.0
+    eps_list = [eps, eps * 0.5, eps * 0.25] if probing else [eps]
+    roots = _lockstep(sys, eps_list, K, N, bracket, tol, literal,
+                      scan_points)
+    solution = _response(sys, eps, K, N, roots[0], literal)
+    if probing:
         norms = [solution.response_norm()]
-        for frac in (0.5, 0.25):
-            # the response norm of the solve at eps * frac
-            z, (_, _, _, u) = _root(eps * frac, sys, K, N, bracket, tol,
-                                    literal, scan_points)
+        for root in roots[1:]:
+            if isinstance(root, Exception):
+                raise root
+            # the response norm of the solve at eps/2 or eps/4
+            z, (_, _, _, u) = root
             norms.append(abs(z) + u.without_zero_mode().weighted_norm(0.0))
         solution.probe_norms = norms
         solution.continuity_checked = norms[0] > norms[1] > norms[2]
@@ -507,3 +592,25 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
                 stacklevel=2,
             )
     return solution
+
+
+def solve_responses(eps_grid, sys, K: int, N: int, *, envelope=None,
+                    bracket=None, tol: float | None = None,
+                    literal: bool = False,
+                    scan_points: int = DEFAULT_SCAN_POINTS) -> list:
+    """:func:`solve_response` without the probe at every eps of
+    ``eps_grid``, all solved in lockstep.  Entry i is the solution at
+    ``eps_grid[i]`` or the exception that solving there alone raises; no
+    eps_bar warning is issued."""
+    if bracket is None and envelope is not None:
+        bracket = (-envelope.rho / 4.0, envelope.rho / 4.0)
+    roots = _lockstep(sys, list(eps_grid), K, N, bracket, tol, literal,
+                      scan_points)
+    out = []
+    for eps, root in zip(eps_grid, roots):
+        try:
+            out.append(_response(sys, eps, K, N, root, literal))
+        except Exception as exc:
+            # the caller raises it where the solves in turn would
+            out.append(exc)
+    return out

@@ -25,7 +25,7 @@ from pathlib import Path
 import jsonschema
 
 import qpresponse.trees as trees
-from .bifurcation import solve_response
+from .bifurcation import solve_response, solve_responses
 from .diophantine import (
     alpha_n,
     classify_eps_sequence,
@@ -269,11 +269,11 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _solve_once(config: dict, eps: float, literal: bool, probe: bool):
+def _prepare(config: dict):
+    """The certified system of ``config``, its envelope and its eps
+    bounds (None when the alpha guard stops them)."""
     sys_, envelope = build_system(config)
-    K = config["truncation"]["K"]
     N = config["truncation"]["N"]
-    opts = options_of(config)
     report = check_nonresonance(sys_.omega, N)
     if report.resonant:
         raise ResonanceError(
@@ -281,28 +281,34 @@ def _solve_once(config: dict, eps: float, literal: bool, probe: bool):
             f"{report.min_value:.3e}",
             nu=report.argmin, value=report.min_value,
         )
-    bounds = None
+    opts = options_of(config)
     try:
-        bounds = estimate_epsilon_bar(
-            envelope, sys_.a, sys_.omega,
-            A_fraction=float(opts["A_fraction"]),
-            theorem=config["theorem"],
-            guard=opts["alpha_guard"],
-        )
+        return sys_, envelope, estimate_epsilon_bar(
+            envelope, sys_.a, sys_.omega, A_fraction=float(opts["A_fraction"]),
+            theorem=config["theorem"], guard=opts["alpha_guard"])
     except GuardExceededError:
-        pass  # bounds are advisory for solve
-    bracket = opts["zeta_bracket"]
+        return sys_, envelope, None  # bounds are advisory for solves
+
+
+def _solve_once(config: dict, eps: float, literal: bool, probe: bool):
+    sys_, envelope, bounds = _prepare(config)
     solution = solve_response(
-        eps, sys_, K, N,
-        envelope=envelope,
-        bounds=bounds,
-        bracket=None if bracket is None else tuple(bracket),
-        tol=opts["zeta_tol"],
-        literal=literal,
-        probe=probe,
-        scan_points=int(opts["scan_points"]),
+        eps, sys_, config["truncation"]["K"], config["truncation"]["N"],
+        envelope=envelope, bounds=bounds, literal=literal, probe=probe,
+        **_solve_options(config),
     )
     return sys_, envelope, bounds, solution
+
+
+def _solve_options(config: dict) -> dict:
+    """The zeta solve's options of ``config``, as keyword arguments."""
+    opts = options_of(config)
+    bracket = opts["zeta_bracket"]
+    return {
+        "bracket": None if bracket is None else tuple(bracket),
+        "tol": opts["zeta_tol"],
+        "scan_points": int(opts["scan_points"]),
+    }
 
 
 def cmd_solve(config: dict, out_dir: Path, literal: bool) -> int:
@@ -372,27 +378,40 @@ def cmd_diagnose(config: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _sweep_point(args):
-    """One row of the sweep table, with the solve's warnings silenced."""
-    config, eps, literal = args
+def _sweep_rows(args):
+    """The rows of the sweep table at the eps of ``grid``, a contiguous
+    part of the sorted grid, all solved in lockstep with the solves'
+    warnings silenced.  An eps whose expansion diverges or whose balance
+    has no unique root gets a row of NaN; any other failure is raised,
+    the first in grid order."""
+    config, grid, literal = args
+    rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        try:
-            _, _, _, solution = _solve_once(config, eps, literal,
-                                            probe=False)
-            return {
-                "epsilon": eps,
-                "zeta": solution.zeta,
-                "u_norm": solution.u.without_zero_mode().weighted_norm(0.0),
-                "ratio_estimate": solution.ratio_estimate,
-                "residual_range": solution.residual_range,
-                "residual_bifurcation": solution.residual_bifurcation,
-                "converged": True,
-            }
-        except (LadderDivergenceError, BifurcationSolveError):
-            row = dict.fromkeys(_SWEEP_COLUMNS, math.nan)
-            row.update(epsilon=eps, converged=False)
-            return row
+        sys_, envelope, _ = _prepare(config)
+        solutions = solve_responses(
+            grid, sys_, config["truncation"]["K"], config["truncation"]["N"],
+            envelope=envelope, literal=literal, **_solve_options(config))
+        for eps, solution in zip(grid, solutions):
+            if isinstance(solution, (LadderDivergenceError,
+                                     BifurcationSolveError)):
+                row = dict.fromkeys(_SWEEP_COLUMNS, math.nan)
+                row.update(epsilon=eps, converged=False)
+            elif isinstance(solution, Exception):
+                raise solution
+            else:
+                row = {
+                    "epsilon": eps,
+                    "zeta": solution.zeta,
+                    "u_norm":
+                        solution.u.without_zero_mode().weighted_norm(0.0),
+                    "ratio_estimate": solution.ratio_estimate,
+                    "residual_range": solution.residual_range,
+                    "residual_bifurcation": solution.residual_bifurcation,
+                    "converged": True,
+                }
+            rows.append(row)
+    return rows
 
 
 _SWEEP_COLUMNS = ["epsilon", "zeta", "u_norm", "ratio_estimate",
@@ -401,16 +420,19 @@ _SWEEP_COLUMNS = ["epsilon", "zeta", "u_norm", "ratio_estimate",
 
 def cmd_sweep(config: dict, out_dir: Path, literal: bool, parallel: int) -> int:
     grid = sorted(float(e) for e in config.get("epsilon_grid", []))
-    jobs = [(config, eps, literal) for eps in grid]
-    if parallel > 1 and len(jobs) > 1:
+    # one contiguous part of the grid per worker; serial is one part
+    parts = min(max(parallel, 1), len(grid))
+    jobs = [(config, grid[i * len(grid) // parts:(i + 1) * len(grid) // parts],
+             literal) for i in range(parts)]
+    if len(jobs) > 1:
         # imported here: it loads multiprocessing, which nothing else needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_sweep_point, jobs))
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            chunks = list(pool.map(_sweep_rows, jobs))
     else:
-        results = [_sweep_point(job) for job in jobs]
-    results.sort(key=lambda row: row["epsilon"])
+        chunks = [_sweep_rows(job) for job in jobs]
+    results = [row for chunk in chunks for row in chunk]
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -546,7 +568,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON problem config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for sweep points")
+                       help="worker processes for sweep, each solving one "
+                            "contiguous part of the eps grid in lockstep "
+                            "(on 2 cores, 2 workers were slower than 1: "
+                            "0.69 against 0.58 s on the sweep-d3 benchmark "
+                            "config, 0.76 against 0.65 s on "
+                            "demos/configs/cubic.json)")
         p.add_argument("--literal-3-1b", action="store_true",
                        dest="literal",
                        help="evaluate the zero-mode balance in its literal "

@@ -20,11 +20,13 @@ to the radius from which it can still reach the ball, and the coefficients
 it keeps are bitwise those of the full-support product.
 
 One engine builds every ladder: ``_Expansion`` runs the recursion for a
-batch of zetas at once on dense blocks (:class:`~.fourier.DenseBlock`),
-with 1/D(eps, omega . nu) read from a table built once per (eps, N).  The
-zeta scan uses a batch of several zetas; ``build_ladder``, ``first_order``
-and the ``next_order`` replays use a batch of one, and series objects are
-made only for what they return.
+batch of (eps, zeta) rows at once on dense blocks
+(:class:`~.fourier.DenseBlock`).  Each row reads 1/D(eps, omega . nu)
+from the table of its own eps, built once per (eps, N), and is bitwise
+what its build as a batch of one gives.  The zeta solves batch every eps
+of a probe or a sweep together; ``build_ladder``, ``first_order`` and the
+``next_order`` replays use a batch of one, and series objects are made
+only for what they return.
 """
 
 from __future__ import annotations
@@ -145,21 +147,27 @@ def _table(omega_bits: tuple, a_bits: str, eps_bits: str, N: int):
 
 
 class _Expansion:
-    """The ladder recursion for a batch of zetas at one (eps, N).
+    """The ladder recursion for a batch of (eps, zeta) rows at one N.
 
-    Each order is a :class:`DenseBlock` holding one series per live zeta;
+    Each order is a :class:`DenseBlock` holding one series per live row;
     partial products are memoized, so every convolution is computed once
-    per batch, and the propagator comes from one table.  A zeta whose
+    per batch, and each row divides by the propagator table of its own
+    eps.  ``eps`` is one value for every row or one per zeta; ``tables``,
+    when given, maps the bits of an eps (``float.hex``) to its table at
+    this N, and is read and filled here.  A row whose
     build fails (a resonant source mode or a blown-up order) records in
-    ``errors`` the exception the build at that zeta alone raises and
-    leaves the batch; the others go on exactly as they would alone.
-    ``rows`` maps each live batch index to its position in ``zetas``.
+    ``errors`` the exception its build alone raises and leaves the batch;
+    the others go on exactly as they would alone.  ``rows`` maps each live
+    batch index to its position in ``zetas`` and ``eps``.
     """
 
-    def __init__(self, sys, eps: float, zetas, N: int):
+    def __init__(self, sys, eps, zetas, N: int, tables: dict | None = None):
         sys.require_certified()
-        self.eps = float(eps)
         self.zetas = [float(z) for z in zetas]
+        self.eps = [float(e) for e in
+                    (eps if np.ndim(eps) else [eps] * len(self.zetas))]
+        if len(self.eps) != len(self.zetas):
+            raise ValueError(f"{len(self.eps)} eps for {len(self.zetas)} zetas")
         self.N = int(N)
         if self.N < 1:
             raise ValueError("mode cutoff N must be >= 1")
@@ -173,7 +181,18 @@ class _Expansion:
         self._powers = [p for p, _ in self._layers.powers]
         # largest |nu| an order can have: N for the orders built here
         self._step = self.N
-        self._table = _propagator_table(sys, self.eps, self.N)
+        # one table per distinct eps (by its bits); _which[pos] names the
+        # table of position pos
+        tables = {} if tables is None else tables
+        keys = [e.hex() for e in self.eps]
+        index = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+        self._which = np.array([index[k] for k in keys], dtype=np.intp)
+        for k in index:
+            if k not in tables:
+                tables[k] = _propagator_table(sys, float.fromhex(k), self.N)
+        self._re = np.stack([tables[k][0] for k in index])
+        self._im = np.stack([tables[k][1] for k in index])
+        self._resonant = [tables[k][2] for k in index]
 
     def drop(self, batch_rows) -> None:
         """Remove the series at the live batch indices ``batch_rows``."""
@@ -197,11 +216,11 @@ class _Expansion:
         if self.errors:
             raise self.errors[min(self.errors)]
 
-    def _divide(self, source: DenseBlock, scale: float) -> DenseBlock:
-        """Multiply by scale/D(eps, omega.nu) mode-wise, dropping the zero
-        mode and everything beyond the ball.  A series with a source mode
-        where D vanishes fails with the first such mode's ResonanceError
-        and leaves the batch."""
+    def _divide(self, source: DenseBlock, sign: float) -> DenseBlock:
+        """Multiply each row by sign * eps/D(eps, omega.nu) mode-wise, at
+        the row's own eps, dropping the zero mode and everything beyond
+        the ball.  A series with a source mode where D vanishes fails with
+        the first such mode's ResonanceError and leaves the batch."""
         N, batch = self.N, len(self.rows)
         part = source._within(N)
         if part is None:
@@ -209,20 +228,30 @@ class _Expansion:
         lo, c = part
         c = np.broadcast_to(c, (batch,) + c.shape[1:])
         hi = [l + n - 1 for l, n in zip(lo, c.shape[1:])]
-        re, im, resonant = self._table
+        which = self._which[self.rows]
         # resonant modes come in lexicographic order, so the first one a
         # series has in its source is the one its scalar division met
         failures = {}
-        for nu, s in resonant.items():
-            if all(l <= x <= h for x, l, h in zip(nu, lo, hi)):
-                cell = c[(slice(None),) + tuple(x - l for x, l in zip(nu, lo))]
-                for i in np.flatnonzero(cell != 0).tolist():
-                    failures.setdefault(i, _resonance(s))
+        for t, resonant in enumerate(self._resonant):
+            for nu, s in resonant.items():
+                if all(l <= x <= h for x, l, h in zip(nu, lo, hi)):
+                    cell = c[(slice(None),)
+                             + tuple(x - l for x, l in zip(nu, lo))]
+                    hit = (cell != 0) & (which == t)
+                    for i in np.flatnonzero(hit).tolist():
+                        failures.setdefault(i, _resonance(s))
         if failures:
             self.fail(failures)
             c = c[[i for i in range(batch) if i not in failures]]
-        table = tuple(slice(l + N, h + N + 1) for l, h in zip(lo, hi))
-        pr, pi = re[table], im[table]
+            which = self._which[self.rows]
+        table = (slice(None),) + tuple(slice(l + N, h + N + 1)
+                                       for l, h in zip(lo, hi))
+        pr, pi = self._re[table], self._im[table]
+        if len(pr) > 1:
+            pr, pi = pr[which], pi[which]
+        # sign is +-1.0, so each scale is exactly +-eps
+        scale = sign * np.array([self.eps[r] for r in self.rows])
+        scale = scale.reshape((-1,) + (1,) * self.d)
         out = np.empty(c.shape, dtype=complex)
         with np.errstate(all="ignore"):
             # (scale * c) * p, each product as Python forms it
@@ -260,7 +289,7 @@ class _Expansion:
         return total
 
     def first_order(self) -> None:
-        base = self._divide(self._layers.source, self.eps)
+        base = self._divide(self._layers.source, 1.0)
         if not self.rows:
             return
         zetas = np.array([self.zetas[r] for r in self.rows], dtype=complex)
@@ -284,7 +313,7 @@ class _Expansion:
             block = self._partial_product(p, k - 1)
             if block.present().any():
                 source = source.add(alpha.convolve(block, radius=self.N))
-        u_k = self._divide(source, -self.eps)
+        u_k = self._divide(source, -1.0)
         if not self.rows:
             return
         norms = u_k.norms()
@@ -308,17 +337,6 @@ class _Expansion:
         # the partial products are read only while the orders are built
         self._products = {}
 
-    def take(self, rows) -> "_Expansion":
-        """The orders and norms of the live batch indices ``rows`` alone."""
-        part = object.__new__(_Expansion)
-        part.__dict__.update(self.__dict__)
-        part.rows = [self.rows[i] for i in rows]
-        part.errors = {}
-        part.orders = [u.take(rows) for u in self.orders]
-        part.norms = [n[rows] for n in self.norms]
-        part._products = {}
-        return part
-
     def assembled(self) -> DenseBlock:
         """Sum of the orders, as :func:`assemble` with mu = 1 forms it."""
         total = DenseBlock.empty(self.d)
@@ -331,7 +349,7 @@ class _Expansion:
         return OrderLadder(
             orders=[u.series(i) for u in self.orders],
             zeta=self.zetas[self.rows[i]],
-            eps=self.eps,
+            eps=self.eps[self.rows[i]],
             N=self.N,
             norms=[float(n[i]) for n in self.norms],
         )

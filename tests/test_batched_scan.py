@@ -1,8 +1,9 @@
 """The batched zeta scan against per-zeta scalar evaluation.
 
 ``solve_zeta`` evaluates zeta = 0 and every scan point in one batched
-ladder build on dense blocks.  Each zeta of a batch must get, bit for
-bit, what evaluating it alone through the full-support reference
+ladder build on dense blocks, and the lockstep solves mix rows at
+several eps in one build.  Each (eps, zeta) row of a batch must get, bit
+for bit, what evaluating it alone through the full-support reference
 recursion of ``test_fast_paths`` gives: the orders, their norms, the
 ratios, the assembled sum and the balance, or the same exception.  The
 scan must then read those outcomes in the order the sequential solve
@@ -16,7 +17,6 @@ import warnings
 import numpy as np
 import pytest
 
-import qpresponse.bifurcation as bifurcation
 from qpresponse.bifurcation import H, _Evaluation, solve_response, solve_zeta
 from qpresponse.diophantine import estimate_epsilon_bar
 from qpresponse.errors import (
@@ -55,6 +55,7 @@ from test_fast_paths import (
     reference_ladder,
     reference_next,
     separable_system,
+    spy_builds,
     unmemoized_solve_zeta,
 )
 
@@ -130,12 +131,16 @@ def hexes(values):
 
 
 def assert_batch_matches_alone(sys, eps, zetas, K, N, literal=False):
-    """Every zeta of the batch against its own reference evaluation;
-    returns the reference outcomes."""
+    """Every (eps, zeta) row of the batch against its own reference
+    evaluation; ``eps`` is one value for all rows or one per row.  Returns
+    the reference outcomes."""
+    eps_rows = list(eps) if isinstance(eps, list) else [eps] * len(zetas)
     batch = _Evaluation(sys, eps, zetas, K, N, literal)
-    expected = [reference_h(sys, eps, z, K, N, literal) for z in zetas]
+    expected = [reference_h(sys, e, z, K, N, literal)
+                for e, z in zip(eps_rows, zetas)]
     live = batch.expansion.rows
     for pos, (got, want) in enumerate(zip(batch.outcomes, expected)):
+        e = eps_rows[pos]
         if isinstance(want, Exception):
             assert type(got) is type(want) and str(got) == str(want)
             assert pos not in live
@@ -144,17 +149,16 @@ def assert_batch_matches_alone(sys, eps, zetas, K, N, literal=False):
         assert float(got).hex() == value.hex()
         i = live.index(pos)
         mine = batch.expansion.ladder(i)
-        assert mine.zeta == zetas[pos] and mine.eps == eps and mine.N == N
+        assert mine.zeta == zetas[pos] and mine.eps == e and mine.N == N
         assert [bits(s) for s in mine.orders] == [bits(s) for s in ladder.orders]
         assert hexes(mine.norms) == hexes(ladder.norms)
         got_ratios, got_estimate = batch.ratios[pos]
         assert hexes(got_ratios) == hexes(ratios)
         assert float(got_estimate).hex() == float(estimate).hex()
         assert bits(batch.w.series(i)) == bits(w)
-        # what solve_zeta hands on when this zeta is the root
-        held_ladder, held_ratios, held_estimate, held_w = \
-            batch.one(zetas[pos]).result()
-        assert held_ladder.zeta == zetas[pos]
+        # what a solve hands on when this row holds its root
+        held_ladder, held_ratios, held_estimate, held_w = batch.result(pos)
+        assert held_ladder.zeta == zetas[pos] and held_ladder.eps == e
         assert [bits(s) for s in held_ladder.orders] == \
             [bits(s) for s in ladder.orders]
         assert hexes(held_ladder.norms) == hexes(ladder.norms)
@@ -162,7 +166,7 @@ def assert_batch_matches_alone(sys, eps, zetas, K, N, literal=False):
         assert float(held_estimate).hex() == float(estimate).hex()
         assert bits(held_w) == bits(w)
         # the batch of one that H evaluates gives the same numbers
-        assert H(zetas[pos], eps, sys, K, N, literal=literal).hex() == \
+        assert H(zetas[pos], e, sys, K, N, literal=literal).hex() == \
             value.hex()
     return expected
 
@@ -226,6 +230,61 @@ def test_blow_up_and_contraction_errors_in_one_batch():
     messages = [str(e) for e in expected if isinstance(e, Exception)]
     assert any("norm exceeded" in m for m in messages)
     assert any("does not contract" in m for m in messages)
+
+
+# -- rows at different eps ---------------------------------------------------
+
+PROBE_FRACTIONS = (1.0, 0.5, 0.25)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_mixed_eps_batch_matches_each_row_alone(name):
+    make, K, N, literal = SYSTEMS[name]
+    sys, eps = make()
+    rows = [(eps * f, z) for z in BATCHES[3] for f in PROBE_FRACTIONS]
+    expected = assert_batch_matches_alone(
+        sys, [e for e, _ in rows], [z for _, z in rows], K, N, literal)
+    assert not any(isinstance(e, Exception) for e in expected)
+
+
+def test_rows_that_fail_at_one_eps_only():
+    # at K = 12, N = 3: zeta = 1 contracts at eps = 0.2 but not at 0.4,
+    # and zeta = 100 blows up at eps = 0.4 but only fails the ratio test
+    # at eps = 0.1
+    sys = separable_system(2, TAYLOR)
+    eps = [0.4, 0.2, 0.1, 0.4, 0.1, 0.2]
+    zetas = [1.0, 1.0, 100.0, 100.0, 0.3, 0.3]
+    expected = assert_batch_matches_alone(sys, eps, zetas, 12, 3)
+    messages = [str(e) if isinstance(e, Exception) else None
+                for e in expected]
+    assert "does not contract at eps=0.4" in messages[0]
+    assert messages[1] is None
+    assert "does not contract at eps=0.1" in messages[2]
+    assert "norm exceeded" in messages[3]
+    assert messages[4:] == [None, None]
+
+
+def test_resonant_source_mode_fails_only_at_its_eps():
+    # the forcing mode (2, -1) is resonant at eps = 0 only
+    resonant = FourierSeries(2, {(2, -1): 0.1, (-2, 1): 0.1},
+                             real_valued=True)
+    sys = rational_system(cosine(2, 0, 0.3).add(resonant))
+    eps = [0.0, 0.05, 0.0, 0.05]
+    zetas = [0.1, 0.1, 0.0, 0.0]
+    batch = _Evaluation(sys, eps, zetas, 4, 4, False)
+    assert [isinstance(o, ResonanceError) for o in batch.outcomes] == \
+        [True, False, True, False]
+    for pos, (e, z) in enumerate(zip(eps, zetas)):
+        alone = _Evaluation(sys, e, [z], 4, 4, False)
+        (want,) = alone.outcomes
+        got = batch.outcomes[pos]
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            continue
+        assert got.hex() == want.hex()
+        mine, theirs = batch.result(pos), alone.result(0)
+        assert mine[0].to_json_dict() == theirs[0].to_json_dict()
+        assert bits(mine[3]) == bits(theirs[3])
 
 
 # -- the scan replays the sequential solve -----------------------------------
@@ -362,25 +421,10 @@ def test_block_operations_match_series_operations(d):
 ])
 def test_solve_builds_no_ladder_twice(make, eps, K, N, kwargs, monkeypatch):
     sys = make()
-    built, evaluated = [], []
-    real_h = bifurcation.H
-
-    class SpyEvaluation(bifurcation._Evaluation):
-        def __init__(self, sys_, eps_, zetas, *args):
-            built.extend((eps_, z) for z in zetas)
-            super().__init__(sys_, eps_, zetas, *args)
-
-    def spy_h(zeta, *args, **kw):
-        evaluated.append(zeta)
-        return real_h(zeta, *args, **kw)
-
-    monkeypatch.setattr(bifurcation, "_Evaluation", SpyEvaluation)
-    monkeypatch.setattr(bifurcation, "H", spy_h)
+    built, _ = spy_builds(monkeypatch)
     sol = solve_response(eps, sys, K, N, **kwargs)
-    # the root's expansion was held: no zeta is built twice, and brentq
-    # and the secant are the only single evaluations
+    # the roots' expansions were held: no (eps, zeta) row is built twice
     assert len(built) == len(set(built))
-    assert len(evaluated) == len(set(evaluated))
     assert sol.ladder.zeta == sol.zeta
 
 

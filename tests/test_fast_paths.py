@@ -18,9 +18,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import qpresponse.bifurcation as bifurcation
-from qpresponse.bifurcation import H, solve_response, solve_zeta
+from qpresponse.bifurcation import H, _Evaluation, solve_response, solve_zeta
 from qpresponse.errors import (
     DimensionMismatchError,
+    QPResponseError,
     StiffnessError,
     SymmetryError,
 )
@@ -479,6 +480,40 @@ def unmemoized_solve_zeta(eps, sys, K, N, bracket=None, *, tol=None,
     return float(x1)
 
 
+def sequential_lockstep(sys, eps_list, K, N, bracket, tol, literal,
+                        scan_points):
+    """``bifurcation._lockstep`` as solves one eps at a time: each root
+    from :func:`unmemoized_solve_zeta`, its expansion built afresh as a
+    batch of one."""
+    out = []
+    for eps in eps_list:
+        try:
+            zeta = unmemoized_solve_zeta(eps, sys, K, N, bracket, tol=tol,
+                                         literal=literal,
+                                         scan_points=scan_points)
+            out.append((zeta, _Evaluation(sys, eps, [zeta], K, N,
+                                          literal).result(0)))
+        except QPResponseError as exc:
+            out.append(exc)
+    return out
+
+
+def spy_builds(monkeypatch):
+    """Record every (eps, zeta) row and every batch that
+    ``bifurcation._Evaluation`` builds."""
+    rows, batches = [], []
+
+    class SpyEvaluation(bifurcation._Evaluation):
+        def __init__(self, sys_, eps_, zetas, *args):
+            super().__init__(sys_, eps_, zetas, *args)
+            batch = list(zip(self.expansion.eps, zetas))
+            rows.extend(batch)
+            batches.append(batch)
+
+    monkeypatch.setattr(bifurcation, "_Evaluation", SpyEvaluation)
+    return rows, batches
+
+
 MEMO_CASES = {
     "separable-probe": (lambda: separable_system(2, TAYLOR), 0.05, 8, 6,
                         dict(probe=True)),
@@ -492,38 +527,18 @@ MEMO_CASES = {
 def test_memoized_solve_builds_each_zeta_once(case, monkeypatch):
     make, eps, K, N, kwargs = MEMO_CASES[case]
     sys = make()
-    built, batches, evaluated, roots = [], [], [], []
-    real_h = bifurcation.H
-    real_solve = bifurcation.solve_zeta
-
-    class SpyEvaluation(bifurcation._Evaluation):
-        def __init__(self, sys_, eps_, zetas, *args):
-            batches.append(zetas)
-            built.extend((eps_, z) for z in zetas)
-            super().__init__(sys_, eps_, zetas, *args)
-
-    def spy_h(zeta, eps_, *args, **kw):
-        evaluated.append((eps_, zeta))
-        return real_h(zeta, eps_, *args, **kw)
-
-    def spy_solve(eps_, *args, **kw):
-        roots.append((eps_, real_solve(eps_, *args, **kw)))
-        return roots[-1][1]
-
-    monkeypatch.setattr(bifurcation, "_Evaluation", SpyEvaluation)
-    monkeypatch.setattr(bifurcation, "H", spy_h)
-    monkeypatch.setattr(bifurcation, "solve_zeta", spy_solve)
+    literal = kwargs.get("literal", False)
+    probed = [eps, eps * 0.5, eps * 0.25] if kwargs["probe"] else [eps]
+    roots = [(e, solve_zeta(e, sys, K, N, literal=literal)) for e in probed]
+    built, _ = spy_builds(monkeypatch)
     fast = solve_response(eps, sys, K, N, **kwargs)
-    # H sees each zeta once; the only repeat build is a root whose
-    # expansion was no longer held, evaluated again by solve_response
-    assert len(evaluated) == len(set(evaluated))
+    # each (eps, zeta) is built once, except a root whose expansion was
+    # no longer held, built again
     repeats = [b for b in built if built.count(b) > 1]
     assert set(repeats) <= set(roots)
-    singles = [b for b in batches if len(b) == 1]
-    assert len(singles) <= len(evaluated) + len(roots)
     fast_builds = len(built)
 
-    monkeypatch.setattr(bifurcation, "solve_zeta", unmemoized_solve_zeta)
+    monkeypatch.setattr(bifurcation, "_lockstep", sequential_lockstep)
     slow = solve_response(eps, sys, K, N, **kwargs)
     assert fast_builds < len(built) - fast_builds
     assert json.dumps(fast.to_json_dict()) == json.dumps(slow.to_json_dict())
