@@ -312,9 +312,9 @@ def _zeta_steps(lo, hi, xs: list, tol: float):
     ``(evaluation, positions)``, the :class:`_Evaluation` holding them at
     ``positions``.  It asks first for zeta = 0 and the scan points ``xs``
     together, then for one zeta at a time; each zeta is evaluated once.
-    It returns the root and its expansion (ladder, ratios, estimate,
-    assembled series), asking for the root once more when it no longer
-    holds that.  It raises what :func:`solve_zeta` raises.
+    It returns the root, its expansion (ladder, ratios, estimate,
+    assembled series) and its balance, asking for the root once more when
+    it no longer holds that.  It raises what :func:`solve_zeta` raises.
     """
     zetas = list(dict.fromkeys(([0.0] if lo <= 0.0 <= hi else []) + xs))
     scan, positions = yield zetas
@@ -344,7 +344,7 @@ def _zeta_steps(lo, hi, xs: list, tol: float):
         else:
             # the solve evaluated the root, so its expansion contracts
             evaluation, (p,) = yield [z]
-        return z, evaluation.result(p)
+        return z, evaluation.result(p), evaluation.outcomes[p]
 
     if lo <= 0.0 <= hi:
         h0 = yield from h(0.0)
@@ -392,9 +392,10 @@ def _lockstep(sys, eps_list, K, N, bracket, tol, literal,
     Each eps runs :func:`_zeta_steps` on its own memo.  The first batched
     expansion evaluates the scan of every eps; each later one evaluates
     the zetas that the live solves ask for next, one row per solve.
-    Entry i of the result is ``(zeta, expansion)`` as :func:`_zeta_steps`
-    returns it at ``eps_list[i]``, or the exception that solve raised;
-    the caller raises those in the order the solves one at a time would.
+    Entry i of the result is ``(zeta, expansion, balance)`` as
+    :func:`_zeta_steps` returns it at ``eps_list[i]``, or the exception
+    that solve raised; the caller raises those in the order the solves
+    one at a time would.
     """
     sys.require_certified()
     if tol is None:
@@ -456,7 +457,7 @@ def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
                            scan_points)
     if isinstance(outcome, Exception):
         raise outcome
-    zeta, expansion = outcome
+    zeta, expansion, _ = outcome
     if keep is not None:
         keep.clear()
         keep[zeta] = expansion
@@ -524,19 +525,18 @@ class ResponseSolution:
 
 def _response(sys, eps, K, N, root, literal) -> ResponseSolution:
     """The response at ``eps`` from its root ``(zeta, (ladder, ratios,
-    estimate, assembled series))``, with its residuals; a root that is an
-    exception is raised."""
+    estimate, assembled series), balance)``, with its residuals; a root
+    that is an exception is raised."""
     if isinstance(root, Exception):
         raise root
-    zeta, (ladder, ratios, estimate, w) = root
+    zeta, (ladder, ratios, estimate, w), balance = root
     return ResponseSolution(
         c0=sys.c0,
         zeta=zeta,
         u=w,
         epsilon=eps,
         residual_range=range_residual(sys, eps, w, N),
-        residual_bifurcation=abs(bifurcation_balance(sys, w, eps,
-                                                     literal=literal)),
+        residual_bifurcation=abs(balance),
         K=K,
         N=N,
         ratios=ratios,
@@ -582,7 +582,7 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
             if isinstance(root, Exception):
                 raise root
             # the response norm of the solve at eps/2 or eps/4
-            z, (_, _, _, u) = root
+            z, (_, _, _, u), _ = root
             norms.append(abs(z) + u.without_zero_mode().weighted_norm(0.0))
         solution.probe_norms = norms
         solution.continuity_checked = norms[0] > norms[1] > norms[2]

@@ -28,10 +28,10 @@ import qpresponse.trees as trees
 from .bifurcation import solve_response, solve_responses
 from .diophantine import (
     alpha_n,
+    ball_minimum,
     classify_eps_sequence,
     epsilon_n,
     estimate_epsilon_bar,
-    min_small_divisor,
 )
 from .errors import (
     BifurcationSolveError,
@@ -370,7 +370,7 @@ def cmd_diagnose(config: dict, out_dir: Path) -> int:
     payload["classification"] = classification
     N_list = opts["N_list"] or [config["truncation"]["N"]]
     payload["r_table"] = {
-        str(N): min_small_divisor(omega, int(N))[0] for N in N_list
+        str(N): ball_minimum(omega, int(N), guard)[0] for N in N_list
     }
     _write_json(out_dir / "epsilon_bounds.json", payload)
     print(f"eps_bar = {_fmt(bounds.eps_bar)} (n0 = {bounds.n0}, "

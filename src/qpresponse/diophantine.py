@@ -11,16 +11,20 @@ so reported argmins are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import GuardExceededError, ResonanceError
+from .fourier import _omega_grid
 
 # Default enumeration guards (maximum l1 radius) per torus dimension.
 # Cost grows like radius**d; the d=2 default walks ~3e7 modes.
 DEFAULT_GUARDS = {1: 2**62, 2: 4096, 3: 64}
 _FALLBACK_GUARD = 16
+
+# cells per numpy call of the walk when short rows share one
+_WALK_BLOCK = 1 << 13
 
 DEFAULT_A_FRACTION = 0.5
 
@@ -37,6 +41,10 @@ def min_small_divisor(omega, radius: int):
     Returns ``(value, argmin)`` with the argmin reported as the canonical
     representative of the +-nu pair (first nonzero component positive),
     lexicographically first among exact ties.
+
+    The walk runs by rows, which fix the leading d - 1 components; rows
+    are reduced in lexicographic order, skipping a row holding NaN, as a
+    strictly-smaller scan of the rows in turn reduces them.
     """
     omega = [float(w) for w in omega]
     d = len(omega)
@@ -44,51 +52,59 @@ def min_small_divisor(omega, radius: int):
         raise ValueError("radius must be >= 1")
     if d == 1:
         return abs(omega[0]), (1,)
+    R = int(radius)
+    # the leading d - 1 components of the canonical half ball (first
+    # nonzero component positive, or all zero) in lexicographic order,
+    # built one component at a time
+    heads = np.arange(R + 1)[:, None]
+    for _ in range(d - 2):
+        budget = R - np.abs(heads).sum(axis=1)
+        low = np.where(heads.any(axis=1), -budget, 0)
+        count = budget - low + 1
+        at = np.repeat(np.arange(len(heads)), count)
+        step = np.arange(len(at)) - (np.cumsum(count) - count)[at] + low[at]
+        heads = np.column_stack([heads[at], step])
+    budget = R - np.abs(heads).sum(axis=1)
+    dots = _omega_grid(omega[:-1], heads.T)
+    kw = np.arange(-R, R + 1) * omega[-1]
+    value, last = np.empty(len(heads)), np.empty(len(heads), dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        # row 0 is the zero head: its last component runs over 1..R
+        v = np.abs(dots[0] + kw[R + 1:])
+        j = int(v.argmin())
+        value[0], last[0] = v[j], j + 1
+        # the other rows run over -b..b; a block takes rows of falling b
+        # padded to the first one's width
+        order = np.argsort(-budget[1:], kind="stable") + 1
+        start = 0
+        while start < len(order):
+            b = int(budget[order[start]])
+            rows = order[start:start + max(1, _WALK_BLOCK // (2 * b + 1))]
+            start += len(rows)
+            v = np.abs(dots[rows, None] + kw[R - b:R + b + 1])
+            if budget[rows[-1]] < b:
+                v[np.abs(np.arange(-b, b + 1)) > budget[rows, None]] = np.inf
+            j = v.argmin(axis=1)
+            value[rows] = v[np.arange(len(rows)), j]
+            last[rows] = j - b
+    i = int(np.argmin(np.where(np.isnan(value), np.inf, value)))
+    if not value[i] < math.inf:
+        return math.inf, None
+    return float(value[i]), tuple(heads[i].tolist()) + (int(last[i]),)
 
-    best = math.inf
-    arg = None
-    w_last = omega[-1]
 
-    def scan(prefix, prefix_dot, budget, leading_zero):
-        nonlocal best, arg
-        depth = len(prefix)
-        if depth == d - 1:
-            if leading_zero:
-                lo = 1
-            else:
-                lo = -budget
-            ks = np.arange(lo, budget + 1)
-            if ks.size == 0:
-                return
-            vals = np.abs(prefix_dot + ks * w_last)
-            i = int(np.argmin(vals))
-            if vals[i] < best:
-                best = float(vals[i])
-                arg = prefix + (int(ks[i]),)
-            return
-        w = omega[depth]
-        start = 0 if leading_zero else -budget
-        for x in range(start, budget + 1):
-            scan(prefix + (x,), prefix_dot + x * w, budget - abs(x),
-                 leading_zero and x == 0)
+def ball_minimum(omega, radius: int, guard: int | None = None):
+    """min |omega . nu| over the ball 0 < |nu| <= radius, with argmin.
 
-    scan((), 0.0, int(radius), True)
-    return best, arg
-
-
-def alpha_n(omega, n: int, guard: int | None = None):
-    """min |omega . nu| over the dyadic ball 0 < |nu| <= 2**n, with argmin.
-
-    Raises :class:`GuardExceededError` when 2**n exceeds the enumeration
-    guard and :class:`ResonanceError` on an exact zero.
+    Raises :class:`GuardExceededError` when the radius exceeds the
+    enumeration guard and :class:`ResonanceError` on an exact zero.
     """
-    radius = 2 ** int(n)
     limit = guard_radius(len(omega), guard)
     if radius > limit:
         raise GuardExceededError(
-            f"ball radius 2^{n} = {radius} exceeds the enumeration guard "
-            f"{limit} for d={len(omega)}; raise the guard explicitly if the "
-            f"cost (~radius^d modes) is acceptable"
+            f"ball radius {radius} exceeds the enumeration guard {limit} "
+            f"for d={len(omega)}; raise the guard explicitly if the cost "
+            f"(~radius^d modes) is acceptable"
         )
     value, arg = min_small_divisor(omega, radius)
     if value == 0.0:
@@ -97,6 +113,11 @@ def alpha_n(omega, n: int, guard: int | None = None):
             nu=arg, value=value,
         )
     return value, arg
+
+
+def alpha_n(omega, n: int, guard: int | None = None):
+    """:func:`ball_minimum` on the dyadic ball of radius 2**n."""
+    return ball_minimum(omega, 2 ** int(n), guard)
 
 
 def epsilon_n(alpha: float, n: int) -> float:
@@ -171,15 +192,7 @@ def profile(omega, n_max: int, N_list=(), guard: int | None = None) -> Diophanti
         prof.eps.append(e)
         prof.bryuno_partial.append(running)
     for N in N_list:
-        limit = guard_radius(len(omega), guard)
-        if N > limit:
-            raise GuardExceededError(f"radius {N} exceeds guard {limit}")
-        value, arg = min_small_divisor(omega, int(N))
-        if value == 0.0:
-            raise ResonanceError(
-                f"omega . nu = 0 at nu = {arg}", nu=arg, value=value
-            )
-        prof.r_table[int(N)] = value
+        prof.r_table[int(N)], _ = ball_minimum(omega, int(N), guard)
     prof.classification = classify_eps_sequence(prof.eps)
     return prof
 
@@ -209,18 +222,7 @@ class EpsilonBounds:
     guard_limited: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "A": self.A,
-            "n0": self.n0,
-            "delta": self.delta,
-            "C0": self.C0,
-            "alpha_n0": self.alpha_n0,
-            "eps_bar": self.eps_bar,
-            "zeta_bar": self.zeta_bar,
-            "beta": self.beta,
-            "guard_limited": self.guard_limited,
-        }
+        return asdict(self)
 
 
 def propagator_floor_constant(envelope, a: float, theorem: int) -> float:
@@ -287,15 +289,7 @@ def estimate_epsilon_bar(
 
     limit = guard_radius(len(omega), guard)
     guard_limited = 2**n0 > limit
-    if guard_limited:
-        ball = limit
-    else:
-        ball = 2**n0
-    alpha, arg = min_small_divisor(omega, ball)
-    if alpha == 0.0:
-        raise ResonanceError(
-            f"omega . nu = 0 at nu = {arg}", nu=arg, value=alpha
-        )
+    alpha, _ = ball_minimum(omega, min(2**n0, limit), guard)
     delta = delta_of(n0)
 
     if theorem == 1:

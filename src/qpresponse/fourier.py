@@ -9,6 +9,13 @@ the ladder runs many series at once on larger batches.  All mode norms are
 l1 throughout the package (truncation balls, decay weights, small-divisor
 balls), and every coefficient accumulation runs in lexicographic mode order
 so results are bit-reproducible run to run.
+
+The frequencies omega . nu come from one grid, ``_omega_grid``: on the
+box of modes at ``lo`` cell ``i`` holds omega . (lo + i), its products
+summed from 0.0 in axis order, so each cell is bitwise the sum a scalar
+loop over the components forms.  The propagator table, the range
+residual, the time derivative and the small-divisor walk read it; the
+oracles in ``validation`` and ``trees`` keep loops of their own.
 """
 
 from __future__ import annotations
@@ -36,11 +43,6 @@ _REALITY_TOL = 1e-14
 def mode_norm(nu) -> int:
     """l1 norm of a mode vector."""
     return int(sum(abs(int(x)) for x in nu))
-
-
-def _norm(nu: MultiIndex) -> int:
-    """l1 norm of a mode already held as a tuple of ints."""
-    return sum(map(abs, nu))
 
 
 def _as_mode(nu, d) -> MultiIndex:
@@ -249,22 +251,34 @@ class FourierSeries:
         if xi_prime == 0.0:
             # abs(c) * exp(0.0) is abs(c), bit for bit
             return float(self._block.norms()[0])
-        total = 0.0
-        for nu, c in self.items_sorted():
-            total += abs(c) * math.exp(xi_prime * _norm(nu))
-        return total
+        v = self._block.values[0]
+        idx = np.nonzero(v)
+        norms = sum(np.abs(i + l) for i, l in zip(idx, self._block.lo))
+        distinct, which = np.unique(norms, return_inverse=True)
+        weights = np.array([math.exp(xi_prime * n) for n in distinct.tolist()])
+        with np.errstate(all="ignore"):
+            # the nonzero cells only: a zero cell times an infinite weight
+            # is NaN; accumulate adds one cell at a time, in lexicographic order
+            terms = np.hypot(v[idx].real, v[idx].imag) * weights[which]
+        return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
 
     def time_derivative(self, omega) -> "FourierSeries":
         """Derivative of t -> series(omega t): multiply each mode by i omega . nu."""
         if len(omega) != self.dimension:
             raise DimensionMismatchError("omega length does not match dimension")
-        out = {}
-        for nu, c in self.items_sorted():
-            s = 0.0
-            for x, w in zip(nu, omega):
-                s += x * w
-            out[nu] = 1j * s * c
-        return FourierSeries(self.dimension, out, self.real_valued)
+        block = self._block
+        c = block.values
+        s = _omega_grid(omega, np.ix_(*map(range, block.lo, np.add(block.hi, 1))))
+        out = np.empty_like(c)
+        with np.errstate(all="ignore"):
+            # 1j * s * c as Python forms it: 1j * s is (0.0 * s - 0.0, 0.0 + s)
+            tr, ti = 0.0 * s - 0.0, 0.0 + s
+            out.real = tr * c.real - ti * c.imag
+            out.imag = tr * c.imag + ti * c.real
+        series = _finish(out, block.lo, block.real).series()
+        if series.real_valued:
+            series._check_reality()
+        return series
 
     # -- serialization ----------------------------------------------------
 
@@ -293,6 +307,18 @@ def _norm_grid(lo: tuple, shape: tuple) -> np.ndarray:
     grid = sum(np.abs(np.arange(lo[i], lo[i] + shape[i])).reshape(
         [-1 if j == i else 1 for j in range(d)]) for i in range(d))
     grid.flags.writeable = False
+    return grid
+
+
+def _omega_grid(omega, axes) -> np.ndarray:
+    """omega . nu for every mode nu whose component i runs over the integer
+    array ``axes[i]``; the arrays broadcast together (``np.ix_`` of ranges
+    spans a box).  Each sum is formed from 0.0 in axis order: bitwise what
+    ``s = 0.0; for x, w in zip(nu, omega): s += x * w`` gives."""
+    grid = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in axes)))
+    with np.errstate(all="ignore"):
+        for x, w in zip(axes, omega):
+            grid = grid + x * w
     return grid
 
 

@@ -39,7 +39,8 @@ from statistics import median
 import numpy as np
 
 from .errors import LadderDivergenceError, ResonanceError
-from .fourier import DenseBlock, FourierSeries, _finish, _norm, zero_series
+from .fourier import (DenseBlock, FourierSeries, _finish, _norm_grid,
+                      _omega_grid, zero_series)
 
 _D_FLOOR = 1e-300
 _BLOWUP_NORM = 1e12
@@ -115,7 +116,9 @@ def _propagator_table(sys, eps: float, N: int):
     read-only arrays that are zero at the zero mode and beyond the ball.
     Each reciprocal is taken in Python, as the scalar propagator takes it.
     The third entry maps each ball mode where |D| < 1e-300 to its
-    omega . nu, in lexicographic order.  Tables are shared by the
+    omega . nu, in lexicographic order; the last three hold D itself by
+    components, eps (a - s^2) and s = omega . nu, and the mask of the ball
+    modes 0 < |nu| <= N.  Tables are shared by the
     expansions at one (omega, a, eps, N), keyed by the bits of the floats
     so that -0.0 and 0.0 get tables of their own."""
     return _table(tuple(float(w).hex() for w in sys.omega),
@@ -126,24 +129,23 @@ def _propagator_table(sys, eps: float, N: int):
 def _table(omega_bits: tuple, a_bits: str, eps_bits: str, N: int):
     omega = tuple(float.fromhex(w) for w in omega_bits)
     a, eps = float.fromhex(a_bits), float.fromhex(eps_bits)
-    shape = (2 * N + 1,) * len(omega)
-    re, im = np.zeros(shape), np.zeros(shape)
-    resonant = {}
-    for idx in np.ndindex(*shape):
-        nu = tuple(i - N for i in idx)
-        if not any(nu) or _norm(nu) > N:
-            continue
-        s = 0.0
-        for x, w in zip(nu, omega):
-            s += x * w
-        d = propagator_denominator(eps, s, a)
-        if abs(d) < _D_FLOOR:
-            resonant[nu] = s
-            continue
-        p = 1.0 / d
-        re[idx], im[idx] = p.real, p.imag
-    re.flags.writeable = im.flags.writeable = False
-    return re, im, resonant
+    lo, shape = (-N,) * len(omega), (2 * N + 1,) * len(omega)
+    ball = _norm_grid(lo, shape) <= N
+    ball[(N,) * len(omega)] = False
+    s = _omega_grid(omega, np.ix_(*[range(-N, N + 1)] * len(omega)))
+    with np.errstate(all="ignore"):
+        # D = complex(eps * (a - s * s), s), as propagator_denominator forms it
+        dr = eps * (a - s * s)
+        resonant = ball & (np.hypot(dr, s) < _D_FLOOR)
+    cells, p = ball & ~resonant, np.zeros(s.shape, dtype=complex)
+    # numpy's complex division rounds differently from Python's
+    p[cells] = [1.0 / complex(x, y)
+                for x, y in zip(dr[cells].tolist(), s[cells].tolist())]
+    re, im = p.real.copy(), p.imag.copy()
+    for x in (re, im, dr, s, ball):
+        x.flags.writeable = False
+    modes = map(tuple, (np.argwhere(resonant) - N).tolist())
+    return re, im, dict(zip(modes, s[resonant].tolist())), dr, s, ball
 
 
 class _Expansion:
@@ -515,18 +517,25 @@ def forcing_term(sys) -> FourierSeries:
 def range_residual(sys, eps: float, w: FourierSeries, N: int) -> float:
     """Max over 0 < |nu| <= N of |D(eps, omega.nu) w_nu + eps [nl]_nu
     - eps f_nu|: the defect of the truncated range equation."""
-    w_c = dict(w.items_sorted())
-    nl_c = dict(nonlinearity_series(sys, w, radius=N).items_sorted())
-    f_c = dict(forcing_term(sys).items_sorted())
-    a = sys.a
-    worst = 0.0
-    for nu in sorted(set(w_c) | set(nl_c) | set(f_c)):
-        if not any(nu) or _norm(nu) > N:
-            continue
-        s = 0.0
-        for x, om in zip(nu, sys.omega):
-            s += x * om
-        d = propagator_denominator(eps, s, a)
-        r = d * w_c.get(nu, 0j) + eps * nl_c.get(nu, 0j) - eps * f_c.get(nu, 0j)
-        worst = max(worst, abs(r))
-    return worst
+    *_, dr, s, ball = _propagator_table(sys, eps, N)
+    wv, nv, fv = (_on_box(x, N) for x in (
+        w, nonlinearity_series(sys, w, radius=N), forcing_term(sys)))
+    with np.errstate(all="ignore"):
+        # D w + eps nl - eps f by components, as Python forms it; eps * z
+        # is complex(eps, 0.0) * z
+        rr = (dr * wv.real - s * wv.imag) + (eps * nv.real - 0.0 * nv.imag) \
+            - (eps * fv.real - 0.0 * fv.imag)
+        ri = (dr * wv.imag + s * wv.real) + (eps * nv.imag + 0.0 * nv.real) \
+            - (eps * fv.imag + 0.0 * fv.real)
+        r = np.hypot(rr, ri)[ball]
+    # a mode outside every support adds 0 or NaN, and max skips NaN
+    return float(np.fmax.reduce(r, initial=0.0))
+
+
+def _on_box(series: FourierSeries, N: int) -> np.ndarray:
+    """The coefficients of ``series`` on the box [-N, N]^d."""
+    part = DenseBlock.of(series)._within(N)
+    if part is None:
+        return np.zeros((2 * N + 1,) * series.dimension, dtype=complex)
+    lo, v = part
+    return np.pad(v[0], [(l + N, N + 1 - l - n) for l, n in zip(lo, v.shape[1:])])

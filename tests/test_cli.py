@@ -175,6 +175,20 @@ class TestDiagnose:
         rows = (tmp_path / "diagnose.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + n=0
 
+    def test_r_table_radius_past_the_guard_exits_4(self, tmp_path, capsys):
+        # the d = 3 enumeration guard is 64
+        modes = [{"nu": nu, "re": 0.3} for nu in
+                 ([1, 0, 0], [-1, 0, 0], [0, 0, 1], [0, 0, -1])]
+        config = base_config(
+            dimension=3, omega=[1.0, math.sqrt(2.0), math.sqrt(3.0)],
+            f={"d": 3, "modes": modes}, truncation={"K": 4, "N": 4},
+            options={"n_max": 2, "N_list": [4, 65]})
+        cfg = write_config(tmp_path, config)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "resonance/guard: ball radius 65 exceeds the enumeration " \
+            "guard 64" in capsys.readouterr().err
+        assert not (tmp_path / "epsilon_bounds.json").exists()
+
 
 class TestSweep:
     def test_linear_norm_scales_with_eps(self, tmp_path):

@@ -483,16 +483,16 @@ def unmemoized_solve_zeta(eps, sys, K, N, bracket=None, *, tol=None,
 def sequential_lockstep(sys, eps_list, K, N, bracket, tol, literal,
                         scan_points):
     """``bifurcation._lockstep`` as solves one eps at a time: each root
-    from :func:`unmemoized_solve_zeta`, its expansion built afresh as a
-    batch of one."""
+    from :func:`unmemoized_solve_zeta`, its expansion and balance built
+    afresh as a batch of one."""
     out = []
     for eps in eps_list:
         try:
             zeta = unmemoized_solve_zeta(eps, sys, K, N, bracket, tol=tol,
                                          literal=literal,
                                          scan_points=scan_points)
-            out.append((zeta, _Evaluation(sys, eps, [zeta], K, N,
-                                          literal).result(0)))
+            alone = _Evaluation(sys, eps, [zeta], K, N, literal)
+            out.append((zeta, alone.result(0), alone.outcomes[0]))
         except QPResponseError as exc:
             out.append(exc)
     return out

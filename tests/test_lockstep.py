@@ -10,12 +10,13 @@ time raise them, and the batching must cut the number of builds.
 import csv
 import json
 import math
+import sys
 import warnings
 
 import pytest
 
 import qpresponse.bifurcation as bifurcation
-from qpresponse.bifurcation import solve_response, solve_zeta
+from qpresponse.bifurcation import bifurcation_balance, solve_response, solve_zeta
 from qpresponse.cli import main
 from qpresponse.errors import BifurcationSolveError, LadderDivergenceError
 from qpresponse.fourier import cosine
@@ -195,3 +196,22 @@ def test_five_point_sweep_makes_at_most_six_builds(monkeypatch, tmp_path):
         truncation={"K": 5, "N": 5},
         epsilon_grid=[0.04 / 2**k for k in range(5)])
     assert count_builds(monkeypatch, tmp_path, "sweep", config) <= 6
+
+
+def test_a_probed_solve_forms_each_balance_in_its_evaluations(monkeypatch):
+    # the response's balance residual is the one its root's evaluation
+    # formed, not a zero-mode balance formed again
+    callers = []
+    balances = bifurcation._balances
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        return balances(*args)
+
+    monkeypatch.setattr(bifurcation, "_balances", spy)
+    system = separable_system(2, TAYLOR)
+    solution = solve_response(0.05, system, 8, 6, probe=True)
+    assert callers and set(callers) == {"_Evaluation.__init__"}
+    monkeypatch.undo()
+    assert solution.residual_bifurcation.hex() == \
+        abs(bifurcation_balance(system, solution.u, 0.05)).hex()
