@@ -26,6 +26,7 @@ from .diophantine import (
 )
 from .errors import (
     BifurcationSolveError,
+    ConfigError,
     DimensionMismatchError,
     GuardExceededError,
     HypothesisError,

@@ -35,6 +35,7 @@ from .diophantine import (
 )
 from .errors import (
     BifurcationSolveError,
+    ConfigError,
     GuardExceededError,
     HypothesisError,
     LadderDivergenceError,
@@ -54,6 +55,7 @@ from .systems import (
     recentre,
 )
 from .validation import (
+    MIN_EPS_FOR_INTEGRATION,
     compare,
     direct_solve,
     response_state,
@@ -189,10 +191,6 @@ _SCHEMA = {
 # built once: jsonschema.validate would check the schema and build a new
 # validator on every call (tests/test_cli.py checks the schema itself)
 _VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
-
-
-class ConfigError(Exception):
-    pass
 
 
 def load_config(path) -> dict:
@@ -516,7 +514,7 @@ def cmd_verify(config: dict, out_dir: Path, literal: bool) -> int:
                        f"fixed point diverged (residual {fp.final_residual:.2e})"))
 
     # 4. trajectory comparison (attraction needs a > 0 and integrable eps)
-    if sys_.a > 0 and eps >= 1e-3:
+    if sys_.a > 0 and eps >= MIN_EPS_FOR_INTEGRATION:
         x0, v0 = response_state(solution, sys_.omega, 0.0)
         ics = opts["ics"] or [(x0 + 0.05, v0), (x0 - 0.05, v0 + 0.05)]
         try:
@@ -535,6 +533,7 @@ def cmd_verify(config: dict, out_dir: Path, literal: bool) -> int:
         except StiffnessError as exc:
             checks.append(("trajectory_comparison", False, str(exc)))
     else:
+        # 1e-3 spells MIN_EPS_FOR_INTEGRATION as the output always has
         print("trajectory_comparison: SKIPPED (needs a > 0 and eps >= 1e-3)")
 
     all_ok = True

@@ -5,6 +5,11 @@ class QPResponseError(Exception):
     """Base class for all solver errors."""
 
 
+class ConfigError(QPResponseError):
+    """A config cannot be read, fails the schema, or sets a value the
+    solver cannot use."""
+
+
 class DimensionMismatchError(QPResponseError):
     """Operands live on tori of different dimension."""
 

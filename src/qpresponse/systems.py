@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .diophantine import min_small_divisor
-from .errors import HypothesisError, SymmetryError
+from .errors import ConfigError, HypothesisError, SymmetryError
 from .fourier import DenseBlock, FourierSeries, MultiIndex, mode_norm
 
 ROOT_RESIDUAL_TOL = 1e-13
@@ -395,7 +395,13 @@ def certify_envelope(system, xi: float, rho: float) -> AnalyticityEnvelope:
     system.require_certified()
     weighted: dict[int, float] = {}
     for (nu, p), c in system.grid.items():
-        weighted[p] = weighted.get(p, 0.0) + abs(c) * math.exp(xi * mode_norm(nu))
+        try:
+            weight = math.exp(xi * mode_norm(nu))
+        except OverflowError:
+            raise ConfigError(
+                f"xi = {xi!r} overflows the weight exp(xi |nu|) of mode "
+                f"nu = {nu}; use a smaller xi") from None
+        weighted[p] = weighted.get(p, 0.0) + abs(c) * weight
     if system.theorem == 1:
         weighted.pop(0, None)
         phi = system.forcing.weighted_norm(xi)

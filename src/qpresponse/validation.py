@@ -3,9 +3,10 @@
 Two routes that share no code with the series solver: a damped Picard
 fixed-point solve of the truncated Fourier system (the map is a
 contraction exactly in the regime where the expansion converges, so the
-oracle doubles as an empirical contraction witness), and stiff-aware time
-integration of the underlying oscillator checking the trajectory against
-the spectral solution and, for positive linear feedback, its local
+oracle doubles as an empirical contraction witness), and time integration
+of the underlying oscillator by LSODA, which takes stiff steps where the
+fast rate 1/eps calls for them, checking the trajectory against the
+spectral solution and, for positive linear feedback, its local
 attractivity.
 """
 
@@ -32,6 +33,9 @@ _PICARD_BLOWUP = 1e6
 MIN_EPS_FOR_INTEGRATION = 1e-3
 MIN_INTEGRATION_TOL = 1e-12
 _NO_STEP_CAP = np.iinfo(np.int32).max
+# LSODA under rtol = atol = tol strays up to 2.7e-9 from DOP853 under tol
+# (tol = 1e-10, t <= 3); a decade tighter it stays within 4.2e-10
+_LSODA_TOL_FACTOR = 0.1
 
 
 @dataclass
@@ -145,21 +149,30 @@ def _rhs_factory(sys, eps: float):
     """Right-hand side of x'' = -x'/eps - h(x, omega t) on the stacked
     state [x1, v1, x2, v2, ...], with h summed layer by layer from the grid.
 
-    The layer weights depend on t alone: each call evaluates them once and
-    shares them across all (x, v) pairs, and a zero-mode entry adds its
-    real part, which is (c * exp(0j)).real bit for bit.  Scalar Python
-    arithmetic throughout: supports and stacks are tiny, and DOP853 calls
-    this hundreds of thousands of times on stiff runs.
+    Each layer holds one term per conjugate pair {nu, -nu}:
+    Re((c_nu + conj(c_-nu)) e^{i nu.omega t}) is exactly
+    Re(c_nu e^{i nu.omega t}) + Re(c_-nu e^{-i nu.omega t}), so the real
+    part of h needs no symmetry of the grid and half the exponentials.  A
+    zero-mode entry adds its real part.  The layer weights depend on t
+    alone: each call evaluates them once and shares them across all
+    (x, v) pairs.  Scalar Python arithmetic throughout: supports and
+    stacks are tiny, and LSODA calls this tens of thousands of times per
+    trajectory, hundreds of thousands on stiff runs.
     """
     import cmath
 
     omega = sys.omega
     c0 = sys.center
-    by_power: dict[int, list] = {}
+    by_power: dict[int, dict] = {}
     for (nu, p), c in sorted(sys.grid.items()):
-        js = 1j * sum(x * w for x, w in zip(nu, omega))
-        by_power.setdefault(p, []).append((js, c))
-    layers = sorted(by_power.items())
+        mirror = tuple(-x for x in nu)
+        if mirror > nu:
+            nu, c = mirror, c.conjugate()
+        pairs = by_power.setdefault(p, {})
+        pairs[nu] = pairs.get(nu, 0j) + c
+    layers = [(p, [(1j * sum(x * w for x, w in zip(nu, omega)), c)
+                   for nu, c in sorted(pairs.items())])
+              for p, pairs in sorted(by_power.items())]
 
     def rhs(t, y):
         weights = []
@@ -184,25 +197,29 @@ def _rhs_factory(sys, eps: float):
 def integrate(sys, eps: float, x0, v0, T: float, tol: float = 1e-10, *,
               t0: float = 0.0, samples: int = 1000,
               t_eval=None) -> Trajectory:
-    """Integrate x' = v, v' = -v/eps - h(x, omega t) with the
-    explicit Runge-Kutta method DOP853 (scipy's compiled ``ode('dop853')``)
-    under rtol = atol = ``tol``.
+    """Integrate x' = v, v' = -v/eps - h(x, omega t) with LSODA (scipy's
+    ``odeint``) in one call over [t0, *t_eval], under
+    rtol = atol = ``tol`` / 10.
 
-    ``x0`` and ``v0`` are floats, or sequences of equal length whose pairs
-    are integrated together as one stacked state; the error control then
-    covers every pair at once.  ``t_eval`` (default: ``samples`` points
-    spanning [t0, t0 + T]) must be sorted and lie in [t0, t0 + T].
-    Refuses eps < 1e-3 (the fast rate 1/eps makes explicit integration
-    pointless below that) and tol < 1e-12; the step count is not capped.
+    LSODA switches between Adams steps and the stiff BDF steps that the
+    fast rate 1/eps calls for, and forms the Jacobian by banded finite
+    differences (band 1: the pairs do not couple).  ``x0`` and ``v0`` are
+    floats, or sequences of equal length whose pairs are integrated
+    together as one stacked state; the error control then covers every
+    pair at once.  ``t_eval`` (default: ``samples`` points spanning
+    [t0, t0 + T]) must be sorted and lie in [t0, t0 + T].  Refuses
+    eps < 1e-3 and tol < 1e-12; the step count is not capped.  A failed
+    run, or one whose states stop being finite (LSODA can report success
+    past a finite-time blow-up), raises StiffnessError.
     """
     # imported here: only verify integrates, and the import is slow
-    from scipy.integrate import ode
+    from scipy.integrate import ODEintWarning, odeint
 
     sys.require_certified()
     if eps < MIN_EPS_FOR_INTEGRATION:
         raise StiffnessError(
             f"eps = {eps!r} below the stiffness guard {MIN_EPS_FOR_INTEGRATION}; "
-            "use a larger eps or an implicit integrator outside this package"
+            "use a larger eps"
         )
     if tol < MIN_INTEGRATION_TOL:
         raise ValueError(f"tol must be >= {MIN_INTEGRATION_TOL}")
@@ -218,25 +235,30 @@ def integrate(sys, eps: float, x0, v0, T: float, tol: float = 1e-10, *,
     if t_eval.size and (t_eval[0] < t0 or t_eval[-1] > t0 + T
                         or np.any(np.diff(t_eval) < 0)):
         raise ValueError("t_eval must be sorted and lie within [t0, t0 + T]")
-    solver = ode(_rhs_factory(sys, eps)).set_integrator(
-        "dop853", rtol=tol, atol=tol, nsteps=_NO_STEP_CAP)
-    solver.set_initial_value(np.column_stack((xs, vs)).ravel(), t0)
-    states = np.empty((t_eval.size, 2 * xs.size))
-    y, reached = solver.y, t0
-    with warnings.catch_warnings():
-        # a failed run is reported below, with its return code
-        warnings.simplefilter("ignore", UserWarning)
-        for i, t in enumerate(t_eval):
-            # DOP853 refuses a zero-length call: a repeated time keeps the state
-            if t != reached:
-                y, reached = solver.integrate(t), t
-            states[i] = y
-            if not solver.successful():
-                raise StiffnessError(
-                    f"integration failed (DOP853 return code "
-                    f"{solver.get_return_code()} at t = {solver.t!r}); "
-                    "increase eps or shorten T"
-                )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ODEintWarning)
+        try:
+            states, info = odeint(
+                _rhs_factory(sys, eps), np.column_stack((xs, vs)).ravel(),
+                np.concatenate(([t0], t_eval)), tfirst=True, ml=1, mu=1,
+                rtol=_LSODA_TOL_FACTOR * tol, atol=_LSODA_TOL_FACTOR * tol,
+                mxstep=_NO_STEP_CAP, full_output=True)
+        except OverflowError:
+            raise StiffnessError(
+                "integration failed (the right-hand side overflowed); "
+                "increase eps or shorten T") from None
+    states = states[1:]
+    if any(issubclass(w.category, ODEintWarning) for w in caught):
+        raise StiffnessError(
+            f"integration failed (LSODA: {info['message']}); "
+            "increase eps or shorten T"
+        )
+    bad = ~np.isfinite(states).all(axis=1)
+    if bad.any():
+        raise StiffnessError(
+            f"integration failed (non-finite state at "
+            f"t = {float(t_eval[bad.argmax()])!r}); increase eps or shorten T"
+        )
     x, v = states[:, 0::2].T, states[:, 1::2].T
     if not stacked:
         x, v = x[0], v[0]

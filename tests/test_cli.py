@@ -339,6 +339,15 @@ class TestModuleEntry:
         assert done.returncode == 1
         assert "config error" in done.stderr
 
+    def test_oversized_xi_exits_1_without_a_traceback(self, tmp_path):
+        # exp(xi |nu|) overflows a float once xi |nu| > 709
+        cfg = write_config(tmp_path, base_config(xi=800.0))
+        done = run_module("qpresponse", "solve", "--config", cfg,
+                          "--out", str(tmp_path / "out"))
+        assert done.returncode == 1
+        assert "config error: xi = 800.0" in done.stderr
+        assert "Traceback" not in done.stderr
+
 
 class TestConfigSchema:
     def test_schema_is_valid(self):

@@ -4,9 +4,8 @@ Radius-aware products, boundary-only validation, the vectorised response
 evaluation and the memoized zeta solve are compared bitwise: a radius-cut
 product must keep exactly the modes of the full product within the
 radius, with coefficients whose real and imaginary parts have the same
-bits (signed zeros included).  The compiled, stacked ODE integrator is
-compared against ``solve_ivp``'s DOP853 within a tolerance, since the two
-take different steps.
+bits (signed zeros included).  The stacked LSODA integrator is compared
+against DOP853 within a tolerance, since the two take different steps.
 """
 
 import cmath
@@ -15,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 
 import qpresponse.bifurcation as bifurcation
 from qpresponse.bifurcation import H, _Evaluation, solve_response, solve_zeta
@@ -35,7 +34,7 @@ from qpresponse.ladder import (
     propagator_denominator,
 )
 from qpresponse.systems import GeneralSystem, SeparableSystem, recentre
-from qpresponse.validation import integrate
+from qpresponse.validation import _rhs_factory, integrate
 
 PHI = (1 + math.sqrt(5)) / 2
 OMEGAS = {1: (1.0,), 2: (1.0, PHI), 3: (1.0, math.sqrt(2.0), math.sqrt(3.0))}
@@ -312,7 +311,7 @@ def test_public_constructor_still_validates(args, error):
         FourierSeries(*args)
 
 
-# -- the ODE oracle: compiled DOP853 over one stacked state ---------------
+# -- the ODE oracle: one LSODA call over one stacked state ----------------
 
 def reference_rhs(sys, eps):
     """Scalar right-hand side for one (x, v) pair, written out term by term."""
@@ -342,6 +341,20 @@ def reference_trajectory(sys, eps, x0, v0, times, tol):
     return sol.y[0], sol.y[1]
 
 
+def compiled_reference(sys, eps, ics, times, tol):
+    """DOP853 on the package's right-hand side, stepped by scipy's compiled
+    ``ode('dop853')`` to each sample time in turn; ``solve_ivp``'s Python
+    stepping would take 20-30 s a pair on verify's window at eps = 0.02.
+    The short-window cases check that right-hand side against
+    ``reference_rhs``.  Returns the x and v rows of each initial condition."""
+    solver = ode(_rhs_factory(sys, eps)).set_integrator(
+        "dop853", rtol=tol, atol=tol, nsteps=np.iinfo(np.int32).max)
+    solver.set_initial_value(np.ravel(ics), 0.0)
+    states = np.array([solver.integrate(t) for t in times])
+    assert solver.successful()
+    return states[:, 0::2].T, states[:, 1::2].T
+
+
 ODE_SYSTEMS = {
     "separable-d1": lambda: separable_system(1, TAYLOR),
     "separable-d2": lambda: separable_system(2, TAYLOR),
@@ -349,19 +362,55 @@ ODE_SYSTEMS = {
     "general": general_system,
 }
 TIMES = np.linspace(0.0, 3.0, 61)
+WINDOW_ICS = [(0.1, -0.05), (-0.08, 0.1)]
 
 
-@pytest.mark.parametrize("name", sorted(ODE_SYSTEMS))
-@pytest.mark.parametrize("eps", [1e-3, 0.02, 0.1])
-def test_integrate_matches_solve_ivp(name, eps):
+def verify_window(sys, eps):
+    """``compare``'s default samples: 2,001 over [T0, T0 + 50], after the
+    transient T0 = 20/(a eps)."""
+    T0 = 20.0 / (abs(sys.a) * eps)
+    return np.linspace(T0, T0 + 50.0, 2001)
+
+
+@pytest.mark.parametrize("name, eps, window", [
+    *(pytest.param(name, eps, False, id=f"{eps}-{name}")
+      for eps in (1e-3, 0.02, 0.1) for name in sorted(ODE_SYSTEMS)),
+    # two stacked pairs over verify's window
+    *(pytest.param(name, eps, True, id=f"{eps}-{name}-verify-window")
+      for eps in (0.02, 0.1) for name in ("general", "separable-d2")),
+])
+def test_integrate_matches_solve_ivp(name, eps, window):
     sys = ODE_SYSTEMS[name]()
-    traj = integrate(sys, eps, 0.1, -0.05, TIMES[-1], tol=1e-10, t_eval=TIMES)
-    x, v = reference_trajectory(sys, eps, 0.1, -0.05, TIMES, tol=1e-10)
-    assert traj.t.tolist() == TIMES.tolist()
-    assert traj.x.shape == traj.v.shape == TIMES.shape
+    if window:
+        times = verify_window(sys, eps)
+        x0s, v0s = zip(*WINDOW_ICS)
+        traj = integrate(sys, eps, x0s, v0s, times[-1], tol=1e-10,
+                         t_eval=times)
+        x, v = compiled_reference(sys, eps, WINDOW_ICS, times, tol=1e-10)
+        assert traj.x.shape == traj.v.shape == (2, times.size)
+    else:
+        times = TIMES
+        traj = integrate(sys, eps, 0.1, -0.05, TIMES[-1], tol=1e-10,
+                         t_eval=TIMES)
+        x, v = reference_trajectory(sys, eps, 0.1, -0.05, TIMES, tol=1e-10)
+        assert traj.x.shape == traj.v.shape == TIMES.shape
+    assert traj.t.tolist() == times.tolist()
     assert np.max(np.abs(traj.x - x)) <= 1e-9
     # the fast rate 1/eps amplifies the step-to-step differences in v
     assert np.max(np.abs(traj.v - v)) <= 1e-9 / eps
+
+
+@pytest.mark.parametrize("name", sorted(ODE_SYSTEMS))
+def test_folded_rhs_is_the_term_by_term_sum(name):
+    # one exponential per conjugate pair, against one per grid entry
+    sys = ODE_SYSTEMS[name]()
+    rng = np.random.default_rng([len(name), 12])
+    folded, terms = _rhs_factory(sys, 0.02), reference_rhs(sys, 0.02)
+    for t in [0.0, *rng.uniform(0.0, 1e3, size=20)]:
+        x, v = rng.normal(scale=0.3, size=2)
+        got, want = folded(t, np.array([x, v])), terms(t, (x, v))
+        assert got[0] == want[0]
+        assert abs(got[1] - want[1]) <= 1e-13 * max(1.0, abs(want[1]))
 
 
 @pytest.mark.parametrize("name", sorted(ODE_SYSTEMS))
@@ -417,8 +466,17 @@ class TestIntegrateGuards:
     def test_failed_run_names_the_return_code(self):
         # x'' + x'/eps + x - 5 x^3 = f blows up in finite time from x = 10
         sys = separable_system(1, {1: 1.0, 3: -5.0})
-        with pytest.raises(StiffnessError, match="return code -3"):
+        with pytest.raises(StiffnessError, match="non-finite state at t = 0.5"):
             integrate(sys, 0.1, 10.0, 0.0, 5.0, samples=11)
+
+    @pytest.mark.parametrize("x0, reason", [
+        (1e60, "LSODA: "),  # LSODA stops with a negative return code
+        (1e120, "the right-hand side overflowed"),  # (1e120)**3 is no float
+    ], ids=["lsoda-failure", "overflow"])
+    def test_huge_states_fail_with_a_stiffness_error(self, x0, reason):
+        sys = separable_system(1, {1: 1.0, 3: -5.0})
+        with pytest.raises(StiffnessError, match=reason):
+            integrate(sys, 0.1, x0, 0.0, 5.0, samples=11)
 
 
 # -- response evaluation ----------------------------------------------------

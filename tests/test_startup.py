@@ -3,8 +3,9 @@
 
 No command but ``verify`` loads scipy: the zeta balance is solved by the
 package's own Brent's method, and ``verify`` imports ``scipy.integrate``
-for its DOP853 oracle inside ``validation.integrate``.  Each check runs in
-a fresh interpreter, since this test session has scipy loaded already.
+for the LSODA call (``odeint``) inside ``validation.integrate``.  Each
+check runs in a fresh interpreter, since this test session has scipy
+loaded already.
 
 ``find_c0`` scans its interval in one vectorised polynomial evaluation; it
 is compared with the per-point scan it replaced, kept below as it was.
