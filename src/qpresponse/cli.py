@@ -7,8 +7,9 @@ diagnose  small-divisor profile and admissibility bounds for omega
 sweep     trace zeta, norms, ratios and residuals over an eps grid
 verify    cross-check the solver against its independent oracles
 
-Exit codes: 0 success, 1 config/usage error, 2 divergence or failed
-verification, 3 hypothesis failure, 4 resonance or enumeration guard.
+Exit codes: 0 success, 1 config error, 2 divergence, failed verification
+or a usage error (argparse's), 3 hypothesis failure, 4 resonance or
+enumeration guard.
 Identical configs produce byte-identical outputs.
 """
 
@@ -27,11 +28,10 @@ import jsonschema
 import qpresponse.trees as trees
 from .bifurcation import solve_response, solve_responses
 from .diophantine import (
-    alpha_n,
-    ball_minimum,
+    ball_minima,
     classify_eps_sequence,
-    epsilon_n,
     estimate_epsilon_bar,
+    profile_rows,
 )
 from .errors import (
     BifurcationSolveError,
@@ -56,6 +56,7 @@ from .systems import (
 )
 from .validation import (
     MIN_EPS_FOR_INTEGRATION,
+    MIN_INTEGRATION_TOL,
     compare,
     direct_solve,
     response_state,
@@ -68,33 +69,39 @@ EXIT_DIVERGED = 2
 EXIT_HYPOTHESIS = 3
 EXIT_GUARD = 4
 
-_OPTION_DEFAULTS = {
-    "A_fraction": 0.5,
-    "n_max": 8,
-    "N_list": None,
-    "alpha_guard": None,
-    "zeta_bracket": None,
-    "zeta_tol": None,
-    "scan_points": 7,
-    "picard_tol": 1e-12,
-    "picard_max_iter": 10_000,
-    "picard_damping": 1.0,
-    "ode_tol": 1e-10,
-    "T0": None,
-    "T1": 50.0,
-    "samples": 2001,
-    "ics": None,
-    "c0_hint": 0.0,
-    "continuity_probe": True,
-    "attraction_tol": 1e-5,
-    "tree_order": 4,
-    "tree_zeta": 0.02,
-    "oracle_tol": 1e-12,
-    "agreement_tol": 1e-10,
-    "ode_check_tol": 1e-4,
-}
-
 _NUMBER = {"type": "number"}
+_PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
+
+# each option's default and JSON schema; a range that the library refuses
+# with a ValueError is refused here, so that it is a config error
+_OPTIONS = {
+    "A_fraction": (0.5, {"type": "number", "exclusiveMinimum": 0,
+                         "exclusiveMaximum": 1}),
+    "n_max": (8, {"type": "integer"}),
+    "N_list": (None, {"type": ["array", "null"],
+                      "items": {"type": "integer", "minimum": 1}}),
+    "alpha_guard": (None, {"type": ["integer", "null"], "minimum": 1}),
+    "zeta_bracket": (None, {**_PAIR, "type": ["array", "null"]}),
+    "zeta_tol": (None, {"type": ["number", "null"]}),
+    "scan_points": (7, {"type": "integer"}),
+    "picard_tol": (1e-12, _NUMBER),
+    "picard_max_iter": (10_000, {"type": "integer"}),
+    "picard_damping": (1.0, _NUMBER),
+    "ode_tol": (1e-10, {"type": "number", "minimum": MIN_INTEGRATION_TOL}),
+    "T0": (None, {"type": ["number", "null"], "minimum": 0}),
+    "T1": (50.0, {"type": "number", "minimum": 0}),
+    "samples": (2001, {"type": "integer", "minimum": 1}),
+    "ics": (None, {"type": ["array", "null"], "items": _PAIR}),
+    "c0_hint": (0.0, _NUMBER),
+    "continuity_probe": (True, {"type": "boolean"}),
+    "tree_order": (4, {"type": "integer", "minimum": 1}),
+    "tree_zeta": (0.02, _NUMBER),
+    "oracle_tol": (1e-12, _NUMBER),
+    "agreement_tol": (1e-10, _NUMBER),
+    "ode_check_tol": (1e-4, _NUMBER),
+}
+_OPTION_DEFAULTS = {key: default for key, (default, _) in _OPTIONS.items()}
+
 _SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -174,15 +181,13 @@ _SCHEMA = {
                 "N": {"type": "integer", "minimum": 1},
             },
         },
-        "xi": _NUMBER,
-        "rho": _NUMBER,
-        "search_interval": {
-            "type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2,
-        },
+        "xi": {"type": "number", "exclusiveMinimum": 0},
+        "rho": {"type": "number", "exclusiveMinimum": 0},
+        "search_interval": _PAIR,
         "options": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {key: {} for key in _OPTION_DEFAULTS},
+            "properties": {key: schema for key, (_, schema) in _OPTIONS.items()},
         },
     },
 }
@@ -201,7 +206,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
     if error is not None:
-        raise ConfigError(f"invalid config: {error.message}") from error
+        at = error.json_path[2:]  # "$.options.T1" names the option
+        raise ConfigError(f"invalid config: {error.message}" + (
+            f" ({at})" if at.startswith("options.") else "")) from error
     theorem = config["theorem"]
     if theorem == 1 and ("g" not in config or "f" not in config):
         raise ConfigError("theorem 1 configs need both 'g' and 'f'")
@@ -209,6 +216,11 @@ def load_config(path) -> dict:
         raise ConfigError("theorem 2 configs need 'h'")
     if len(config["omega"]) != config["dimension"]:
         raise ConfigError("omega length must equal dimension")
+    options = config.get("options", {})
+    for key, pair in (("search_interval", config.get("search_interval")),
+                      ("options.zeta_bracket", options.get("zeta_bracket"))):
+        if pair is not None and not pair[0] < pair[1]:
+            raise ConfigError(f"{key} must satisfy lo < hi")
     return config
 
 
@@ -279,13 +291,17 @@ def _prepare(config: dict):
             f"{report.min_value:.3e}",
             nu=report.argmin, value=report.min_value,
         )
-    opts = options_of(config)
     try:
-        return sys_, envelope, estimate_epsilon_bar(
-            envelope, sys_.a, sys_.omega, A_fraction=float(opts["A_fraction"]),
-            theorem=config["theorem"], guard=opts["alpha_guard"])
+        return sys_, envelope, _eps_bounds(config, sys_, envelope)
     except GuardExceededError:
         return sys_, envelope, None  # bounds are advisory for solves
+
+
+def _eps_bounds(config: dict, sys_, envelope):
+    opts = options_of(config)
+    return estimate_epsilon_bar(
+        envelope, sys_.a, sys_.omega, A_fraction=float(opts["A_fraction"]),
+        theorem=sys_.theorem, guard=opts["alpha_guard"])
 
 
 def _solve_once(config: dict, eps: float, literal: bool, probe: bool):
@@ -295,26 +311,19 @@ def _solve_once(config: dict, eps: float, literal: bool, probe: bool):
         envelope=envelope, bounds=bounds, literal=literal, probe=probe,
         **_solve_options(config),
     )
-    return sys_, envelope, bounds, solution
+    return sys_, bounds, solution
 
 
 def _solve_options(config: dict) -> dict:
     """The zeta solve's options of ``config``, as keyword arguments."""
     opts = options_of(config)
-    bracket = opts["zeta_bracket"]
-    return {
-        "bracket": None if bracket is None else tuple(bracket),
-        "tol": opts["zeta_tol"],
-        "scan_points": int(opts["scan_points"]),
-    }
+    return {"bracket": opts["zeta_bracket"], "tol": opts["zeta_tol"],
+            "scan_points": int(opts["scan_points"])}
 
 
 def cmd_solve(config: dict, out_dir: Path, literal: bool) -> int:
-    opts = options_of(config)
-    eps = float(config["epsilon"])
-    _, _, bounds, solution = _solve_once(
-        config, eps, literal, bool(opts["continuity_probe"])
-    )
+    _, bounds, solution = _solve_once(config, float(config["epsilon"]), literal,
+                                      options_of(config)["continuity_probe"])
     _write_json(out_dir / "solution.json", solution.to_json_dict())
     _write_json(out_dir / "ladder.json", solution.ladder.to_json_dict())
     print(f"c0 = {_fmt(solution.c0)}")
@@ -331,45 +340,33 @@ def cmd_solve(config: dict, out_dir: Path, literal: bool) -> int:
 def cmd_diagnose(config: dict, out_dir: Path) -> int:
     sys_, envelope = build_system(config)
     opts = options_of(config)
-    omega = sys_.omega
-    n_max = 0 if len(omega) == 1 else int(opts["n_max"])
-    guard = opts["alpha_guard"]
     rows = []
-    running = 0.0
     failure = None
-    for n in range(n_max + 1):
-        try:
-            a, _ = alpha_n(omega, n, guard=guard)
-        except (ResonanceError, GuardExceededError) as exc:
-            failure = exc
-            break
-        e = epsilon_n(a, n)
-        running += e
-        rows.append((n, a, e, running))
+    try:
+        for row in profile_rows(sys_.omega, int(opts["n_max"]),
+                                opts["alpha_guard"]):
+            rows.append(row)
+    except (ResonanceError, GuardExceededError) as exc:
+        failure = exc
     csv_path = out_dir / "diagnose.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "alpha_n", "eps_n", "bryuno_partial"])
-        for n, a, e, b in rows:
+        for n, a, _, e, b in rows:
             writer.writerow([n, repr(a), repr(e), repr(b)])
     print(f"wrote {csv_path} ({len(rows)} rows)")
     if failure is not None:
         print(f"diagnose stopped early: {failure}", file=_sys.stderr)
         return EXIT_GUARD
-    classification = classify_eps_sequence([r[2] for r in rows])
+    classification = classify_eps_sequence([row[3] for row in rows])
     print(f"classification = {classification}")
-    bounds = estimate_epsilon_bar(
-        envelope, sys_.a, omega,
-        A_fraction=float(opts["A_fraction"]),
-        theorem=config["theorem"],
-        guard=guard,
-    )
+    bounds = _eps_bounds(config, sys_, envelope)
     payload = bounds.to_json_dict()
     payload["classification"] = classification
+    # keyed by str(N) as given: sort_keys puts "16" before "4"
     N_list = opts["N_list"] or [config["truncation"]["N"]]
-    payload["r_table"] = {
-        str(N): ball_minimum(omega, int(N), guard)[0] for N in N_list
-    }
+    minima = ball_minima(sys_.omega, N_list, opts["alpha_guard"])
+    payload["r_table"] = {str(N): minima[int(N)] for N in N_list}
     _write_json(out_dir / "epsilon_bounds.json", payload)
     print(f"eps_bar = {_fmt(bounds.eps_bar)} (n0 = {bounds.n0}, "
           f"guard_limited = {_fmt(bounds.guard_limited)})")
@@ -457,11 +454,8 @@ def cmd_verify(config: dict, out_dir: Path, literal: bool) -> int:
     eps = float(config["epsilon"])
     checks: list[tuple[str, bool, str]] = []
 
-    sys_, envelope, bounds, solution = _solve_once(config, eps, literal,
-                                                   probe=False)
-    K = config["truncation"]["K"]
+    sys_, _, solution = _solve_once(config, eps, literal, probe=False)
     N = config["truncation"]["N"]
-    theorem = config["theorem"]
 
     # 1. tree-oracle equivalence on low orders
     k_max = min(int(opts["tree_order"]), 4)
@@ -491,9 +485,9 @@ def cmd_verify(config: dict, out_dir: Path, literal: bool) -> int:
     failed_counts = 0
     total_trees = 0
     for k in range(1, k_max + 1):
-        for tree in trees.enumerate_all(k, support, theorem):
+        for tree in trees.enumerate_all(k, support, sys_.theorem):
             total_trees += 1
-            if not all(trees.verify_counting(tree, theorem).values()):
+            if not all(trees.verify_counting(tree, sys_.theorem).values()):
                 failed_counts += 1
     checks.append(("tree_counting_relations", failed_counts == 0,
                    f"{total_trees} trees, {failed_counts} failures"))
@@ -522,7 +516,6 @@ def cmd_verify(config: dict, out_dir: Path, literal: bool) -> int:
                 solution, sys_, eps, [tuple(ic) for ic in ics],
                 T0=opts["T0"], T1=float(opts["T1"]),
                 tol=float(opts["ode_tol"]), samples=int(opts["samples"]),
-                attraction_tol=float(opts["attraction_tol"]),
             )
             ok = report.sup_error <= float(opts["ode_check_tol"])
             checks.append(("trajectory_comparison", ok,
@@ -557,27 +550,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "dissipative forced systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, help_ in (
         ("solve", "solve one (system, eps) and write the response"),
         ("diagnose", "small-divisor profile and admissibility bounds"),
         ("sweep", "solve over an eps grid and emit a CSV"),
         ("verify", "run the independent oracles against the solver"),
     ):
-        p = sub.add_parser(name, help=help_)
+        p = commands[name] = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="JSON problem config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for sweep, each solving one "
-                            "contiguous part of the eps grid in lockstep "
-                            "(on 2 cores, 2 workers were slower than 1: "
-                            "0.69 against 0.58 s on the sweep-d3 benchmark "
-                            "config, 0.76 against 0.65 s on "
-                            "demos/configs/cubic.json)")
-        p.add_argument("--literal-3-1b", action="store_true",
-                       dest="literal",
-                       help="evaluate the zero-mode balance in its literal "
-                            "scaled form (the linear angle-coupling average "
-                            "enters undamped)")
+    for name in ("solve", "sweep", "verify"):
+        commands[name].add_argument(
+            "--literal-3-1b", action="store_true", dest="literal",
+            help="evaluate the zero-mode balance in its literal scaled form "
+                 "(the linear angle-coupling average enters undamped)")
+    commands["sweep"].add_argument(
+        "--parallel", type=int, default=1,
+        help="worker processes, each solving one contiguous part of the eps "
+             "grid in lockstep (medians of 8 fresh runs on 2 cores: 2 workers "
+             "lose on short grids, 0.61 against 0.50 s on the 5-point "
+             "sweep-d3 benchmark config and 0.70 against 0.59 s on the "
+             "7-point demos/configs/cubic.json, and win on long ones, 1.24 "
+             "against 1.55 s on cubic.json with 40 points from 0.002 to "
+             "0.08)")
     return parser
 
 

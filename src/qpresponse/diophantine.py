@@ -146,10 +146,6 @@ class DiophantineProfile:
     r_table: dict = field(default_factory=dict)
     classification: str = "unclassified"
 
-    @property
-    def bryuno_sum(self) -> float:
-        return self.bryuno_partial[-1] if self.bryuno_partial else 0.0
-
 
 def classify_eps_sequence(eps: list) -> str:
     """Rough decay class of the scaled-divisor sequence: spikes mark
@@ -172,29 +168,36 @@ def classify_eps_sequence(eps: list) -> str:
     return "bryuno-like"
 
 
-def profile(omega, n_max: int, N_list=(), guard: int | None = None) -> DiophantineProfile:
-    """Fill alpha_n, eps_n and Bryuno partial sums for n = 0..n_max.
-
-    For d = 1 the profile is degenerate (the minimum is |omega| at every
-    radius) and collapses to the single row n = 0.
-    """
+def profile_rows(omega, n_max: int, guard: int | None = None):
+    """Yield ``(n, alpha_n, argmin, eps_n, bryuno_partial)`` for n = 0..n_max
+    until :func:`alpha_n` raises.  For d = 1 the profile is degenerate (the
+    minimum is |omega| at every radius) and collapses to the row n = 0."""
     omega = tuple(float(w) for w in omega)
-    if len(omega) == 1:
-        n_max = 0
-    prof = DiophantineProfile(omega=omega, n_max=int(n_max))
     running = 0.0
-    for n in range(int(n_max) + 1):
+    for n in range((0 if len(omega) == 1 else int(n_max)) + 1):
         a, arg = alpha_n(omega, n, guard=guard)
         e = epsilon_n(a, n)
         running += e
-        prof.alpha.append(a)
-        prof.argmins.append(arg)
-        prof.eps.append(e)
-        prof.bryuno_partial.append(running)
-    for N in N_list:
-        prof.r_table[int(N)], _ = ball_minimum(omega, int(N), guard)
-    prof.classification = classify_eps_sequence(prof.eps)
-    return prof
+        yield n, a, arg, e, running
+
+
+def ball_minima(omega, radii, guard: int | None = None) -> dict:
+    """The :func:`ball_minimum` value at each radius, keyed by int radius."""
+    return {int(N): ball_minimum(omega, int(N), guard)[0] for N in radii}
+
+
+def profile(omega, n_max: int, N_list=(), guard: int | None = None) -> DiophantineProfile:
+    """The rows of :func:`profile_rows`, the ball minima at ``N_list`` and
+    the decay class."""
+    omega = tuple(float(w) for w in omega)
+    rows = list(profile_rows(omega, n_max, guard))
+    alpha, argmins, eps, partial = ([row[i] for row in rows]
+                                    for i in range(1, 5))
+    return DiophantineProfile(
+        omega=omega, n_max=len(rows) - 1, alpha=alpha, eps=eps,
+        argmins=argmins, bryuno_partial=partial,
+        r_table=ball_minima(omega, N_list, guard),
+        classification=classify_eps_sequence(eps))
 
 
 @dataclass

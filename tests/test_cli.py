@@ -8,9 +8,12 @@ from pathlib import Path
 import pytest
 
 import qpresponse
-from qpresponse.cli import main
+from qpresponse.cli import build_parser, main
+from qpresponse.diophantine import profile, profile_rows
+from qpresponse.errors import ResonanceError
 
 PHI = (1 + math.sqrt(5)) / 2
+CUBIC = Path(__file__).resolve().parents[1] / "demos" / "configs" / "cubic.json"
 
 
 def golden_f_json():
@@ -162,6 +165,13 @@ class TestDiagnose:
         rows = (tmp_path / "diagnose.csv").read_text().strip().splitlines()
         # radius 1 and 2 balls miss (2, -1); radius 4 hits it and stops
         assert len(rows) == 3
+        # the rows are those the profile's own loop yields before it raises
+        shared = []
+        with pytest.raises(ResonanceError):
+            for n, a, _, e, b in profile_rows(config["omega"], 6):
+                shared.append([str(n), a.hex(), e.hex(), b.hex()])
+        assert [[c if i == 0 else float(c).hex() for i, c in
+                 enumerate(row.split(","))] for row in rows[1:]] == shared
 
     def test_one_dimensional_single_row(self, tmp_path):
         config = base_config(
@@ -188,6 +198,38 @@ class TestDiagnose:
         assert "resonance/guard: ball radius 65 exceeds the enumeration " \
             "guard 64" in capsys.readouterr().err
         assert not (tmp_path / "epsilon_bounds.json").exists()
+
+    @pytest.mark.parametrize("config", [
+        base_config(options={"n_max": 7, "N_list": [16, 4, 20]}),
+        base_config(
+            dimension=3, omega=[1.0, math.sqrt(2.0), math.sqrt(3.0)],
+            f={"d": 3, "modes": [{"nu": nu, "re": 0.3} for nu in
+                                 ([1, 0, 0], [-1, 0, 0], [0, 0, 1],
+                                  [0, 0, -1])]},
+            truncation={"K": 4, "N": 6}, options={"n_max": 6}),
+        base_config(dimension=1, omega=[0.7],
+                    f={"d": 1, "modes": [{"nu": [1], "re": 0.5},
+                                         {"nu": [-1], "re": 0.5}]},
+                    options={"N_list": [3, 1]}),
+    ], ids=["golden", "d3", "d1"])
+    def test_rows_and_table_are_the_profile(self, tmp_path, config):
+        cfg = write_config(tmp_path, config)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 0
+        opts = config["options"]
+        N_list = opts.get("N_list") or [config["truncation"]["N"]]
+        prof = profile(config["omega"], opts.get("n_max", 8), N_list)
+        rows = (tmp_path / "diagnose.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(prof.eps)
+        for n, row in enumerate(rows):
+            cells = row.split(",")
+            assert int(cells[0]) == n
+            assert [float(c).hex() for c in cells[1:]] == [
+                prof.alpha[n].hex(), prof.eps[n].hex(),
+                prof.bryuno_partial[n].hex()]
+        bounds = json.loads((tmp_path / "epsilon_bounds.json").read_text())
+        assert bounds["classification"] == prof.classification
+        assert {int(N): v.hex() for N, v in bounds["r_table"].items()} == {
+            N: v.hex() for N, v in prof.r_table.items()}
 
 
 class TestSweep:
@@ -349,7 +391,60 @@ class TestModuleEntry:
         assert "Traceback" not in done.stderr
 
 
+class TestCommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--parallel", "2"],
+        ["diagnose", "--literal-3-1b"],
+        ["solve", "--parallel", "2"],
+        ["verify", "--parallel", "2"],
+    ])
+    def test_a_flag_the_command_ignores_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args([*argv, "--config", "c.json"])
+        assert exit_.value.code == 2
+
+    def test_parallel_literal_sweep_writes_the_serial_csv(self, tmp_path):
+        cfg = write_config(tmp_path, thm2_config(epsilon_grid=[0.02, 0.05]))
+        assert main(["sweep", "--config", cfg, "--literal-3-1b",
+                     "--out", str(tmp_path / "serial")]) == 0
+        assert main(["sweep", "--config", cfg, "--parallel", "2",
+                     "--literal-3-1b", "--out", str(tmp_path / "par")]) == 0
+        assert (tmp_path / "serial" / "sweep.csv").read_bytes() == \
+            (tmp_path / "par" / "sweep.csv").read_bytes()
+
+    def test_attraction_tol_is_not_an_option(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(
+            options={"attraction_tol": 1e-5}))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "'attraction_tol' was unexpected" in capsys.readouterr().err
+
+
 class TestConfigSchema:
+    @pytest.mark.parametrize("command, key, value", [
+        ("solve", "options.A_fraction", 2.0),
+        ("solve", "options.zeta_bracket", [0.1, -0.1]),
+        ("verify", "options.tree_order", 0),
+        ("verify", "options.ode_tol", 1e-14),
+        ("diagnose", "options.N_list", [0]),
+        ("solve", "search_interval", [2.0, -2.0]),
+    ], ids=["A_fraction", "zeta_bracket", "tree_order", "ode_tol", "N_list",
+            "search_interval"])
+    def test_values_the_library_refuses_are_config_errors(self, tmp_path,
+                                                          command, key, value):
+        config = json.loads(CUBIC.read_text())
+        *parents, last = key.split(".")
+        node = config
+        for parent in parents:
+            node = node[parent]
+        node[last] = value
+        cfg = write_config(tmp_path, config)
+        done = run_module("qpresponse", command, "--config", cfg,
+                          "--out", str(tmp_path / "out"))
+        assert done.returncode == 1
+        assert "config error:" in done.stderr
+        assert key in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_schema_is_valid(self):
         import jsonschema
 
@@ -364,6 +459,8 @@ class TestConfigSchema:
         base_config(truncation={"K": 4}),
         base_config(g={"c_ref": 0.0, "coeffs": [[-1, 1.0]]}, xi="wide"),
         {k: v for k, v in base_config().items() if k != "rho"},
+        base_config(xi=-1.0),
+        base_config(rho=0.0),
     ])
     def test_messages_match_jsonschema_validate(self, tmp_path, config):
         import jsonschema
