@@ -18,8 +18,9 @@ or the points of a sweep) advance in lockstep.  Brent's method and the
 secant polish are generators that yield the next zeta they need; each
 step gathers the next zeta of every live solve and evaluates them all in
 one batched expansion whose rows differ in eps as well as in zeta.  Every
-row is bitwise what its evaluation alone gives, so the lockstep solves
-return what the solves one eps at a time return.
+row keeps its place in the batch, a failed one as the zero series, and is
+bitwise what its evaluation alone gives, so the lockstep solves return
+what the solves one eps at a time return.
 """
 
 from __future__ import annotations
@@ -223,44 +224,42 @@ class _Evaluation:
 
     ``eps`` is one value for every zeta or one per zeta.  ``outcomes[i]``
     is the balance at ``(eps[i], zetas[i])`` or the exception that
-    evaluating :func:`H` there alone raises.  The expansion, its ratios
-    and its assembled sums are kept for every row whose ladder contracted;
-    ``ratios`` is keyed by the positions of those rows.  ``tables`` is
-    handed to :class:`~.ladder._Expansion`.
+    evaluating :func:`H` there alone raises.  Every row stays at its
+    position in the expansion and in its assembled sums ``w``; a row whose
+    ladder failed or did not contract is the zero series there, and
+    ``ratios`` is keyed by the positions of the rows that contracted.
     """
 
-    def __init__(self, sys, eps, zetas, K, N, literal, tables=None):
+    def __init__(self, sys, eps, zetas, K, N, literal):
         if K < 1:
             raise ValueError("K must be >= 1")
-        exp = _Expansion(sys, eps, zetas, N, tables)
+        exp = _Expansion(sys, eps, zetas, N)
         with np.errstate(all="ignore"):
             exp.build(K)
             self.ratios = {}
             failed = {}
-            for i, norms in enumerate(zip(*exp.norms)):
-                pos = exp.rows[i]
+            for pos, norms in enumerate(zip(*exp.norms)):
+                if pos in exp.errors:
+                    continue
                 ratios, estimate = _ratios([float(n) for n in norms])
                 error = _contraction_error(exp.eps[pos], zetas[pos], estimate)
                 if error is None:
                     self.ratios[pos] = (ratios, estimate)
                 else:
-                    failed[i] = error
+                    failed[pos] = error
             exp.fail(failed)
             self.w = exp.assembled()
-            balances = _balances(sys, self.w, [exp.eps[r] for r in exp.rows],
-                                 literal)
-        outcomes = dict(exp.errors)
-        outcomes.update(zip(exp.rows, balances))
-        self.outcomes = [outcomes[i] for i in range(len(zetas))]
+            balances = _balances(sys, self.w, exp.eps, literal)
+        self.outcomes = [exp.errors.get(pos, value)
+                         for pos, value in enumerate(balances)]
         self.expansion = exp
 
     def result(self, pos: int):
         """(ladder, ratios, estimate, assembled series) of the row at
         position ``pos``, copied out of the batch; its ladder must have
         contracted."""
-        i = self.expansion.rows.index(pos)
         ratios, estimate = self.ratios[pos]
-        return self.expansion.ladder(i), ratios, estimate, self.w.series(i)
+        return self.expansion.ladder(pos), ratios, estimate, self.w.series(pos)
 
 
 def H(zeta: float, eps: float, sys, K: int, N: int,
@@ -385,9 +384,21 @@ def _zeta_steps(lo, hi, xs: list, tol: float):
     return (yield from found(x1))
 
 
+def _bracket(bracket, envelope) -> tuple:
+    """The zeta bracket of a solve: ``bracket`` when given, else
+    (-rho/4, rho/4) inside the analyticity disk of ``envelope``, else
+    :data:`DEFAULT_BRACKET`."""
+    if bracket is not None:
+        return bracket[0], bracket[1]
+    if envelope is not None:
+        return -envelope.rho / 4.0, envelope.rho / 4.0
+    return DEFAULT_BRACKET
+
+
 def _lockstep(sys, eps_list, K, N, bracket, tol, literal,
               scan_points) -> list:
-    """Solve the balance for zeta at every eps of ``eps_list`` together.
+    """Solve the balance for zeta at every eps of ``eps_list`` together,
+    on the bracket ``(lo, hi)`` that :func:`_bracket` gives.
 
     Each eps runs :func:`_zeta_steps` on its own memo.  The first batched
     expansion evaluates the scan of every eps; each later one evaluates
@@ -400,21 +411,18 @@ def _lockstep(sys, eps_list, K, N, bracket, tol, literal,
     sys.require_certified()
     if tol is None:
         tol = 1e-12 * max(1.0, abs(sys.a))
-    lo, hi = DEFAULT_BRACKET if bracket is None else (bracket[0], bracket[1])
+    lo, hi = bracket
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     xs = [float(x) for x in np.linspace(lo, hi, max(3, scan_points))]
     solves = [_zeta_steps(lo, hi, xs, tol) for _ in eps_list]
     wanted = {i: next(solve) for i, solve in enumerate(solves)}
     outcomes: list = [None] * len(solves)
-    # every build reads the propagator tables of all live eps, more of
-    # them than the shared table cache may hold
-    tables: dict = {}
     while wanted:
         live = list(wanted)
         evaluation = _Evaluation(
             sys, [eps_list[i] for i in live for _ in wanted[i]],
-            [z for i in live for z in wanted[i]], K, N, literal, tables)
+            [z for i in live for z in wanted[i]], K, N, literal)
         stop = 0
         for i in live:
             positions = range(stop, stop + len(wanted[i]))
@@ -453,8 +461,8 @@ def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
     (ladder, ratios, estimate, assembled series).  This is the lockstep
     solve of :func:`solve_response` over one eps.
     """
-    (outcome,) = _lockstep(sys, [eps], K, N, bracket, tol, literal,
-                           scan_points)
+    (outcome,) = _lockstep(sys, [eps], K, N, _bracket(bracket, None), tol,
+                           literal, scan_points)
     if isinstance(outcome, Exception):
         raise outcome
     zeta, expansion, _ = outcome
@@ -568,13 +576,10 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
             f"eps_bar = {bounds.eps_bar:.3e}; the expansion may diverge",
             stacklevel=2,
         )
-    if bracket is None and envelope is not None:
-        bracket = (-envelope.rho / 4.0, envelope.rho / 4.0)
-
     probing = probe and eps != 0.0
     eps_list = [eps, eps * 0.5, eps * 0.25] if probing else [eps]
-    roots = _lockstep(sys, eps_list, K, N, bracket, tol, literal,
-                      scan_points)
+    roots = _lockstep(sys, eps_list, K, N, _bracket(bracket, envelope), tol,
+                      literal, scan_points)
     solution = _response(sys, eps, K, N, roots[0], literal)
     if probing:
         norms = [solution.response_norm()]
@@ -602,10 +607,8 @@ def solve_responses(eps_grid, sys, K: int, N: int, *, envelope=None,
     ``eps_grid``, all solved in lockstep.  Entry i is the solution at
     ``eps_grid[i]`` or the exception that solving there alone raises; no
     eps_bar warning is issued."""
-    if bracket is None and envelope is not None:
-        bracket = (-envelope.rho / 4.0, envelope.rho / 4.0)
-    roots = _lockstep(sys, list(eps_grid), K, N, bracket, tol, literal,
-                      scan_points)
+    roots = _lockstep(sys, list(eps_grid), K, N, _bracket(bracket, envelope),
+                      tol, literal, scan_points)
     out = []
     for eps, root in zip(eps_grid, roots):
         try:

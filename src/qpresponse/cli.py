@@ -214,8 +214,19 @@ def load_config(path) -> dict:
         raise ConfigError("theorem 1 configs need both 'g' and 'f'")
     if theorem == 2 and "h" not in config:
         raise ConfigError("theorem 2 configs need 'h'")
-    if len(config["omega"]) != config["dimension"]:
+    d = config["dimension"]
+    if len(config["omega"]) != d:
         raise ConfigError("omega length must equal dimension")
+    if "f" in config and config["f"]["d"] != d:
+        raise ConfigError("f.d must equal dimension")
+    modes = [(f"f.modes[{i}].nu", mode["nu"])
+             for i, mode in enumerate(config.get("f", {}).get("modes", []))]
+    modes += [(f"h.grid[{i}]", entry[0])
+              for i, entry in enumerate(config.get("h", {}).get("grid", []))]
+    for at, nu in modes:
+        if len(nu) != d:
+            raise ConfigError(f"{at}: mode {nu} has length {len(nu)}, "
+                              f"not dimension {d}")
     options = config.get("options", {})
     for key, pair in (("search_interval", config.get("search_interval")),
                       ("options.zeta_bracket", options.get("zeta_bracket"))):
@@ -281,7 +292,8 @@ def _write_json(path: Path, payload: dict):
 
 def _prepare(config: dict):
     """The certified system of ``config``, its envelope and its eps
-    bounds (None when the alpha guard stops them)."""
+    bounds (None when the alpha guard stops them or the envelope admits
+    none)."""
     sys_, envelope = build_system(config)
     N = config["truncation"]["N"]
     report = check_nonresonance(sys_.omega, N)
@@ -293,15 +305,19 @@ def _prepare(config: dict):
         )
     try:
         return sys_, envelope, _eps_bounds(config, sys_, envelope)
-    except GuardExceededError:
+    except (GuardExceededError, ConfigError):
         return sys_, envelope, None  # bounds are advisory for solves
 
 
 def _eps_bounds(config: dict, sys_, envelope):
     opts = options_of(config)
-    return estimate_epsilon_bar(
-        envelope, sys_.a, sys_.omega, A_fraction=float(opts["A_fraction"]),
-        theorem=sys_.theorem, guard=opts["alpha_guard"])
+    try:
+        return estimate_epsilon_bar(
+            envelope, sys_.a, sys_.omega,
+            A_fraction=float(opts["A_fraction"]), theorem=sys_.theorem,
+            guard=opts["alpha_guard"])
+    except ValueError as exc:
+        raise ConfigError(f"no eps bounds for this envelope: {exc}") from exc
 
 
 def _solve_once(config: dict, eps: float, literal: bool, probe: bool):

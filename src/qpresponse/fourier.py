@@ -391,15 +391,6 @@ class DenseBlock:
         series._block = block
         return series
 
-    def take(self, rows) -> "DenseBlock":
-        """The series at ``rows`` (a list of batch indices); a single row
-        is cut to its own box."""
-        if self.batch == 1:
-            return self
-        if len(rows) == 1:
-            return _cut(self.values[rows], self.lo, self.real)
-        return DenseBlock(self.values[rows], self.lo, self.real)
-
     def at(self, mode) -> np.ndarray:
         """Coefficient of ``mode`` in each series."""
         idx = tuple(map(sub, mode, self.lo))

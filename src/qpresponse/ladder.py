@@ -22,8 +22,9 @@ it keeps are bitwise those of the full-support product.
 One engine builds every ladder: ``_Expansion`` runs the recursion for a
 batch of (eps, zeta) rows at once on dense blocks
 (:class:`~.fourier.DenseBlock`).  Each row reads 1/D(eps, omega . nu)
-from the table of its own eps, built once per (eps, N), and is bitwise
-what its build as a batch of one gives.  The zeta solves batch every eps
+from the table of its own eps, built once per (system, eps, N), and is
+bitwise what its build as a batch of one gives; a row that fails stays
+in the batch as the zero series.  The zeta solves batch every eps
 of a probe or a sweep together; ``build_ladder``, ``first_order`` and the
 ``next_order`` replays use a batch of one, and series objects are made
 only for what they return.
@@ -32,14 +33,14 @@ only for what they return.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 from statistics import median
 
 import numpy as np
 
 from .errors import LadderDivergenceError, ResonanceError
-from .fourier import (DenseBlock, FourierSeries, _finish, _norm_grid,
+from .fourier import (DenseBlock, FourierSeries, _cut, _finish, _norm_grid,
                       _omega_grid, zero_series)
 
 _D_FLOOR = 1e-300
@@ -111,6 +112,10 @@ class OrderLadder:
         }
 
 
+# the propagator tables of each live system, by (bits of eps, N)
+_TABLES = weakref.WeakKeyDictionary()
+
+
 def _propagator_table(sys, eps: float, N: int):
     """1/D(eps, omega . nu) on the box [-N, N]^d, by components, in two
     read-only arrays that are zero at the zero mode and beyond the ball.
@@ -118,17 +123,19 @@ def _propagator_table(sys, eps: float, N: int):
     The third entry maps each ball mode where |D| < 1e-300 to its
     omega . nu, in lexicographic order; the last three hold D itself by
     components, eps (a - s^2) and s = omega . nu, and the mask of the ball
-    modes 0 < |nu| <= N.  Tables are shared by the
-    expansions at one (omega, a, eps, N), keyed by the bits of the floats
-    so that -0.0 and 0.0 get tables of their own."""
-    return _table(tuple(float(w).hex() for w in sys.omega),
-                  float(sys.a).hex(), float(eps).hex(), int(N))
+    modes 0 < |nu| <= N.  Each table is built once per (system, eps, N)
+    and kept while the system lives; eps is keyed by its bits, so that
+    -0.0 and 0.0 get tables of their own."""
+    tables = _TABLES.setdefault(sys, {})
+    key = (float(eps).hex(), int(N))
+    if key not in tables:
+        tables[key] = _table(sys.omega, float(sys.a), float(eps), int(N))
+    return tables[key]
 
 
-@lru_cache(maxsize=8)
-def _table(omega_bits: tuple, a_bits: str, eps_bits: str, N: int):
-    omega = tuple(float.fromhex(w) for w in omega_bits)
-    a, eps = float.fromhex(a_bits), float.fromhex(eps_bits)
+def _table(omega: tuple, a: float, eps: float, N: int):
+    """:func:`_propagator_table` at frequency vector ``omega`` and slope
+    ``a``, built afresh."""
     lo, shape = (-N,) * len(omega), (2 * N + 1,) * len(omega)
     ball = _norm_grid(lo, shape) <= N
     ball[(N,) * len(omega)] = False
@@ -148,22 +155,30 @@ def _table(omega_bits: tuple, a_bits: str, eps_bits: str, N: int):
     return re, im, dict(zip(modes, s[resonant].tolist())), dr, s, ball
 
 
+def _zeroed(block: DenseBlock, dead: np.ndarray) -> DenseBlock:
+    """``block`` with the series at the batch indices where ``dead`` holds
+    made zero, on new arrays."""
+    values = np.where(dead.reshape((-1,) + (1,) * block.dimension),
+                      0j, block.values)
+    return _cut(values, block.lo, block.real)
+
+
 class _Expansion:
     """The ladder recursion for a batch of (eps, zeta) rows at one N.
 
-    Each order is a :class:`DenseBlock` holding one series per live row;
+    Each order is a :class:`DenseBlock` holding one series per row, and
+    batch index i is position i of ``zetas`` and ``eps`` throughout;
     partial products are memoized, so every convolution is computed once
     per batch, and each row divides by the propagator table of its own
-    eps.  ``eps`` is one value for every row or one per zeta; ``tables``,
-    when given, maps the bits of an eps (``float.hex``) to its table at
-    this N, and is read and filled here.  A row whose
+    eps.  ``eps`` is one value for every row or one per zeta.  A row whose
     build fails (a resonant source mode or a blown-up order) records in
-    ``errors`` the exception its build alone raises and leaves the batch;
-    the others go on exactly as they would alone.  ``rows`` maps each live
-    batch index to its position in ``zetas`` and ``eps``.
+    ``errors`` the exception its build alone raises and stays in the
+    batch as the zero series; the others go on exactly as they would
+    alone, since rows never mix and a zero row adds no left mode to a
+    product.
     """
 
-    def __init__(self, sys, eps, zetas, N: int, tables: dict | None = None):
+    def __init__(self, sys, eps, zetas, N: int):
         sys.require_certified()
         self.zetas = [float(z) for z in zetas]
         self.eps = [float(e) for e in
@@ -174,7 +189,6 @@ class _Expansion:
         if self.N < 1:
             raise ValueError("mode cutoff N must be >= 1")
         self.d = sys.dimension
-        self.rows = list(range(len(self.zetas)))
         self.errors: dict[int, Exception] = {}
         self.orders: list[DenseBlock] = []
         self.norms: list[np.ndarray] = []
@@ -185,52 +199,46 @@ class _Expansion:
         self._step = self.N
         # one table per distinct eps (by its bits); _which[pos] names the
         # table of position pos
-        tables = {} if tables is None else tables
-        keys = [e.hex() for e in self.eps]
-        index = {k: i for i, k in enumerate(dict.fromkeys(keys))}
-        self._which = np.array([index[k] for k in keys], dtype=np.intp)
-        for k in index:
-            if k not in tables:
-                tables[k] = _propagator_table(sys, float.fromhex(k), self.N)
-        self._re = np.stack([tables[k][0] for k in index])
-        self._im = np.stack([tables[k][1] for k in index])
-        self._resonant = [tables[k][2] for k in index]
-
-    def drop(self, batch_rows) -> None:
-        """Remove the series at the live batch indices ``batch_rows``."""
-        gone = set(batch_rows)
-        if not gone:
-            return
-        kept = [i for i in range(len(self.rows)) if i not in gone]
-        self.rows = [self.rows[i] for i in kept]
-        self.orders = [u.take(kept) for u in self.orders]
-        self.norms = [n[kept] for n in self.norms]
-        self._products = {key: b.take(kept)
-                          for key, b in self._products.items()}
+        distinct = {e.hex(): e for e in self.eps}
+        keys = list(distinct)
+        self._which = np.array([keys.index(e.hex()) for e in self.eps],
+                               dtype=np.intp)
+        tables = [_propagator_table(sys, e, self.N) for e in distinct.values()]
+        self._re = np.stack([t[0] for t in tables])
+        self._im = np.stack([t[1] for t in tables])
+        self._resonant = [t[2] for t in tables]
 
     def fail(self, failures: dict) -> None:
-        """Record ``{batch index: exception}`` and drop those series."""
-        for i, exc in failures.items():
-            self.errors[self.rows[i]] = exc
-        self.drop(failures)
+        """Record ``{position: exception}`` and make those rows the zero
+        series in every stored order, norm and partial product.  New
+        arrays are built: the orders may wrap a caller's series."""
+        if not failures:
+            return
+        self.errors.update(failures)
+        dead = np.zeros(len(self.zetas), dtype=bool)
+        dead[list(failures)] = True
+        self.orders = [_zeroed(u, dead) for u in self.orders]
+        self.norms = [np.where(dead, 0.0, n) for n in self.norms]
+        self._products = {key: _zeroed(b, dead)
+                          for key, b in self._products.items()}
 
     def raise_first(self) -> None:
         if self.errors:
             raise self.errors[min(self.errors)]
 
-    def _divide(self, source: DenseBlock, sign: float) -> DenseBlock:
+    def _divide(self, source: DenseBlock, sign: float):
         """Multiply each row by sign * eps/D(eps, omega.nu) mode-wise, at
         the row's own eps, dropping the zero mode and everything beyond
-        the ball.  A series with a source mode where D vanishes fails with
-        the first such mode's ResonanceError and leaves the batch."""
-        N, batch = self.N, len(self.rows)
+        the ball.  Returns the block and ``{position: ResonanceError}`` of
+        the rows with a source mode where D vanishes, each with the first
+        such mode's error; the caller fails those rows."""
+        N, batch = self.N, len(self.zetas)
         part = source._within(N)
         if part is None:
-            return DenseBlock.empty(self.d, batch, source.real)
+            return DenseBlock.empty(self.d, batch, source.real), {}
         lo, c = part
         c = np.broadcast_to(c, (batch,) + c.shape[1:])
         hi = [l + n - 1 for l, n in zip(lo, c.shape[1:])]
-        which = self._which[self.rows]
         # resonant modes come in lexicographic order, so the first one a
         # series has in its source is the one its scalar division met
         failures = {}
@@ -239,21 +247,16 @@ class _Expansion:
                 if all(l <= x <= h for x, l, h in zip(nu, lo, hi)):
                     cell = c[(slice(None),)
                              + tuple(x - l for x, l in zip(nu, lo))]
-                    hit = (cell != 0) & (which == t)
+                    hit = (cell != 0) & (self._which == t)
                     for i in np.flatnonzero(hit).tolist():
                         failures.setdefault(i, _resonance(s))
-        if failures:
-            self.fail(failures)
-            c = c[[i for i in range(batch) if i not in failures]]
-            which = self._which[self.rows]
         table = (slice(None),) + tuple(slice(l + N, h + N + 1)
                                        for l, h in zip(lo, hi))
         pr, pi = self._re[table], self._im[table]
         if len(pr) > 1:
-            pr, pi = pr[which], pi[which]
+            pr, pi = pr[self._which], pi[self._which]
         # sign is +-1.0, so each scale is exactly +-eps
-        scale = sign * np.array([self.eps[r] for r in self.rows])
-        scale = scale.reshape((-1,) + (1,) * self.d)
+        scale = (sign * np.array(self.eps)).reshape((-1,) + (1,) * self.d)
         out = np.empty(c.shape, dtype=complex)
         with np.errstate(all="ignore"):
             # (scale * c) * p, each product as Python forms it
@@ -261,7 +264,7 @@ class _Expansion:
             xi = scale * c.imag + 0.0 * c.real
             out.real = xr * pr - xi * pi
             out.imag = xr * pi + xi * pr
-        return _finish(out, lo, source.real)
+        return _finish(out, lo, source.real), failures
 
     def _partial_product(self, p: int, m: int) -> DenseBlock:
         """Sum over ordered compositions k_1 + ... + k_p = m of the
@@ -291,14 +294,13 @@ class _Expansion:
         return total
 
     def first_order(self) -> None:
-        base = self._divide(self._layers.source, 1.0)
-        if not self.rows:
-            return
-        zetas = np.array([self.zetas[r] for r in self.rows], dtype=complex)
+        base, failures = self._divide(self._layers.source, 1.0)
+        zetas = np.array(self.zetas, dtype=complex)
         u1 = base.add(_finish(zetas.reshape((-1,) + (1,) * self.d),
                               (0,) * self.d, True))
         self.orders.append(u1)
         self.norms.append(u1.norms())
+        self.fail(failures)
 
     def next_order(self) -> None:
         k = len(self.orders) + 1
@@ -315,25 +317,21 @@ class _Expansion:
             block = self._partial_product(p, k - 1)
             if block.present().any():
                 source = source.add(alpha.convolve(block, radius=self.N))
-        u_k = self._divide(source, -1.0)
-        if not self.rows:
-            return
+        u_k, failures = self._divide(source, -1.0)
         norms = u_k.norms()
-        blown = np.flatnonzero(norms > _BLOWUP_NORM).tolist()
-        if blown:
-            kept = [i for i in range(len(norms)) if i not in set(blown)]
-            u_k, norms = u_k.take(kept), norms[kept]
-            self.fail({i: LadderDivergenceError(
+        for i in np.flatnonzero(norms > _BLOWUP_NORM).tolist():
+            failures.setdefault(i, LadderDivergenceError(
                 f"order {k} norm exceeded {_BLOWUP_NORM:.0e}: "
-                "expansion is blowing up") for i in blown})
+                "expansion is blowing up"))
         self.orders.append(u_k)
         self.norms.append(norms)
+        self.fail(failures)
 
     def build(self, K: int) -> None:
         """Orders 1..K for every zeta that does not fail on the way."""
         self.first_order()
         for _ in range(2, K + 1):
-            if not self.rows:
+            if len(self.errors) == len(self.zetas):
                 break
             self.next_order()
         # the partial products are read only while the orders are built
@@ -347,11 +345,11 @@ class _Expansion:
         return total
 
     def ladder(self, i: int = 0) -> OrderLadder:
-        """The ladder of live batch index ``i``."""
+        """The ladder of the row at position ``i``."""
         return OrderLadder(
             orders=[u.series(i) for u in self.orders],
-            zeta=self.zetas[self.rows[i]],
-            eps=self.eps[self.rows[i]],
+            zeta=self.zetas[i],
+            eps=self.eps[i],
             N=self.N,
             norms=[float(n[i]) for n in self.norms],
         )

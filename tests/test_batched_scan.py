@@ -130,6 +130,20 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
+def assert_failed_rows_are_zero(evaluation):
+    """Every row of ``evaluation`` keeps its position in the batch, and a
+    row whose ladder failed is the zero series in each stored order, each
+    norm and the assembled sum."""
+    exp, batch = evaluation.expansion, len(evaluation.outcomes)
+    blocks = exp.orders + [evaluation.w]
+    assert all(block.batch == batch for block in blocks)
+    for pos, error in exp.errors.items():
+        assert evaluation.outcomes[pos] is error
+        assert pos not in evaluation.ratios
+        assert not any(block.values[pos].any() for block in blocks)
+        assert not any(n[pos] for n in exp.norms)
+
+
 def assert_batch_matches_alone(sys, eps, zetas, K, N, literal=False):
     """Every (eps, zeta) row of the batch against its own reference
     evaluation; ``eps`` is one value for all rows or one per row.  Returns
@@ -138,24 +152,22 @@ def assert_batch_matches_alone(sys, eps, zetas, K, N, literal=False):
     batch = _Evaluation(sys, eps, zetas, K, N, literal)
     expected = [reference_h(sys, e, z, K, N, literal)
                 for e, z in zip(eps_rows, zetas)]
-    live = batch.expansion.rows
+    assert_failed_rows_are_zero(batch)
     for pos, (got, want) in enumerate(zip(batch.outcomes, expected)):
         e = eps_rows[pos]
         if isinstance(want, Exception):
             assert type(got) is type(want) and str(got) == str(want)
-            assert pos not in live
             continue
         ladder, ratios, estimate, w, value = want
         assert float(got).hex() == value.hex()
-        i = live.index(pos)
-        mine = batch.expansion.ladder(i)
+        mine = batch.expansion.ladder(pos)
         assert mine.zeta == zetas[pos] and mine.eps == e and mine.N == N
         assert [bits(s) for s in mine.orders] == [bits(s) for s in ladder.orders]
         assert hexes(mine.norms) == hexes(ladder.norms)
         got_ratios, got_estimate = batch.ratios[pos]
         assert hexes(got_ratios) == hexes(ratios)
         assert float(got_estimate).hex() == float(estimate).hex()
-        assert bits(batch.w.series(i)) == bits(w)
+        assert bits(batch.w.series(pos)) == bits(w)
         # what a solve hands on when this row holds its root
         held_ladder, held_ratios, held_estimate, held_w = batch.result(pos)
         assert held_ladder.zeta == zetas[pos] and held_ladder.eps == e
@@ -264,18 +276,14 @@ def test_rows_that_fail_at_one_eps_only():
     assert messages[4:] == [None, None]
 
 
-def test_resonant_source_mode_fails_only_at_its_eps():
-    # the forcing mode (2, -1) is resonant at eps = 0 only
-    resonant = FourierSeries(2, {(2, -1): 0.1, (-2, 1): 0.1},
-                             real_valued=True)
-    sys = rational_system(cosine(2, 0, 0.3).add(resonant))
-    eps = [0.0, 0.05, 0.0, 0.05]
-    zetas = [0.1, 0.1, 0.0, 0.0]
-    batch = _Evaluation(sys, eps, zetas, 4, 4, False)
-    assert [isinstance(o, ResonanceError) for o in batch.outcomes] == \
-        [True, False, True, False]
+def assert_rows_match_batches_of_one(sys, eps, zetas, K, N):
+    """Every row of the batch against its own batch of one (the reference
+    recursion cannot stand in: it divides by a vanishing D).  Returns the
+    batch."""
+    batch = _Evaluation(sys, eps, zetas, K, N, False)
+    assert_failed_rows_are_zero(batch)
     for pos, (e, z) in enumerate(zip(eps, zetas)):
-        alone = _Evaluation(sys, e, [z], 4, 4, False)
+        alone = _Evaluation(sys, e, [z], K, N, False)
         (want,) = alone.outcomes
         got = batch.outcomes[pos]
         if isinstance(want, Exception):
@@ -284,7 +292,22 @@ def test_resonant_source_mode_fails_only_at_its_eps():
         assert got.hex() == want.hex()
         mine, theirs = batch.result(pos), alone.result(0)
         assert mine[0].to_json_dict() == theirs[0].to_json_dict()
+        assert [bits(s) for s in mine[0].orders] == \
+            [bits(s) for s in theirs[0].orders]
         assert bits(mine[3]) == bits(theirs[3])
+    return batch
+
+
+def test_resonant_source_mode_fails_only_at_its_eps():
+    # the forcing mode (2, -1) is resonant at eps = 0 only
+    resonant = FourierSeries(2, {(2, -1): 0.1, (-2, 1): 0.1},
+                             real_valued=True)
+    sys = rational_system(cosine(2, 0, 0.3).add(resonant))
+    eps = [0.0, 0.05, 0.0, 0.05]
+    zetas = [0.1, 0.1, 0.0, 0.0]
+    batch = assert_rows_match_batches_of_one(sys, eps, zetas, 4, 4)
+    assert [isinstance(o, ResonanceError) for o in batch.outcomes] == \
+        [True, False, True, False]
 
 
 # -- the scan replays the sequential solve -----------------------------------
@@ -354,10 +377,11 @@ def test_resonance_only_where_the_source_has_the_mode():
         solve_zeta(0.0, loud, 4, 4)
 
 
-def test_resonance_at_a_higher_order_fails_only_its_zeta():
-    # at eps = 0 the first order is the constant zeta, and the angle
-    # coupling carries it onto the resonant mode (2, -1) at order 2 only
-    # when zeta != 0
+def coupled_rational_system():
+    """omega = (1, 2) with an angle coupling on the mode (2, -1), where
+    omega . nu = 0: at eps = 0 the first order is the constant zeta, and
+    the coupling carries it onto that resonant mode at order 2 only when
+    zeta != 0."""
     grid = {
         ((0, 0), 1): 1.0,
         ((2, -1), 1): 0.1,
@@ -366,7 +390,11 @@ def test_resonance_at_a_higher_order_fails_only_its_zeta():
         ((0, 1), 0): 0.05,
         ((0, -1), 0): 0.05,
     }
-    sys = recentre(GeneralSystem((1.0, 2.0), grid), 0.0)
+    return recentre(GeneralSystem((1.0, 2.0), grid), 0.0)
+
+
+def test_resonance_at_a_higher_order_fails_only_its_zeta():
+    sys = coupled_rational_system()
     scan = _Evaluation(sys, 0.0, [0.0, 0.1, -0.2], 3, 4, False)
     assert scan.outcomes[0] == H(0.0, 0.0, sys, 3, 4)
     for pos, zeta in ((1, 0.1), (2, -0.2)):
@@ -374,7 +402,21 @@ def test_resonance_at_a_higher_order_fails_only_its_zeta():
             H(zeta, 0.0, sys, 3, 4)
         assert isinstance(scan.outcomes[pos], ResonanceError)
         assert str(scan.outcomes[pos]) == str(alone.value)
-    assert scan.expansion.rows == [0]
+    assert sorted(scan.expansion.errors) == [1, 2]
+    assert_failed_rows_are_zero(scan)
+
+
+def test_failed_rows_stay_in_place_as_zero_series():
+    # each way a row fails, in one batch between live rows: a resonant
+    # source mode at order 2, no contraction, and a blow-up at order 8
+    eps = [0.0, 0.0, 0.05, 0.05, 0.05]
+    zetas = [0.0, 0.1, 0.0, 0.3, 1000.0]
+    batch = assert_rows_match_batches_of_one(coupled_rational_system(), eps,
+                                             zetas, 8, 3)
+    assert sorted(batch.ratios) == [0, 2]
+    assert isinstance(batch.outcomes[1], ResonanceError)
+    assert "does not contract" in str(batch.outcomes[3])
+    assert "order 8 norm exceeded" in str(batch.outcomes[4])
 
 
 def stacked(series_list):

@@ -13,7 +13,8 @@ from qpresponse.diophantine import profile, profile_rows
 from qpresponse.errors import ResonanceError
 
 PHI = (1 + math.sqrt(5)) / 2
-CUBIC = Path(__file__).resolve().parents[1] / "demos" / "configs" / "cubic.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+CUBIC = CONFIGS / "cubic.json"
 
 
 def golden_f_json():
@@ -444,6 +445,53 @@ class TestConfigSchema:
         assert "config error:" in done.stderr
         assert key in done.stderr
         assert "Traceback" not in done.stderr
+
+    @staticmethod
+    def forcing_in_three_dimensions(config):
+        config["f"]["d"] = 3
+        for mode in config["f"]["modes"]:
+            mode["nu"].append(0)
+
+    @staticmethod
+    def one_forcing_mode_too_long(config):
+        config["f"]["modes"][1]["nu"].append(0)
+
+    @staticmethod
+    def one_grid_mode_too_long(config):
+        config["h"]["grid"].append([[1, 0, 0], 1, 0.0])
+
+    @staticmethod
+    def tiny_xi(config):
+        # no n0 below 2^60 makes exp(-xi 2^n0 / 4) small enough
+        config["xi"] = 1e-20
+
+    @pytest.mark.parametrize("demo, edit, command, code", [
+        ("cubic", "forcing_in_three_dimensions", "solve", 1),
+        ("cubic", "one_forcing_mode_too_long", "solve", 1),
+        ("mixed", "one_grid_mode_too_long", "solve", 1),
+        ("mixed", "one_grid_mode_too_long", "sweep", 1),
+        ("cubic", "tiny_xi", "solve", 0),
+        ("cubic", "tiny_xi", "diagnose", 1),
+        ("cubic", "tiny_xi", "sweep", 0),
+        ("cubic", "tiny_xi", "verify", 0),
+    ])
+    def test_configs_the_library_refuses_exit_without_a_traceback(
+            self, tmp_path, demo, edit, command, code):
+        config = json.loads((CONFIGS / f"{demo}.json").read_text())
+        getattr(self, edit)(config)
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        done = run_module("qpresponse", command, "--config", cfg,
+                          "--out", str(out))
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        if code == 1:
+            assert "config error:" in done.stderr
+        if edit == "tiny_xi":
+            # the eps bounds are advisory for solves; diagnose needs them
+            assert "eps_bar" not in done.stdout
+            assert not (out / "epsilon_bounds.json").exists()
+            assert (out / "diagnose.csv").exists() == (command == "diagnose")
 
     def test_schema_is_valid(self):
         import jsonschema

@@ -8,15 +8,24 @@ time raise them, and the batching must cut the number of builds.
 """
 
 import csv
+import gc
 import json
 import math
 import sys
 import warnings
+import weakref
 
 import pytest
 
 import qpresponse.bifurcation as bifurcation
-from qpresponse.bifurcation import bifurcation_balance, solve_response, solve_zeta
+import qpresponse.ladder as ladder
+from qpresponse.bifurcation import (
+    ResponseSolution,
+    bifurcation_balance,
+    solve_response,
+    solve_responses,
+    solve_zeta,
+)
 from qpresponse.cli import main
 from qpresponse.errors import BifurcationSolveError, LadderDivergenceError
 from qpresponse.fourier import cosine
@@ -215,3 +224,33 @@ def test_a_probed_solve_forms_each_balance_in_its_evaluations(monkeypatch):
     monkeypatch.undo()
     assert solution.residual_bifurcation.hex() == \
         abs(bifurcation_balance(system, solution.u, 0.05)).hex()
+
+
+def test_each_propagator_table_is_built_once_per_system(monkeypatch):
+    # the solves and the residuals of 12 eps read 12 tables; more eps than
+    # a small shared cache holds must not make the residuals build them
+    # again
+    built = []
+    table = ladder._table
+
+    def counted(*args):
+        built.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(ladder, "_table", counted)
+    system = golden_system()
+    grid = [0.002 * k for k in range(1, 13)]
+    solutions = solve_responses(grid, system, 6, 4)
+    assert all(isinstance(s, ResponseSolution) for s in solutions)
+    assert len(built) == len(grid)
+    assert sorted(eps for _, _, eps, _ in built) == grid
+    # -0.0 and 0.0 have tables of their own, bitwise apart
+    zero, minus_zero = (ladder._propagator_table(system, e, 4)
+                        for e in (0.0, -0.0))
+    assert len(built) == len(grid) + 2
+    assert zero[3].tobytes() != minus_zero[3].tobytes()
+    # the tables go with their system
+    alive = weakref.ref(system)
+    del system, solutions
+    gc.collect()
+    assert alive() is None

@@ -153,8 +153,7 @@ def table_cases():
 @pytest.mark.parametrize("name", sorted(table_cases()))
 def test_table_is_the_scalar_table(name):
     omega, a, eps, N = table_cases()[name]
-    re, im, resonant, *_ = _table.__wrapped__(
-        tuple(float(w).hex() for w in omega), float(a).hex(), float(eps).hex(), N)
+    re, im, resonant, *_ = _table(tuple(omega), float(a), float(eps), N)
     want_re, want_im, want_resonant = scalar_table(omega, a, eps, N)
     assert re.tobytes() == want_re.tobytes() and im.tobytes() == want_im.tobytes()
     assert [(nu, s.hex()) for nu, s in resonant.items()] == \
