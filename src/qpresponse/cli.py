@@ -431,6 +431,8 @@ _SWEEP_COLUMNS = ["epsilon", "zeta", "u_norm", "ratio_estimate",
 
 def cmd_sweep(config: dict, out_dir: Path, literal: bool, parallel: int) -> int:
     grid = sorted(float(e) for e in config.get("epsilon_grid", []))
+    if not grid:
+        _prepare(config)  # no eps to solve, but the system must hold
     # one contiguous part of the grid per worker; serial is one part
     parts = min(max(parallel, 1), len(grid))
     jobs = [(config, grid[i * len(grid) // parts:(i + 1) * len(grid) // parts],

@@ -20,7 +20,6 @@ oracles in ``validation`` and ``trees`` keep loops of their own.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 from itertools import repeat
@@ -210,24 +209,13 @@ class FourierSeries:
     # -- analysis ---------------------------------------------------------
 
     def evaluate(self, psi) -> complex:
-        """Sum of coeff(nu) * exp(i nu . psi), in lexicographic nu order."""
-        if len(psi) != self.dimension:
-            raise DimensionMismatchError(
-                f"angle vector has length {len(psi)}, expected {self.dimension}"
-            )
-        total = 0j
-        for nu, c in self.items_sorted():
-            phase = 0.0
-            for x, p in zip(nu, psi):
-                phase += x * p
-            total += c * cmath.exp(1j * phase)
-        return total
+        """Sum of coeff(nu) * exp(i nu . psi): :meth:`evaluate_many` of the
+        one row ``psi``."""
+        return self.evaluate_many([psi])[0].item()
 
     def evaluate_many(self, angles) -> np.ndarray:
-        """Vectorised :meth:`evaluate` over rows of ``angles`` (m, d).
-
-        Matches the scalar path up to floating-point reassociation.
-        """
+        """Sum of coeff(nu) * exp(i nu . psi) for each row psi of
+        ``angles`` (m, d)."""
         angles = np.atleast_2d(np.asarray(angles, dtype=float))
         if angles.shape[1] != self.dimension:
             raise DimensionMismatchError(

@@ -1,13 +1,13 @@
 """Independent verification of a response solution.
 
 Two routes that share no code with the series solver: a damped Picard
-fixed-point solve of the truncated Fourier system (the map is a
-contraction exactly in the regime where the expansion converges, so the
-oracle doubles as an empirical contraction witness), and time integration
-of the underlying oscillator by LSODA, which takes stiff steps where the
-fast rate 1/eps calls for them, checking the trajectory against the
-spectral solution and, for positive linear feedback, its local
-attractivity.
+fixed-point solve of the truncated Fourier system on its own FFT grid
+(the map is a contraction exactly in the regime where the expansion
+converges, so the oracle doubles as an empirical contraction witness),
+and time integration of the underlying oscillator by LSODA, which takes
+stiff steps where the fast rate 1/eps calls for them, checking the
+trajectory against the spectral solution and, for positive linear
+feedback, its local attractivity.
 """
 
 from __future__ import annotations
@@ -19,12 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StiffnessError
-from .fourier import FourierSeries, mode_norm
-from .ladder import (
-    forcing_term,
-    nonlinearity_series,
-    propagator_denominator,
-)
+from .fourier import FourierSeries
+# not called here: bench/test_checks.py reads this binding of the name
+from .ladder import nonlinearity_series  # noqa: F401
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 10_000
@@ -53,30 +50,13 @@ class FixedPointResult:
     converged: bool
 
 
-def _full_residual(sys, eps, w_c, nl_c, f_c, N) -> float:
-    """The residual max-norm of the truncated system, from the
-    ``{mode: coefficient}`` tables of w, nl(w) and f."""
-    a = sys.a
-    zero = (0,) * sys.dimension
-    worst = abs(a * w_c.get(zero, 0j).real + nl_c.get(zero, 0j).real)
-    for nu in sorted(set(w_c) | set(nl_c) | set(f_c)):
-        if not any(nu) or mode_norm(nu) > N:
-            continue
-        s = 0.0
-        for x, om in zip(nu, sys.omega):
-            s += x * om
-        d = propagator_denominator(eps, s, a)
-        worst = max(worst, abs(d * w_c.get(nu, 0j) + eps * nl_c.get(nu, 0j)
-                               - eps * f_c.get(nu, 0j)))
-    return worst
-
-
 def direct_solve(sys, eps: float, N: int, seed=None, *,
                  tol: float = PICARD_TOL, max_iter: int = PICARD_MAX_ITER,
                  damping: float = 1.0,
                  zeta_secant: bool = False) -> FixedPointResult:
     """Solve the truncated range + zero-mode system by damped Picard
-    iteration, u <- eps (f - nonlinearity)/D and zeta <- -[nl]_0 / a.
+    iteration, w <- eps (f - nl(w))/D and zeta <- -[nl(w)]_0 / a, with w
+    dense on the box [-N, N]^d and nl(w) formed pointwise on an FFT grid.
 
     ``seed`` may be a ResponseSolution (its series starts the iteration)
     or None (zero start).  ``zeta_secant`` switches the zero-mode update
@@ -85,53 +65,70 @@ def direct_solve(sys, eps: float, N: int, seed=None, *,
     blow-up reports divergence instead of raising.
     """
     sys.require_certified()
-    d = sys.dimension
-    a = sys.a
-    if seed is not None:
-        w = seed.u.truncate(N)
-    else:
-        w = FourierSeries(d, {}, real_valued=True)
-    f_c = dict(forcing_term(sys).items_sorted())
-    zeta_hist: list[tuple[float, float]] = []
+    d, a = sys.dimension, sys.a
+    modes = np.arange(-N, N + 1)
+    axes = np.ix_(*[modes] * d)
+    norms = sum(np.abs(x) for x in axes)
+    ball, ranged, zero = norms <= N, (norms > 0) & (norms <= N), (N,) * d
+    s = 0.0
+    for x, om in zip(axes, sys.omega):
+        s = s + x * om
+    D = eps * (a - s * s) + 1j * s
+    # the p >= 1 layers (p = 1 without a) sampled on M points per angle:
+    # a product mode has |nu_i| <= p_max N + r, so none aliases onto the box
+    top = max(p for _, p in sys.grid)
+    r = max(max(map(abs, nu)) for nu, p in sys.grid if p >= 1)
+    M = (top + 1) * N + r + 1
+    cells = np.ix_(*[modes % M] * d)
+    f = np.zeros(D.shape, dtype=complex)
+    layers: dict[int, np.ndarray] = {}
+    for (nu, p), c in sorted(sys.grid.items()):
+        if p == 0 and 0 < sum(map(abs, nu)) <= N:
+            f[tuple(x + N for x in nu)] = -c
+        elif p > 1 or p == 1 and any(nu):
+            layer = layers.setdefault(p, np.zeros((M,) * d, dtype=complex))
+            layer[tuple(x % M for x in nu)] += c
+    layers = {p: np.fft.ifftn(layers[p], norm="forward") for p in sorted(layers)}
+
+    def nonlinearity(w):
+        box = np.zeros((M,) * d, dtype=complex)
+        box[cells] = w
+        point = np.fft.ifftn(box, norm="forward")
+        total = sum((layer * point**p for p, layer in layers.items()), 0 * point)
+        nl = np.fft.fftn(total, norm="forward")[cells]
+        # conjugate symmetric to the bit, so a diverging w stays real
+        return 0.5 * (nl + np.flip(nl).conj())
+
+    w = np.zeros(D.shape, dtype=complex)
+    for nu, c in seed.u.truncate(N).items_sorted() if seed else ():
+        w[tuple(x + N for x in nu)] = c
+    last = None  # (zeta, balance) of the previous iterate
     iterations = 0
     residual = math.inf
     for iterations in range(max_iter + 1):
-        nl = nonlinearity_series(sys, w)
-        nl_c = dict(nl.items_sorted())
-        residual = _full_residual(sys, eps, dict(w.items_sorted()), nl_c,
-                                  f_c, N)
-        if residual <= tol:
-            return FixedPointResult(w, w.zero_mode().real, iterations,
-                                    residual, True)
-        if not math.isfinite(residual) or w.weighted_norm(0.0) > _PICARD_BLOWUP:
+        nl = nonlinearity(w)
+        zeta_now = w[zero].real
+        balance = a * zeta_now + nl[zero].real
+        defect = np.abs(D * w + eps * nl - eps * f)[ranged]
+        residual = max(abs(balance), float(np.max(defect, initial=0.0)))
+        if residual <= tol or not math.isfinite(residual) \
+                or np.abs(w).sum() > _PICARD_BLOWUP or iterations == max_iter:
             break
-        if iterations == max_iter:
-            break
-        table = {}
-        for nu in sorted(set(f_c) | set(nl_c)):
-            if not any(nu) or mode_norm(nu) > N:
-                continue
-            s = 0.0
-            for x, om in zip(nu, sys.omega):
-                s += x * om
-            dd = propagator_denominator(eps, s, a)
-            table[nu] = eps * (f_c.get(nu, 0j) - nl_c.get(nu, 0j)) / dd
-        zeta_now = w.zero_mode().real
-        balance = a * zeta_now + nl.zero_mode().real
-        zeta_new = -nl.zero_mode().real / a
-        if zeta_secant and zeta_hist:
-            z_prev, g_prev = zeta_hist[-1]
+        w_new = np.zeros_like(w)
+        w_new[ranged] = eps * (f[ranged] - nl[ranged]) / D[ranged]
+        w_new[zero] = -nl[zero].real / a
+        if zeta_secant and last is not None:
+            z_prev, g_prev = last
             if balance != g_prev and zeta_now != z_prev:
-                zeta_new = zeta_now - balance * (zeta_now - z_prev) \
+                w_new[zero] = zeta_now - balance * (zeta_now - z_prev) \
                     / (balance - g_prev)
-        zeta_hist.append((zeta_now, balance))
-        table[(0,) * d] = zeta_new
-        w_new = FourierSeries(d, table, w.real_valued)
-        if damping != 1.0:
-            w = w.scaled(1.0 - damping).add(w_new.scaled(damping))
-        else:
-            w = w_new
-    return FixedPointResult(w, w.zero_mode().real, iterations, residual, False)
+        last = zeta_now, balance
+        # at damping 1 this is w_new: 0.0 * w adds zeros
+        w = (1.0 - damping) * w + damping * w_new
+    u = FourierSeries(d, zip(map(tuple, np.argwhere(ball) - N),
+                             w[ball].tolist()), real_valued=True)
+    return FixedPointResult(u, u.zero_mode().real, iterations, residual,
+                            residual <= tol)
 
 
 @dataclass

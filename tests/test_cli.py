@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import qpresponse
-from qpresponse.cli import build_parser, main
+from qpresponse.cli import _SWEEP_COLUMNS, build_parser, main
 from qpresponse.diophantine import profile, profile_rows
 from qpresponse.errors import ResonanceError
 
@@ -270,6 +270,26 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("edits, code", [
+        ({"g": {"c_ref": 0.0, "coeffs": [[2, 1.0]]}}, 3),
+        ({"g": {"c_ref": 0.0, "coeffs": [[2, 1.0]]}, "epsilon_grid": []}, 3),
+        ({"omega": [1.0, 2.0]}, 4),
+        ({}, 0),
+    ], ids=["double-zero", "double-zero-empty-grid", "resonant", "valid"])
+    def test_no_eps_exits_as_solve_does(self, tmp_path, edits, code):
+        # with no eps to solve, the system is still built and certified
+        config = json.loads(CUBIC.read_text())
+        del config["epsilon_grid"]
+        config.update(edits)
+        cfg = write_config(tmp_path, config)
+        for command in ("solve", "sweep"):
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path / command)]) == code, command
+        rows = tmp_path / "sweep" / "sweep.csv"
+        assert rows.exists() == (code == 0)
+        if code == 0:
+            assert rows.read_text().splitlines() == [",".join(_SWEEP_COLUMNS)]
 
     def test_parallel_matches_serial(self, tmp_path):
         config = base_config(epsilon_grid=[0.02, 0.05])

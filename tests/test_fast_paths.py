@@ -498,6 +498,19 @@ def test_evaluate_many_bitwise_equal_to_complex_matmul(d, real):
     assert got.imag.tobytes() == expected.imag.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_evaluate_is_evaluate_many_of_one_row(d):
+    rng = np.random.default_rng([d, 9])
+    w = random_series(rng, d, n_modes=15, span=3, real=False)
+    for psi in rng.uniform(-10.0, 10.0, size=(5, d)):
+        got, want = w.evaluate(list(psi)), w.evaluate_many(psi[None])[0]
+        assert (got.real.hex(), got.imag.hex()) == \
+            (float(want.real).hex(), float(want.imag).hex())
+    assert zero_series(d).evaluate([0.5] * d) == 0j
+    with pytest.raises(DimensionMismatchError):
+        w.evaluate([0.0] * (d + 1))
+
+
 # -- one ladder per distinct zeta ------------------------------------------
 
 def unmemoized_solve_zeta(eps, sys, K, N, bracket=None, *, tol=None,
@@ -602,6 +615,29 @@ def test_memoized_solve_builds_each_zeta_once(case, monkeypatch):
     assert json.dumps(fast.to_json_dict()) == json.dumps(slow.to_json_dict())
     assert [bits(s) for s in fast.ladder.orders] == \
         [bits(s) for s in slow.ladder.orders]
+
+
+def test_secant_polish_matches_the_unmemoized_polish(monkeypatch):
+    # at tol = 1e-17 the brentq root's balance (6e-17) is not small
+    # enough, and the solve goes on to the secant polish
+    sys = separable_system(2, TAYLOR)
+    polished = []
+    secant = bifurcation._secant_steps
+
+    def spy(x0, f0, tol):
+        polished.append(x0)
+        return secant(x0, f0, tol)
+
+    monkeypatch.setattr(bifurcation, "_secant_steps", spy)
+    root = solve_zeta(0.05, sys, 8, 6, tol=1e-17)
+    assert len(polished) == 1
+    assert root.hex() == unmemoized_solve_zeta(0.05, sys, 8, 6, tol=1e-17).hex()
+    polished.clear()
+    fast = solve_response(0.05, sys, 8, 6, tol=1e-17)
+    assert polished
+    monkeypatch.setattr(bifurcation, "_lockstep", sequential_lockstep)
+    slow = solve_response(0.05, sys, 8, 6, tol=1e-17)
+    assert json.dumps(fast.to_json_dict()) == json.dumps(slow.to_json_dict())
 
 
 def test_solve_zeta_keeps_at_most_one_expansion():

@@ -5,7 +5,9 @@ small-divisor walk read omega . nu from ``fourier._omega_grid``, a grid of
 sums formed from 0.0 in axis order.  Each is checked bit for bit against
 the scalar loop it replaced, kept here as the reference.  An ``ast`` walk
 keeps hand-written omega . nu loops off the fast path and keeps the
-oracles in ``validation.py`` and ``trees.py`` on loops of their own.
+oracles in ``validation.py`` and ``trees.py`` on loops of their own; a
+second walk keeps the oracles' functions off the fast path's names and
+off series arithmetic.
 """
 
 import ast
@@ -360,8 +362,10 @@ def test_fast_path_forms_omega_dot_nu_only_on_the_grid():
 
 
 def test_the_oracles_keep_their_own_loops():
+    # the Picard solve's omega . nu over its box, the ODE right-hand
+    # side's per-mode frequencies and the tree oracle's per-mode loop
     hits = [hit for name in ORACLES for hit in omega_loops(SRC / name)]
-    assert len(hits) == 4
+    assert len(hits) == 3
     assert {hit.split(":")[0] for hit in hits} == set(ORACLES)
 
 
@@ -382,6 +386,58 @@ def test_the_walk_sees_the_loops_it_forbids(tmp_path):
         "    for i, w in enumerate(omega):\n"
         "        print(lo[i] * w)\n")
     assert omega_loops(path) == ["loops.py:3", "loops.py:6", "loops.py:9"]
+
+
+FAST_PATH_NAMES = {"nonlinearity_series", "_nonlinearity",
+                   "coupled_powers_zero_mode", "forcing_term", "DenseBlock",
+                   "_Expansion", "_propagator_table", GRID_HELPER}
+SERIES_ARITHMETIC = {"convolve", "power", "add", "scaled"}
+
+
+def fast_path_references(path: Path) -> list[str]:
+    """``file:line name`` of every fast-path name that a function body in
+    ``path`` reads, and of every call of a series operation
+    (``.convolve``, ``.power``, ``.add``, ``.scaled``) in one.  Imports
+    at module level are not function bodies."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and node.id in FAST_PATH_NAMES:
+                hits.add((node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in FAST_PATH_NAMES:
+                hits.add((node.lineno, node.attr))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in SERIES_ARITHMETIC:
+                hits.add((node.lineno, "." + node.func.attr))
+    return [f"{path.name}:{line} {name}" for line, name in sorted(hits)]
+
+
+def oracle_references() -> list[str]:
+    """What the oracle functions reference of the fast path."""
+    return [hit for name in ORACLES for hit in fast_path_references(SRC / name)]
+
+
+def test_the_oracles_run_nothing_of_the_fast_path():
+    assert oracle_references() == []
+
+
+def test_the_reference_walk_sees_what_it_forbids(tmp_path):
+    path = tmp_path / "oracle.py"
+    path.write_text(
+        "from .ladder import nonlinearity_series  # a binding, not a use\n"
+        "def a(sys, w):\n"
+        "    return nonlinearity_series(sys, w)\n"
+        "def b(w, f):\n"
+        "    return w.scaled(2.0).add(f)\n"
+        "def c(ladder, w):\n"
+        "    return ladder._propagator_table, w.power(3), w.truncate(3)\n")
+    assert fast_path_references(path) == [
+        "oracle.py:3 nonlinearity_series", "oracle.py:5 .add",
+        "oracle.py:5 .scaled", "oracle.py:7 .power",
+        "oracle.py:7 _propagator_table"]
 
 
 def test_the_oracles_import_nothing_of_the_fast_path():

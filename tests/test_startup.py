@@ -167,3 +167,14 @@ def test_find_c0_keeps_a_root_on_a_grid_point():
                              ({1: 1.0}, (-1.0, 1.0))):
         assert root_bits(find_c0(coeffs, 0.0, interval)) == \
             root_bits(find_c0_pointwise(coeffs, 0.0, interval))
+
+
+def test_find_c0_polishes_a_steep_root_with_newton():
+    # g' = 1e6: bisection stops within 1e-15 of the root, where |g - f0|
+    # is still near 1e-9, so only the Newton steps meet the 1e-13 residual
+    g = {1: 1e6, 3: 1.0}
+    (root,) = find_c0(g, 0.3, (-2.0, 2.0))
+    assert abs(_poly_from_taylor(g)(root.c0) - 0.3) <= ROOT_RESIDUAL_TOL
+    assert root.slope == pytest.approx(1e6 + 3 * root.c0**2, rel=1e-15)
+    assert root.simple
+    assert root_bits([root]) == root_bits(find_c0_pointwise(g, 0.3, (-2.0, 2.0)))
