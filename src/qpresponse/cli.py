@@ -587,10 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel", type=int, default=1,
         help="worker processes, each solving one contiguous part of the eps "
              "grid in lockstep (medians of 8 fresh runs on 2 cores: 2 workers "
-             "lose on short grids, 0.61 against 0.50 s on the 5-point "
-             "sweep-d3 benchmark config and 0.70 against 0.59 s on the "
-             "7-point demos/configs/cubic.json, and win on long ones, 1.24 "
-             "against 1.55 s on cubic.json with 40 points from 0.002 to "
+             "lose on short grids, 0.66 against 0.54 s on the 5-point "
+             "sweep-d3 benchmark config and 0.72 against 0.63 s on the "
+             "7-point demos/configs/cubic.json, and win on long ones, 0.87 "
+             "against 1.23 s on cubic.json with 40 points from 0.002 to "
              "0.08)")
     return parser
 

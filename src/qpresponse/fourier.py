@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import repeat
-from operator import lt, sub
+from operator import add, gt, lt, sub
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -328,15 +328,21 @@ class DenseBlock:
     ``abs`` and a Python loop give them.  numpy warnings are off inside
     the operations: a series that overflows carries inf, as Python
     arithmetic would.
+
+    A block owns its ``values``: they are made read-only when it is
+    built, so its support, computed on first use, stays valid.
     """
 
-    __slots__ = ("values", "lo", "real", "_present")
+    __slots__ = ("values", "lo", "hi", "real", "_present", "_support",
+                 "_finite")
 
     def __init__(self, values: np.ndarray, lo, real: bool):
+        values.flags.writeable = False
         self.values = values
         self.lo = tuple(lo)
+        self.hi = tuple(l + n - 1 for l, n in zip(self.lo, values.shape[1:]))
         self.real = real
-        self._present = None
+        self._present = self._support = self._finite = None
 
     @classmethod
     def empty(cls, dimension: int, batch: int = 1,
@@ -358,15 +364,27 @@ class DenseBlock:
     def dimension(self) -> int:
         return self.values.ndim - 1
 
-    @property
-    def hi(self) -> tuple:
-        return tuple(l + n - 1 for l, n in zip(self.lo, self.values.shape[1:]))
-
     def present(self) -> np.ndarray:
         """Per series: whether it has a nonzero coefficient."""
         if self._present is None:
             self._present = (self.values != 0).reshape(self.batch, -1).any(axis=1)
         return self._present
+
+    def support(self):
+        """The modes nonzero in some series, an (n, d) array in
+        lexicographic order; their l1 norms; and the largest of them (0
+        when there is none).  Computed once."""
+        if self._support is None:
+            modes = np.argwhere((self.values != 0).any(axis=0)) + self.lo
+            norms = np.abs(modes).sum(axis=1)
+            self._support = modes, norms, int(norms.max()) if norms.size else 0
+        return self._support
+
+    def finite(self) -> bool:
+        """Whether every coefficient is finite."""
+        if self._finite is None:
+            self._finite = bool(np.isfinite(self.values).all())
+        return self._finite
 
     def series(self, b: int = 0) -> FourierSeries:
         """Series ``b`` of the batch as a :class:`FourierSeries`.  A batch
@@ -392,10 +410,7 @@ class DenseBlock:
 
     def max_norm(self) -> int:
         """Largest l1 mode norm over all series (0 when all are empty)."""
-        cells = (self.values != 0).any(axis=0)
-        if not cells.any():
-            return 0
-        return int(_norm_grid(self.lo, cells.shape)[cells].max())
+        return self.support()[2]
 
     def norms(self) -> np.ndarray:
         """``weighted_norm(0.0)`` of each series."""
@@ -428,11 +443,9 @@ class DenseBlock:
                 out[(slice(None),) + region] += x.values
         return _finish(out, lo, real)
 
-    def _within(self, radius: int | None):
+    def _within(self, radius: int):
         """``(lo, values)`` of the part of the box with every |nu_i| <=
         ``radius`` (a view), or None when that part is empty."""
-        if radius is None:
-            return self.lo, self.values
         lo = [max(x, -radius) for x in self.lo]
         hi = [min(x, radius) for x in self.hi]
         if any(l > h for l, h in zip(lo, hi)):
@@ -456,101 +469,176 @@ class DenseBlock:
         values[(slice(None),) + tuple(-l for l in self.lo)] = 0
         return _cut(values, self.lo, self.real)
 
-    def scaled(self, factor, radius: int | None = None) -> "DenseBlock":
+    def scaled(self, factor) -> "DenseBlock":
         """Every coefficient multiplied by ``factor``, as Python multiplies
-        a complex ``factor`` by a complex coefficient.  With ``radius`` only
-        the modes with |nu| <= radius are computed and kept."""
+        a complex ``factor`` by a complex coefficient."""
         factor = complex(factor)
         fr, fi = factor.real, factor.imag
-        real = self.real and abs(fi) == 0.0
-        part = self._within(radius)
-        if part is None:
-            return DenseBlock.empty(self.dimension, self.batch, real)
-        lo, v = part
+        v = self.values
         out = np.empty_like(v)
         with np.errstate(all="ignore"):
             out.real = fr * v.real - fi * v.imag
             out.imag = fr * v.imag + fi * v.real
-        return _finish(out, lo, real, radius)
+        return _finish(out, self.lo, self.real and abs(fi) == 0.0)
 
     def product_plan(self, other: "DenseBlock", radius: int | None = None):
-        """The left modes (an (n, d) array in lexicographic order) and the
-        output box ``(lo, hi)`` of ``self.convolve(other, radius)``, or
-        None when the product is empty."""
+        """How ``self.convolve(other, radius)`` runs: its output box
+        ``(lo, hi)``, the modes that drive its loop (an (n, d) array in
+        the order the loop takes them) and whether they are the left
+        factor's; None when the product is empty.
+
+        The loop runs over the shorter of the two supports.  Over the
+        right factor's modes it takes them in reverse lexicographic order,
+        so each output cell still meets its terms in increasing
+        lexicographic order of the left mode.  That direction also adds
+        products of a left cell that is an exact zero, and drops those of
+        a right cell that is one.  With finite operands such a product is
+        a signed zero, which leaves a sum that starts at +0 unchanged;
+        with an inf or NaN it is NaN, so the loop then runs over the left
+        modes, whose terms define the product.
+        """
         if not self.values.size or not other.values.size:
             return None
-        left = np.argwhere((self.values != 0).any(axis=0)) + self.lo
-        if radius is not None:
-            # a left mode farther out than this meets a kept mode only
-            # through cells outside the right factor's support
-            left = left[np.abs(left).sum(axis=1) <= radius + other.max_norm()]
-        if not len(left):
-            return None
-        lo = (left.min(axis=0) + other.lo).tolist()
-        hi = (left.max(axis=0) + other.hi).tolist()
+        sides = []
+        for block, far in ((self, other), (other, self)):
+            modes, norms, top = block.support()
+            # the block's box bounds its support
+            lo, hi = block.lo, block.hi
+            if radius is not None and top > radius + far.max_norm():
+                # a mode farther out than this meets a kept output mode
+                # only through exact-zero cells of the other factor
+                modes = modes[norms <= radius + far.max_norm()]
+                if not len(modes):
+                    return None
+                lo, hi = modes.min(axis=0).tolist(), modes.max(axis=0).tolist()
+            sides.append((modes, lo, hi))
+        (left, l_lo, l_hi), (right, r_lo, r_hi) = sides
+        lo = list(map(add, l_lo, r_lo))
+        hi = list(map(add, l_hi, r_hi))
         if radius is not None:
             lo = [max(x, -radius) for x in lo]
             hi = [min(x, radius) for x in hi]
-            if any(l > h for l, h in zip(lo, hi)):
+            if any(map(gt, lo, hi)):
                 return None
-        return left, lo, hi
+        if len(right) < len(left) and self.finite() and other.finite():
+            return lo, hi, right[::-1], False
+        return lo, hi, left, True
 
     def convolve(self, other: "DenseBlock",
                  radius: int | None = None) -> "DenseBlock":
         """Series-by-series :meth:`FourierSeries.convolve`: each output cell
-        sums its products in lexicographic order of the left mode, over the
-        left modes nonzero in some series (the others add exact zeros).
+        sums the products a(l) b(n - l) in lexicographic order of the left
+        mode l, each formed by numpy's complex multiply with the left
+        coefficient first.  The loop runs over the shorter support (see
+        :meth:`product_plan`); either way every kept cell is bitwise the
+        sum over the left modes nonzero in some series.
 
-        A real left factor that is one series holding a single real
-        zero-mode coefficient c scales ``other`` by c instead.  Each
-        product is then the same single rounding of c times a part, and
-        the sum it lands in is exact (0 + x), so the result is bitwise the
-        convolution's."""
-        if self.real and self.values.size == 1 and not any(self.lo) \
-                and self.values.imag.item() == 0.0:
-            return other.scaled(self.values.real.item(), radius)
-        d = self.dimension
-        real = self.real and other.real
-        batch = max(self.batch, other.batch)
-        plan = self.product_plan(other, radius)
-        if plan is None:
-            return DenseBlock.empty(d, batch, real)
-        left, lo, hi = plan
-        out = np.zeros((batch,) + tuple(h - l + 1 for l, h in zip(lo, hi)),
-                       dtype=complex)
-        b_lo, b_hi, b = other.lo, other.hi, other.values
-        # the part of nu + (b's box) that lies in the output box
-        first = np.maximum(lo, left + b_lo)
-        last = np.minimum(hi, left + b_hi)
-        hit = (first <= last).all(axis=1)
-        left, first, last = left[hit], first[hit], last[hit]
-        dst = [map(slice, (first[:, i] - lo[i]).tolist(),
-                   (last[:, i] - lo[i] + 1).tolist()) for i in range(d)]
-        src = [map(slice, (first[:, i] - left[:, i] - b_lo[i]).tolist(),
-                   (last[:, i] - left[:, i] - b_lo[i] + 1).tolist())
-               for i in range(d)]
-        coefs = self.values[(slice(None),) + tuple((left - self.lo).T)]
-        coefs = coefs.T.reshape((len(left), self.batch) + (1,) * d)
-        every = repeat(slice(None))
-        with np.errstate(all="ignore"):
-            for c, to, frm in zip(coefs, zip(every, *dst), zip(every, *src)):
-                cells = out[to]
-                cells += c * b[frm]
-        return _finish(out, lo, real, radius)
+        A left factor that is a single constant c gives, in one slice-add,
+        the products c * b(n) added to +0: bitwise what scaling by c gives
+        when c is real."""
+        return sum_of_products([(self, other)], radius, self.dimension)
+
+
+def sum_of_products(pairs, radius: int | None, dimension: int) -> DenseBlock:
+    """a_1 * b_1 + a_2 * b_2 + ... for the blocks in ``pairs``, each
+    product cut to ``radius``: bitwise what adding the products
+    ``a_j.convolve(b_j, radius)`` one by one with :meth:`DenseBlock.add`
+    gives, on the largest batch of the pairs.
+
+    Every product is formed on its own box in a scratch buffer and
+    cleaned there as a product is, then added to the running total, which
+    is cleaned as a sum is: each cell is clean(clean(T_1) + clean(T_2))
+    and so on.  A cell outside a product's box would gain +0 and be
+    cleaned again, which leaves a cleaned value as it is, so only that box
+    is touched.  The total's box is cut once, at the end."""
+    real = all(a.real and b.real for a, b in pairs)
+    batch = max([1] + [max(a.batch, b.batch) for a, b in pairs])
+    terms = [(a, b, plan) for a, b in pairs
+             if (plan := a.product_plan(b, radius)) is not None]
+    if not terms:
+        return DenseBlock.empty(dimension, batch, real)
+    lo = [min(axis) for axis in zip(*(plan[0] for *_, plan in terms))]
+    hi = [max(axis) for axis in zip(*(plan[1] for *_, plan in terms))]
+    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    total = np.zeros((batch,) + shape, dtype=complex)
+    inside = None if radius is None else _norm_grid(tuple(lo), shape) <= radius
+    scratch = np.empty_like(total) if len(terms) > 1 else None
+    with np.errstate(all="ignore"):
+        for k, (a, b, plan) in enumerate(terms):
+            box = tuple(slice(x - l, y - l + 1)
+                        for x, y, l in zip(plan[0], plan[1], lo))
+            cells = total[(slice(None),) + box]
+            # the first product goes straight into the total: 0 + c is c
+            # for a cleaned c, and cleaning is idempotent
+            out = cells
+            if k:
+                out = scratch[(slice(None),) + box]
+                out.fill(0)
+            _slice_adds(out, plan, a, b)
+            _clean(out, None if inside is None else inside[box])
+            if k:
+                cells += out
+                _clean(cells)
+    return _cut(total, lo, real)
+
+
+def _slice_adds(out: np.ndarray, plan, a: DenseBlock, b: DenseBlock) -> int:
+    """Add the products of ``a.convolve(b)`` into ``out``, which holds the
+    plan's box, one slice-add per driving mode of the ``plan``; returns
+    how many there were.  The caller silences numpy's warnings."""
+    lo, _, modes, by_left = plan
+    driver, sliced = (a, b) if by_left else (b, a)
+    o, d = sliced.values, len(lo)
+    coefs = driver.values[(slice(None),) + tuple((modes - driver.lo).T)]
+    coefs = coefs.T.reshape((len(modes), driver.batch) + (1,) * d)
+    # where the sliced factor's box lands in ``out`` for each driving mode,
+    # and the part of it that lies inside
+    shift = modes + list(map(sub, sliced.lo, lo))
+    start = np.maximum(shift, 0)
+    stop = np.minimum(shift + o.shape[1:], out.shape[1:])
+    hit = (start < stop).all(axis=1)
+    if not hit.all():
+        shift, start, stop, coefs = shift[hit], start[hit], stop[hit], coefs[hit]
+    bounds = np.concatenate((start, stop, start - shift, stop - shift),
+                            axis=1).T.tolist()
+    every = repeat(slice(None))
+    dst = zip(every, *(map(slice, bounds[i], bounds[d + i]) for i in range(d)))
+    src = zip(every, *(map(slice, bounds[2 * d + i], bounds[3 * d + i])
+                       for i in range(d)))
+    if by_left:
+        for c, to, frm in zip(coefs, dst, src):
+            cells = out[to]
+            cells += c * o[frm]
+    else:
+        # the left coefficient stays the first operand of the multiply
+        for c, to, frm in zip(coefs, dst, src):
+            cells = out[to]
+            cells += o[frm] * c
+    return len(coefs)
+
+
+def _clean(values: np.ndarray, inside=None) -> np.ndarray:
+    """Clean ``values`` in place and return the mask of the cells kept.
+    Cleaning is ``0.0 + c``, which turns a -0.0 part into +0.0, and drops
+    cells with |c| < ``DROP_THRESHOLD`` (exact zeros, underflows and NaN)
+    and, given the mask ``inside``, the cells outside it.  The caller
+    silences numpy's warnings."""
+    np.add(values, 0.0, out=values)
+    keep = np.hypot(values.real, values.imag) >= DROP_THRESHOLD
+    if inside is not None:
+        keep &= inside
+    np.copyto(values, 0, where=~keep)
+    return keep
 
 
 def _finish(values: np.ndarray, lo, real: bool,
             radius: int | None = None) -> DenseBlock:
-    """Clean ``values`` in place, zero the cells beyond ``radius``, and cut
-    the box to the nonzero cells.  Cleaning is ``0.0 + c``, which turns a
-    -0.0 part into +0.0, and drops cells with |c| < ``DROP_THRESHOLD``
-    (exact zeros, underflows and NaN)."""
+    """Clean ``values`` in place (see :func:`_clean`), zero the cells
+    beyond ``radius``, and cut the box to the nonzero cells."""
+    inside = None if radius is None else \
+        _norm_grid(tuple(lo), values.shape[1:]) <= radius
     with np.errstate(all="ignore"):
-        np.add(values, 0.0, out=values)
-        keep = np.hypot(values.real, values.imag) >= DROP_THRESHOLD
-    if radius is not None:
-        keep &= _norm_grid(tuple(lo), values.shape[1:]) <= radius
-    np.copyto(values, 0, where=~keep)
+        keep = _clean(values, inside)
     return _cut(values, lo, real, keep.any(axis=0))
 
 

@@ -7,17 +7,24 @@ f := -(p = 0 layer) on the nonzero modes, and nl(w) = alpha_1 * w +
 sum_{p>=2} alpha_p * w^p, where alpha_1 is the p = 1 layer without its
 zero mode a (the propagator carries a) and alpha_p is the p-th layer.
 A layer that is a single real zero-mode coefficient, as every p >= 1
-layer of a separable system is, multiplies as a scaling (see
-:meth:`~.fourier.DenseBlock.convolve`).
+layer of a separable system is, multiplies in one slice-add, bitwise a
+scaling (see :meth:`~.fourier.DenseBlock.convolve`).
 
-Each order u^(k) is a Fourier series on the l1 ball of radius N; the
-composition sums over lower orders are evaluated through memoized
-convolution powers of partial products, so every convolution is computed
-once.  The ladder is the exact power-series expansion of the N-truncated
-fixed-point system (and hence directly comparable with the independent
-direct solver): a product of already-truncated orders is computed only out
-to the radius from which it can still reach the ball, and the coefficients
-it keeps are bitwise those of the full-support product.
+Each order u^(k) is a Fourier series on the l1 ball of radius N.  The
+composition sums over lower orders are read from the partial products
+P(p, m), the sums over ordered compositions k_1 + ... + k_p = m of
+u^(k_1) * ... * u^(k_p), each formed from P(p - 1, .) once per build and
+memoized.  P(p, m) sums one product per first order u^(j), and both
+u^(j) * u^(m-j) and u^(m-j) * u^(j) are formed, since the order in which
+a product adds its terms fixes its bits.  The products of one sum are
+formed one at a time in a scratch buffer and added into one running total
+(:func:`~.fourier.sum_of_products`), with the bits of adding separate
+product blocks.  The ladder is the exact power-series expansion of the
+N-truncated fixed-point system (and hence directly comparable with the
+independent direct solver): a product of already-truncated orders is
+computed only out to the radius from which it can still reach the ball,
+and the coefficients it keeps are bitwise those of the full-support
+product.
 
 One engine builds every ladder: ``_Expansion`` runs the recursion for a
 batch of (eps, zeta) rows at once on dense blocks
@@ -41,7 +48,7 @@ import numpy as np
 
 from .errors import LadderDivergenceError, ResonanceError
 from .fourier import (DenseBlock, FourierSeries, _cut, _finish, _norm_grid,
-                      _omega_grid, zero_series)
+                      _omega_grid, sum_of_products, zero_series)
 
 _D_FLOOR = 1e-300
 _BLOWUP_NORM = 1e12
@@ -168,14 +175,13 @@ class _Expansion:
 
     Each order is a :class:`DenseBlock` holding one series per row, and
     batch index i is position i of ``zetas`` and ``eps`` throughout;
-    partial products are memoized, so every convolution is computed once
-    per batch, and each row divides by the propagator table of its own
-    eps.  ``eps`` is one value for every row or one per zeta.  A row whose
-    build fails (a resonant source mode or a blown-up order) records in
-    ``errors`` the exception its build alone raises and stays in the
-    batch as the zero series; the others go on exactly as they would
-    alone, since rows never mix and a zero row adds no left mode to a
-    product.
+    partial products are memoized, so each is formed once per batch, and
+    each row divides by the propagator table of its own eps.  ``eps`` is
+    one value for every row or one per zeta.  A row whose build fails (a
+    resonant source mode or a blown-up order) records in ``errors`` the
+    exception its build alone raises and stays in the batch as the zero
+    series; the others go on exactly as they would alone, since rows never
+    mix and a zero row adds no left mode to a product.
     """
 
     def __init__(self, sys, eps, zetas, N: int):
@@ -284,12 +290,13 @@ class _Expansion:
             return cached
         radius = self.N + self._layers.radius \
             + (self._powers[-1] - p) * self._step
-        total = DenseBlock.empty(self.d)
+        pairs = []
         for j in range(1, m - p + 2):
             left = self.orders[j - 1]
             right = self._partial_product(p - 1, m - j)
             if (left.present() & right.present()).any():
-                total = total.add(left.convolve(right, radius=radius))
+                pairs.append((left, right))
+        total = sum_of_products(pairs, radius, self.d)
         self._products[key] = total
         return total
 
@@ -306,18 +313,18 @@ class _Expansion:
         k = len(self.orders) + 1
         if k < 2:
             raise ValueError("first order must exist before higher orders")
-        source = DenseBlock.empty(self.d)
+        pairs = []
         coupling = self._layers.coupling
         prev = self.orders[k - 2]
         if coupling.values.size and prev.present().any():
-            source = source.add(coupling.convolve(prev, radius=self.N))
+            pairs.append((coupling, prev))
         for p, alpha in self._layers.powers:
             if p > k - 1:
                 break
             block = self._partial_product(p, k - 1)
             if block.present().any():
-                source = source.add(alpha.convolve(block, radius=self.N))
-        u_k, failures = self._divide(source, -1.0)
+                pairs.append((alpha, block))
+        u_k, failures = self._divide(sum_of_products(pairs, self.N, self.d), -1.0)
         norms = u_k.norms()
         for i in np.flatnonzero(norms > _BLOWUP_NORM).tolist():
             failures.setdefault(i, LadderDivergenceError(
@@ -338,11 +345,11 @@ class _Expansion:
         self._products = {}
 
     def assembled(self) -> DenseBlock:
-        """Sum of the orders, as :func:`assemble` with mu = 1 forms it."""
-        total = DenseBlock.empty(self.d)
-        for u in self.orders:
-            total = total.add(u.scaled(1.0))
-        return total
+        """Sum of the orders, as :func:`assemble` with mu = 1 forms it:
+        scaling by 1.0 is the product with the constant series 1."""
+        one = DenseBlock(np.ones((1,) * (self.d + 1), dtype=complex),
+                         (0,) * self.d, True)
+        return sum_of_products([(one, u) for u in self.orders], None, self.d)
 
     def ladder(self, i: int = 0) -> OrderLadder:
         """The ladder of the row at position ``i``."""
@@ -464,22 +471,23 @@ def _powers_of(w: DenseBlock, powers, radius: int | None = None,
 
 
 def _coupled_powers(layers, w: DenseBlock, radius: int | None):
-    """Yield alpha_p * w^p for p >= 2 in increasing p, cut to ``radius``."""
+    """Yield (alpha_p, w^p) for p >= 2 in increasing p, each power formed
+    out to the radius from which alpha_p * w^p can still reach
+    ``radius``."""
     powers = [p for p, _ in layers.powers]
     for (_, alpha), (_, w_pow) in zip(
             layers.powers, _powers_of(w, powers, radius, layers.radius)):
-        yield alpha.convolve(w_pow, radius=radius)
+        yield alpha, w_pow
 
 
 def _nonlinearity(sys, w: DenseBlock, radius: int | None = None) -> DenseBlock:
     """:func:`nonlinearity_series` of each series in the block ``w``."""
     layers = sys.layers
-    total = DenseBlock.empty(w.dimension)
+    pairs = []
     if layers.coupling.values.size and w.present().any():
-        total = total.add(layers.coupling.convolve(w, radius=radius))
-    for term in _coupled_powers(layers, w, radius):
-        total = total.add(term)
-    return total
+        pairs.append((layers.coupling, w))
+    pairs += _coupled_powers(layers, w, radius)
+    return sum_of_products(pairs, radius, w.dimension)
 
 
 def nonlinearity_series(sys, w: FourierSeries,
@@ -501,8 +509,8 @@ def coupled_powers_zero_mode(sys, w: DenseBlock) -> np.ndarray:
     ``w``, each power formed only out to the radius from which it can
     still reach the zero mode, and the terms summed in increasing p."""
     total = np.zeros(w.batch, dtype=complex)
-    for term in _coupled_powers(sys.layers, w, 0):
-        total = total + term.zero_mode()
+    for alpha, w_pow in _coupled_powers(sys.layers, w, 0):
+        total = total + alpha.convolve(w_pow, radius=0).zero_mode()
     return total
 
 

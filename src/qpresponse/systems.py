@@ -223,11 +223,7 @@ class System:
 
     @cached_property
     def layers(self) -> Layers:
-        def block(series):
-            out = DenseBlock.of(series)
-            out.values.flags.writeable = False
-            return out
-
+        block = DenseBlock.of
         return Layers(
             source=block(self.range_forcing),
             coupling=block(self.alpha1_series),

@@ -171,6 +171,10 @@ def test_constant_layer_scaling_is_the_convolution(d, radius, c):
     with np.errstate(all="ignore"):
         fast = layer.convolve(other, radius=radius)
         slow = padded.convolve(other, radius=radius)
-    assert fast.lo == slow.lo and fast.real == slow.real
-    assert fast.values.shape == slow.values.shape
-    assert fast.values.tobytes() == slow.values.tobytes()
+        scaled = other.scaled(c)
+        if radius is not None:
+            scaled = scaled.truncate(radius)
+    for block in (slow, scaled):
+        assert fast.lo == block.lo and fast.real == block.real
+        assert fast.values.shape == block.values.shape
+        assert fast.values.tobytes() == block.values.tobytes()
