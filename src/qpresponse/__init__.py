@@ -8,22 +8,8 @@ oracles (labelled-tree sums and a Picard fixed-point solve) verify every
 piece, and small-divisor diagnostics size the admissible dissipation.
 """
 
-from .bifurcation import (
-    H,
-    ResponseSolution,
-    bifurcation_balance,
-    solve_response,
-    solve_zeta,
-)
-from .diophantine import (
-    DiophantineProfile,
-    EpsilonBounds,
-    alpha_n,
-    estimate_epsilon_bar,
-    min_small_divisor,
-    profile,
-    recheck_bounds,
-)
+from .bifurcation import solve_response
+from .diophantine import estimate_epsilon_bar, profile
 from .errors import (
     BifurcationSolveError,
     ConfigError,
@@ -36,50 +22,18 @@ from .errors import (
     StiffnessError,
     SymmetryError,
 )
-from .fourier import FourierSeries, cosine, delta, sine, unit_series, zero_series
-from .ladder import (
-    OrderLadder,
-    Propagator,
-    assemble,
-    build_ladder,
-    convergence_ratio,
-    first_order,
-    next_order_thm1,
-    next_order_thm2,
-    propagator_denominator,
-)
-from .systems import (
-    AnalyticityEnvelope,
-    GeneralSystem,
-    Root,
-    SeparableSystem,
-    certify_envelope,
-    check_nonresonance,
-    find_c0,
-    recentre,
-)
+from .fourier import cosine
+from .ladder import build_ladder, convergence_ratio, propagator_denominator
+from .systems import GeneralSystem, SeparableSystem, certify_envelope, recentre
 from .trees import (
-    Chain,
-    TreeNode,
     TreeSupport,
     TreeValueContext,
-    chain_value_bound_check,
     enumerate_all,
     enumerate_trees,
     find_chains,
     sum_trees,
-    tree_value,
     verify_counting,
 )
-from .validation import (
-    FixedPointResult,
-    Trajectory,
-    TrajectoryComparison,
-    compare,
-    direct_solve,
-    integrate,
-    response_state,
-    write_trajectory_csv,
-)
+from .validation import compare, direct_solve, integrate, response_state
 
 __version__ = "0.1.0"

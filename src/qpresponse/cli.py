@@ -75,32 +75,25 @@ _PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
 # each option's default and JSON schema; a range that the library refuses
 # with a ValueError is refused here, so that it is a config error
 _OPTIONS = {
-    "A_fraction": (0.5, {"type": "number", "exclusiveMinimum": 0,
-                         "exclusiveMaximum": 1}),
     "n_max": (8, {"type": "integer"}),
     "N_list": (None, {"type": ["array", "null"],
                       "items": {"type": "integer", "minimum": 1}}),
     "alpha_guard": (None, {"type": ["integer", "null"], "minimum": 1}),
     "zeta_bracket": (None, {**_PAIR, "type": ["array", "null"]}),
-    "zeta_tol": (None, {"type": ["number", "null"]}),
-    "scan_points": (7, {"type": "integer"}),
-    "picard_tol": (1e-12, _NUMBER),
-    "picard_max_iter": (10_000, {"type": "integer"}),
-    "picard_damping": (1.0, _NUMBER),
     "ode_tol": (1e-10, {"type": "number", "minimum": MIN_INTEGRATION_TOL}),
-    "T0": (None, {"type": ["number", "null"], "minimum": 0}),
     "T1": (50.0, {"type": "number", "minimum": 0}),
     "samples": (2001, {"type": "integer", "minimum": 1}),
-    "ics": (None, {"type": ["array", "null"], "items": _PAIR}),
-    "c0_hint": (0.0, _NUMBER),
     "continuity_probe": (True, {"type": "boolean"}),
-    "tree_order": (4, {"type": "integer", "minimum": 1}),
-    "tree_zeta": (0.02, _NUMBER),
-    "oracle_tol": (1e-12, _NUMBER),
-    "agreement_tol": (1e-10, _NUMBER),
     "ode_check_tol": (1e-4, _NUMBER),
 }
 _OPTION_DEFAULTS = {key: default for key, (default, _) in _OPTIONS.items()}
+
+# verify's fixed settings: the tree oracle's top order and zeta, and the
+# largest gaps that the tree oracle and the Picard solve may leave
+TREE_ORDER = 4
+TREE_ZETA = 0.02
+ORACLE_TOL = 1e-12
+AGREEMENT_TOL = 1e-10
 
 _SCHEMA = {
     "type": "object",
@@ -244,7 +237,6 @@ def options_of(config: dict) -> dict:
 def build_system(config: dict):
     """Parse, certify the simple-zero hypothesis and recentre."""
     omega = tuple(config["omega"])
-    opts = options_of(config)
     interval = config.get("search_interval", [-2.0, 2.0])
     if config["theorem"] == 1:
         forcing = FourierSeries.from_json_dict(config["f"], real_valued=True)
@@ -270,8 +262,8 @@ def build_system(config: dict):
             "no certified simple zero on the search interval"
             + (f"; flagged roots: {found}" if found else "")
         )
-    hint = float(opts["c0_hint"])
-    c0 = min(simple, key=lambda r: (abs(r.c0 - hint), r.c0)).c0
+    # the zero nearest 0, the smaller on a tie; search_interval picks another
+    c0 = min(simple, key=lambda r: (abs(r.c0), r.c0)).c0
     sys_ = recentre(raw, c0)
     envelope = certify_envelope(sys_, xi=float(config["xi"]),
                                 rho=float(config["rho"]))
@@ -310,35 +302,26 @@ def _prepare(config: dict):
 
 
 def _eps_bounds(config: dict, sys_, envelope):
-    opts = options_of(config)
     try:
         return estimate_epsilon_bar(
-            envelope, sys_.a, sys_.omega,
-            A_fraction=float(opts["A_fraction"]), theorem=sys_.theorem,
-            guard=opts["alpha_guard"])
+            envelope, sys_.a, sys_.omega, theorem=sys_.theorem,
+            guard=options_of(config)["alpha_guard"])
     except ValueError as exc:
         raise ConfigError(f"no eps bounds for this envelope: {exc}") from exc
 
 
-def _solve_once(config: dict, eps: float, literal: bool, probe: bool):
+def _solve_once(config: dict, eps: float, probe: bool):
     sys_, envelope, bounds = _prepare(config)
     solution = solve_response(
         eps, sys_, config["truncation"]["K"], config["truncation"]["N"],
-        envelope=envelope, bounds=bounds, literal=literal, probe=probe,
-        **_solve_options(config),
+        envelope=envelope, bounds=bounds, probe=probe,
+        bracket=options_of(config)["zeta_bracket"],
     )
     return sys_, bounds, solution
 
 
-def _solve_options(config: dict) -> dict:
-    """The zeta solve's options of ``config``, as keyword arguments."""
-    opts = options_of(config)
-    return {"bracket": opts["zeta_bracket"], "tol": opts["zeta_tol"],
-            "scan_points": int(opts["scan_points"])}
-
-
-def cmd_solve(config: dict, out_dir: Path, literal: bool) -> int:
-    _, bounds, solution = _solve_once(config, float(config["epsilon"]), literal,
+def cmd_solve(config: dict, out_dir: Path) -> int:
+    _, bounds, solution = _solve_once(config, float(config["epsilon"]),
                                       options_of(config)["continuity_probe"])
     _write_json(out_dir / "solution.json", solution.to_json_dict())
     _write_json(out_dir / "ladder.json", solution.ladder.to_json_dict())
@@ -395,14 +378,14 @@ def _sweep_rows(args):
     warnings silenced.  An eps whose expansion diverges or whose balance
     has no unique root gets a row of NaN; any other failure is raised,
     the first in grid order."""
-    config, grid, literal = args
+    config, grid = args
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sys_, envelope, _ = _prepare(config)
         solutions = solve_responses(
             grid, sys_, config["truncation"]["K"], config["truncation"]["N"],
-            envelope=envelope, literal=literal, **_solve_options(config))
+            envelope=envelope, bracket=options_of(config)["zeta_bracket"])
         for eps, solution in zip(grid, solutions):
             if isinstance(solution, (LadderDivergenceError,
                                      BifurcationSolveError)):
@@ -429,14 +412,14 @@ _SWEEP_COLUMNS = ["epsilon", "zeta", "u_norm", "ratio_estimate",
                   "residual_range", "residual_bifurcation", "converged"]
 
 
-def cmd_sweep(config: dict, out_dir: Path, literal: bool, parallel: int) -> int:
+def cmd_sweep(config: dict, out_dir: Path, parallel: int) -> int:
     grid = sorted(float(e) for e in config.get("epsilon_grid", []))
     if not grid:
         _prepare(config)  # no eps to solve, but the system must hold
     # one contiguous part of the grid per worker; serial is one part
     parts = min(max(parallel, 1), len(grid))
-    jobs = [(config, grid[i * len(grid) // parts:(i + 1) * len(grid) // parts],
-             literal) for i in range(parts)]
+    jobs = [(config, grid[i * len(grid) // parts:(i + 1) * len(grid) // parts])
+            for i in range(parts)]
     if len(jobs) > 1:
         # imported here: it loads multiprocessing, which nothing else needs
         from concurrent.futures import ProcessPoolExecutor
@@ -467,23 +450,20 @@ def cmd_sweep(config: dict, out_dir: Path, literal: bool, parallel: int) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: dict, out_dir: Path, literal: bool) -> int:
+def cmd_verify(config: dict, out_dir: Path) -> int:
     opts = options_of(config)
     eps = float(config["epsilon"])
     checks: list[tuple[str, bool, str]] = []
 
-    sys_, _, solution = _solve_once(config, eps, literal, probe=False)
+    sys_, _, solution = _solve_once(config, eps, probe=False)
     N = config["truncation"]["N"]
 
     # 1. tree-oracle equivalence on low orders
-    k_max = min(int(opts["tree_order"]), 4)
-    zeta_probe = float(opts["tree_zeta"])
-    ladder = build_ladder(sys_, eps, zeta_probe, k_max, N)
-    ctx = trees.TreeValueContext(sys_, eps, zeta_probe)
-    tol = float(opts["oracle_tol"])
+    ladder = build_ladder(sys_, eps, TREE_ZETA, TREE_ORDER, N)
+    ctx = trees.TreeValueContext(sys_, eps, TREE_ZETA)
     worst = 0.0
     worst_detail = ""
-    for k in range(1, k_max + 1):
+    for k in range(1, TREE_ORDER + 1):
         order = ladder.order(k)
         scale = max([abs(c) for _, c in order.items_sorted()] or [1.0])
         for nu in order.support():
@@ -494,7 +474,7 @@ def cmd_verify(config: dict, out_dir: Path, literal: bool) -> int:
             if rel > worst:
                 worst = rel
                 worst_detail = f"k={k}, nu={nu}"
-    ok = worst <= tol
+    ok = worst <= ORACLE_TOL
     checks.append(("tree_oracle_equivalence", ok,
                    f"worst relative gap {worst:.2e} ({worst_detail})"))
 
@@ -502,7 +482,7 @@ def cmd_verify(config: dict, out_dir: Path, literal: bool) -> int:
     support = trees.TreeSupport.from_system(sys_)
     failed_counts = 0
     total_trees = 0
-    for k in range(1, k_max + 1):
+    for k in range(1, TREE_ORDER + 1):
         for tree in trees.enumerate_all(k, support, sys_.theorem):
             total_trees += 1
             if not all(trees.verify_counting(tree, sys_.theorem).values()):
@@ -511,15 +491,13 @@ def cmd_verify(config: dict, out_dir: Path, literal: bool) -> int:
                    f"{total_trees} trees, {failed_counts} failures"))
 
     # 3. independent fixed-point solve
-    fp = direct_solve(sys_, eps, N, seed=None, tol=float(opts["picard_tol"]),
-                      max_iter=int(opts["picard_max_iter"]),
-                      damping=float(opts["picard_damping"]))
+    fp = direct_solve(sys_, eps, N)
     if fp.converged:
         gap = max(
             abs(solution.u.coeff(nu) - fp.u_direct.coeff(nu))
             for nu in set(solution.u.support()) | set(fp.u_direct.support())
         )
-        ok = gap <= float(opts["agreement_tol"])
+        ok = gap <= AGREEMENT_TOL
         checks.append(("direct_solve_agreement", ok, f"max gap {gap:.2e}"))
     else:
         checks.append(("direct_solve_agreement", False,
@@ -528,19 +506,18 @@ def cmd_verify(config: dict, out_dir: Path, literal: bool) -> int:
     # 4. trajectory comparison (attraction needs a > 0 and integrable eps)
     if sys_.a > 0 and eps >= MIN_EPS_FOR_INTEGRATION:
         x0, v0 = response_state(solution, sys_.omega, 0.0)
-        ics = opts["ics"] or [(x0 + 0.05, v0), (x0 - 0.05, v0 + 0.05)]
         try:
             report = compare(
-                solution, sys_, eps, [tuple(ic) for ic in ics],
-                T0=opts["T0"], T1=float(opts["T1"]),
-                tol=float(opts["ode_tol"]), samples=int(opts["samples"]),
+                solution, sys_, eps, [(x0 + 0.05, v0), (x0 - 0.05, v0 + 0.05)],
+                T1=float(opts["T1"]), tol=float(opts["ode_tol"]),
+                samples=int(opts["samples"]),
             )
             ok = report.sup_error <= float(opts["ode_check_tol"])
             checks.append(("trajectory_comparison", ok,
                            f"sup error {report.sup_error:.2e}, "
                            f"pairwise {report.pairwise_max:.2e}"))
             write_trajectory_csv(out_dir / "trajectory.csv",
-                                 report.trajectories[0], solution, sys_.omega)
+                                 report.trajectories[0], report.reference)
         except StiffnessError as exc:
             checks.append(("trajectory_comparison", False, str(exc)))
     else:
@@ -578,20 +555,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = commands[name] = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="JSON problem config")
         p.add_argument("--out", default=".", help="output directory")
-    for name in ("solve", "sweep", "verify"):
-        commands[name].add_argument(
-            "--literal-3-1b", action="store_true", dest="literal",
-            help="evaluate the zero-mode balance in its literal scaled form "
-                 "(the linear angle-coupling average enters undamped)")
     commands["sweep"].add_argument(
         "--parallel", type=int, default=1,
         help="worker processes, each solving one contiguous part of the eps "
-             "grid in lockstep (medians of 8 fresh runs on 2 cores: 2 workers "
-             "lose on short grids, 0.66 against 0.54 s on the 5-point "
-             "sweep-d3 benchmark config and 0.72 against 0.63 s on the "
-             "7-point demos/configs/cubic.json, and win on long ones, 0.87 "
-             "against 1.23 s on cubic.json with 40 points from 0.002 to "
-             "0.08)")
+             "grid in lockstep; 2 workers lose to the serial sweep on short "
+             "grids and win on long ones (timings in README)")
     return parser
 
 
@@ -602,12 +570,12 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         config = load_config(args.config)
         if args.command == "solve":
-            return cmd_solve(config, out_dir, args.literal)
+            return cmd_solve(config, out_dir)
         if args.command == "diagnose":
             return cmd_diagnose(config, out_dir)
         if args.command == "sweep":
-            return cmd_sweep(config, out_dir, args.literal, args.parallel)
-        return cmd_verify(config, out_dir, args.literal)
+            return cmd_sweep(config, out_dir, args.parallel)
+        return cmd_verify(config, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -166,15 +166,15 @@ class _Enumerator:
                 yield (head,) + rest
 
 
-def enumerate_trees(k: int, nu, support: TreeSupport, theorem: int,
-                    *, max_order: int = MAX_TREE_ORDER) -> list[TreeNode]:
+def enumerate_trees(k: int, nu, support: TreeSupport,
+                    theorem: int) -> list[TreeNode]:
     """All inequivalent ordered trees of order k with root-line momentum nu.
 
-    Refuses k beyond ``max_order`` (enumeration cost explodes).
+    Refuses k beyond ``MAX_TREE_ORDER`` (enumeration cost explodes).
     """
-    if k > max_order:
+    if k > MAX_TREE_ORDER:
         raise GuardExceededError(
-            f"tree order {k} exceeds the enumeration guard {max_order}"
+            f"tree order {k} exceeds the enumeration guard {MAX_TREE_ORDER}"
         )
     if k < 1:
         raise ValueError("tree order must be >= 1")
@@ -183,12 +183,12 @@ def enumerate_trees(k: int, nu, support: TreeSupport, theorem: int,
     return [t for t in trees if t.total == nu]
 
 
-def enumerate_all(k: int, support: TreeSupport, theorem: int,
-                  *, max_order: int = MAX_TREE_ORDER) -> list[TreeNode]:
+def enumerate_all(k: int, support: TreeSupport,
+                  theorem: int) -> list[TreeNode]:
     """All valid trees of order k regardless of momentum (for bulk checks)."""
-    if k > max_order:
+    if k > MAX_TREE_ORDER:
         raise GuardExceededError(
-            f"tree order {k} exceeds the enumeration guard {max_order}"
+            f"tree order {k} exceeds the enumeration guard {MAX_TREE_ORDER}"
         )
     return list(_Enumerator(support, theorem).subtrees(k))
 
@@ -238,14 +238,12 @@ def tree_value(tree: TreeNode, ctx: TreeValueContext) -> complex:
     return value
 
 
-def sum_trees(k: int, nu, ctx: TreeValueContext,
-              *, max_order: int = MAX_TREE_ORDER) -> complex:
+def sum_trees(k: int, nu, ctx: TreeValueContext) -> complex:
     """Sum of tree values over all order-k trees of momentum nu; equals the
     recursion's order-k coefficient at that mode."""
     support = TreeSupport.from_system(ctx.system)
     total = 0j
-    for tree in enumerate_trees(k, nu, support, ctx.system.theorem,
-                                max_order=max_order):
+    for tree in enumerate_trees(k, nu, support, ctx.system.theorem):
         total += tree_value(tree, ctx)
     return total
 

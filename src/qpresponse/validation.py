@@ -1,6 +1,6 @@
 """Independent verification of a response solution.
 
-Two routes that share no code with the series solver: a damped Picard
+Two routes that share no code with the series solver: a Picard
 fixed-point solve of the truncated Fourier system on its own FFT grid
 (the map is a contraction exactly in the regime where the expansion
 converges, so the oracle doubles as an empirical contraction witness),
@@ -26,6 +26,8 @@ from .ladder import nonlinearity_series  # noqa: F401
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 10_000
 _PICARD_BLOWUP = 1e6
+# largest sup error with which a trajectory counts as attracted
+ATTRACTION_TOL = 1e-5
 
 MIN_EPS_FOR_INTEGRATION = 1e-3
 MIN_INTEGRATION_TOL = 1e-12
@@ -51,18 +53,15 @@ class FixedPointResult:
 
 
 def direct_solve(sys, eps: float, N: int, seed=None, *,
-                 tol: float = PICARD_TOL, max_iter: int = PICARD_MAX_ITER,
-                 damping: float = 1.0,
-                 zeta_secant: bool = False) -> FixedPointResult:
-    """Solve the truncated range + zero-mode system by damped Picard
-    iteration, w <- eps (f - nl(w))/D and zeta <- -[nl(w)]_0 / a, with w
-    dense on the box [-N, N]^d and nl(w) formed pointwise on an FFT grid.
+                 tol: float = PICARD_TOL,
+                 max_iter: int = PICARD_MAX_ITER) -> FixedPointResult:
+    """Solve the truncated range + zero-mode system by Picard iteration,
+    w <- eps (f - nl(w))/D and zeta <- -[nl(w)]_0 / a, with w dense on the
+    box [-N, N]^d and nl(w) formed pointwise on an FFT grid.
 
     ``seed`` may be a ResponseSolution (its series starts the iteration)
-    or None (zero start).  ``zeta_secant`` switches the zero-mode update
-    to a secant step on the balance residual once two iterates exist.
-    Convergence: residual max-norm <= tol; hitting ``max_iter`` or a norm
-    blow-up reports divergence instead of raising.
+    or None (zero start).  Convergence: residual max-norm <= tol; hitting
+    ``max_iter`` or a norm blow-up reports divergence instead of raising.
     """
     sys.require_certified()
     d, a = sys.dimension, sys.a
@@ -102,29 +101,19 @@ def direct_solve(sys, eps: float, N: int, seed=None, *,
     w = np.zeros(D.shape, dtype=complex)
     for nu, c in seed.u.truncate(N).items_sorted() if seed else ():
         w[tuple(x + N for x in nu)] = c
-    last = None  # (zeta, balance) of the previous iterate
     iterations = 0
     residual = math.inf
     for iterations in range(max_iter + 1):
         nl = nonlinearity(w)
-        zeta_now = w[zero].real
-        balance = a * zeta_now + nl[zero].real
+        balance = a * w[zero].real + nl[zero].real
         defect = np.abs(D * w + eps * nl - eps * f)[ranged]
         residual = max(abs(balance), float(np.max(defect, initial=0.0)))
         if residual <= tol or not math.isfinite(residual) \
                 or np.abs(w).sum() > _PICARD_BLOWUP or iterations == max_iter:
             break
-        w_new = np.zeros_like(w)
-        w_new[ranged] = eps * (f[ranged] - nl[ranged]) / D[ranged]
-        w_new[zero] = -nl[zero].real / a
-        if zeta_secant and last is not None:
-            z_prev, g_prev = last
-            if balance != g_prev and zeta_now != z_prev:
-                w_new[zero] = zeta_now - balance * (zeta_now - z_prev) \
-                    / (balance - g_prev)
-        last = zeta_now, balance
-        # at damping 1 this is w_new: 0.0 * w adds zeros
-        w = (1.0 - damping) * w + damping * w_new
+        w = np.zeros_like(w)
+        w[ranged] = eps * (f[ranged] - nl[ranged]) / D[ranged]
+        w[zero] = -nl[zero].real / a
     u = FourierSeries(d, zip(map(tuple, np.argwhere(ball) - N),
                              w[ball].tolist()), real_valued=True)
     return FixedPointResult(u, u.zero_mode().real, iterations, residual,
@@ -270,6 +259,7 @@ class TrajectoryComparison:
     transient_time: float
     window: float
     sup_error: float
+    reference: np.ndarray  # the response at the sample times
     sup_errors: list = field(default_factory=list)
     pairwise_max: float = 0.0
     attraction_checked: bool = False
@@ -281,15 +271,14 @@ class TrajectoryComparison:
 
 def compare(solution, sys, eps: float, ics, T0: float | None = None,
             T1: float = 50.0, tol: float = 1e-10, *,
-            samples: int = 2001, attraction_tol: float = 1e-5
-            ) -> TrajectoryComparison:
+            samples: int = 2001) -> TrajectoryComparison:
     """Integrate all initial conditions to T0 + T1 in one stacked
     :func:`integrate` call and measure, for each,
     sup_{[T0, T0+T1]} |x_num(t) - x_response(t)|.
 
     The transient default T0 = 20/(a eps) covers ten slow time constants.
     Attraction is asserted only when a > 0: every trajectory must land on
-    the response within ``attraction_tol``; with a <= 0 the errors are
+    the response within ``ATTRACTION_TOL``; with a <= 0 the errors are
     still computed but the claim is skipped with a notice.
     """
     sys.require_certified()
@@ -313,7 +302,7 @@ def compare(solution, sys, eps: float, ics, T0: float | None = None,
                            float(np.max(np.abs(tracks[i] - tracks[j]))))
     checked = a > 0
     verified = checked and bool(sup_errors) \
-        and max(sup_errors) <= attraction_tol
+        and max(sup_errors) <= ATTRACTION_TOL
     notice = "" if checked else (
         "a <= 0: attraction claim skipped, residual comparison only"
     )
@@ -321,6 +310,7 @@ def compare(solution, sys, eps: float, ics, T0: float | None = None,
         transient_time=T0,
         window=T1,
         sup_error=max(sup_errors) if sup_errors else 0.0,
+        reference=reference,
         sup_errors=sup_errors,
         pairwise_max=pairwise,
         attraction_checked=checked,
@@ -339,9 +329,10 @@ def response_state(solution, omega, t: float) -> tuple[float, float]:
     return float(x), float(v)
 
 
-def write_trajectory_csv(path, traj: Trajectory, solution, omega):
-    """Emit a trajectory as CSV rows t, x, y, x_response, abs_error."""
-    reference = solution.x_at_times(traj.t, omega)
+def write_trajectory_csv(path, traj: Trajectory, reference):
+    """Emit a trajectory as CSV rows t, x, y, x_response, abs_error, where
+    ``reference`` is the response at ``traj.t`` (as :func:`compare` keeps
+    it)."""
     with open(path, "w") as fh:
         fh.write("t,x,y,x_response,abs_error\n")
         for t, x, y, r in zip(traj.t, traj.x, traj.v, reference):

@@ -246,8 +246,7 @@ def test_09_attractivity():
     sol = solve_response(eps, sys_, 16, 16, probe=False)
     x0, v0 = response_state(sol, GOLDEN, 0.0)
     ics = [(x0 + 0.08, v0), (x0 - 0.05, v0 + 0.05), (x0 + 0.02, v0 - 0.08)]
-    rep = compare(sol, sys_, eps, ics, T1=50.0, tol=1e-10,
-                  attraction_tol=1e-5)
+    rep = compare(sol, sys_, eps, ics, T1=50.0, tol=1e-10)
     ok = (rep.attraction_verified and rep.sup_error <= 1e-5
           and rep.pairwise_max <= 1e-8)
     report(9, ok, f"3 trajectories land on the response: sup "

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qpresponse
+from qpresponse import cli
 from qpresponse.cli import _SWEEP_COLUMNS, build_parser, main
 from qpresponse.diophantine import profile, profile_rows
 from qpresponse.errors import ResonanceError
@@ -131,16 +132,15 @@ class TestSolve:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
 
-    def test_literal_flag_changes_thm2_zeta(self, tmp_path):
-        cfg = write_config(tmp_path, thm2_config())
-        assert main(["solve", "--config", cfg,
-                     "--out", str(tmp_path / "h")]) == 0
-        assert main(["solve", "--config", cfg, "--literal-3-1b",
-                     "--out", str(tmp_path / "l")]) == 0
-        homog = json.loads((tmp_path / "h" / "solution.json").read_text())
-        literal = json.loads((tmp_path / "l" / "solution.json").read_text())
-        assert homog["zeta"] != literal["zeta"]
-        assert literal["ladder_meta"]["literal_balance"] is True
+    @pytest.mark.parametrize("interval, c0", [(None, 0.0), ([0.5, 2.0], 1.0)])
+    def test_the_simple_zero_nearest_0_unless_the_interval_excludes_it(
+            self, interval, c0):
+        # g = x^3 - x under zero-average forcing: simple zeros -1, 0 and 1
+        config = base_config(g={"c_ref": 0.0, "coeffs": [[1, -1.0], [3, 1.0]]})
+        if interval is not None:
+            config["search_interval"] = interval
+        sys_, _ = cli.build_system(config)
+        assert sys_.center == pytest.approx(c0, abs=1e-12)
 
 
 class TestDiagnose:
@@ -339,8 +339,8 @@ class TestVerify:
 
         original = qpresponse.trees.sum_trees
 
-        def corrupted(k, nu, ctx, **kwargs):
-            return original(k, nu, ctx, **kwargs) + 1e-3
+        def corrupted(k, nu, ctx):
+            return original(k, nu, ctx) + 1e-3
 
         monkeypatch.setattr("qpresponse.trees.sum_trees", corrupted)
         cfg = write_config(tmp_path, self.verify_config())
@@ -412,26 +412,30 @@ class TestModuleEntry:
         assert "Traceback" not in done.stderr
 
 
+# the fixed settings that are not options, each at its fixed value
+FIXED_SETTINGS = {
+    "A_fraction": 0.5, "scan_points": 7, "zeta_tol": None, "picard_tol": 1e-12,
+    "picard_max_iter": 10_000, "picard_damping": 1.0, "T0": None, "ics": None,
+    "c0_hint": 0.0, "tree_order": 4, "tree_zeta": 0.02, "oracle_tol": 1e-12,
+    "agreement_tol": 1e-10,
+}
+
+
 class TestCommandFlags:
     @pytest.mark.parametrize("argv", [
         ["diagnose", "--parallel", "2"],
         ["diagnose", "--literal-3-1b"],
         ["solve", "--parallel", "2"],
         ["verify", "--parallel", "2"],
+        # the literal balance is a library switch only
+        ["solve", "--literal-3-1b"],
+        ["sweep", "--literal-3-1b"],
+        ["verify", "--literal-3-1b"],
     ])
     def test_a_flag_the_command_ignores_is_a_usage_error(self, argv):
         with pytest.raises(SystemExit) as exit_:
             build_parser().parse_args([*argv, "--config", "c.json"])
         assert exit_.value.code == 2
-
-    def test_parallel_literal_sweep_writes_the_serial_csv(self, tmp_path):
-        cfg = write_config(tmp_path, thm2_config(epsilon_grid=[0.02, 0.05]))
-        assert main(["sweep", "--config", cfg, "--literal-3-1b",
-                     "--out", str(tmp_path / "serial")]) == 0
-        assert main(["sweep", "--config", cfg, "--parallel", "2",
-                     "--literal-3-1b", "--out", str(tmp_path / "par")]) == 0
-        assert (tmp_path / "serial" / "sweep.csv").read_bytes() == \
-            (tmp_path / "par" / "sweep.csv").read_bytes()
 
     def test_attraction_tol_is_not_an_option(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(
@@ -439,17 +443,23 @@ class TestCommandFlags:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "'attraction_tol' was unexpected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", sorted(FIXED_SETTINGS, key=str.lower))
+    def test_removed_option_is_a_config_error(self, tmp_path, capsys, key):
+        # refused even at its fixed value
+        cfg = write_config(tmp_path, base_config(
+            options={key: FIXED_SETTINGS[key]}))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"config error: invalid config: Additional properties are " \
+            f"not allowed ('{key}' was unexpected)" in capsys.readouterr().err
+
 
 class TestConfigSchema:
     @pytest.mark.parametrize("command, key, value", [
-        ("solve", "options.A_fraction", 2.0),
         ("solve", "options.zeta_bracket", [0.1, -0.1]),
-        ("verify", "options.tree_order", 0),
         ("verify", "options.ode_tol", 1e-14),
         ("diagnose", "options.N_list", [0]),
         ("solve", "search_interval", [2.0, -2.0]),
-    ], ids=["A_fraction", "zeta_bracket", "tree_order", "ode_tol", "N_list",
-            "search_interval"])
+    ], ids=["zeta_bracket", "ode_tol", "N_list", "search_interval"])
     def test_values_the_library_refuses_are_config_errors(self, tmp_path,
                                                           command, key, value):
         config = json.loads(CUBIC.read_text())
@@ -512,6 +522,12 @@ class TestConfigSchema:
             assert "eps_bar" not in done.stdout
             assert not (out / "epsilon_bounds.json").exists()
             assert (out / "diagnose.csv").exists() == (command == "diagnose")
+
+    def test_the_options_are_the_nine_that_runs_set(self):
+        # a new option needs this edit, and a run or test that sets it
+        assert sorted(cli._OPTIONS) == [
+            "N_list", "T1", "alpha_guard", "continuity_probe", "n_max",
+            "ode_check_tol", "ode_tol", "samples", "zeta_bracket"]
 
     def test_schema_is_valid(self):
         import jsonschema

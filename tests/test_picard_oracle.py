@@ -7,7 +7,7 @@ below is the one it replaced, kept as the reference: it forms nl(w) with
 iteration.  Both must stop after the same number of iterations with the
 same verdict, and every coefficient must agree to rounding, on d = 1, 2
 and 3, real and complex grids, a near-resonant omega, eps close to
-eps_bar, a seeded start, damping and the secant zeta update.
+eps_bar and a seeded start.
 """
 
 import math
@@ -46,8 +46,7 @@ def reference_residual(sys, eps, w_c, nl_c, f_c, N):
 
 
 def reference_direct_solve(sys, eps, N, seed=None, *, tol=PICARD_TOL,
-                           max_iter=PICARD_MAX_ITER, damping=1.0,
-                           zeta_secant=False):
+                           max_iter=PICARD_MAX_ITER):
     """The Picard solve on dicts of modes, nl(w) by the series engine:
     (series, iterations, residual, converged)."""
     d = sys.dimension
@@ -57,7 +56,6 @@ def reference_direct_solve(sys, eps, N, seed=None, *, tol=PICARD_TOL,
     else:
         w = FourierSeries(d, {}, real_valued=True)
     f_c = dict(forcing_term(sys).items_sorted())
-    zeta_hist = []
     iterations = 0
     residual = math.inf
     for iterations in range(max_iter + 1):
@@ -80,21 +78,8 @@ def reference_direct_solve(sys, eps, N, seed=None, *, tol=PICARD_TOL,
                 s += x * om
             dd = propagator_denominator(eps, s, a)
             table[nu] = eps * (f_c.get(nu, 0j) - nl_c.get(nu, 0j)) / dd
-        zeta_now = w.zero_mode().real
-        balance = a * zeta_now + nl.zero_mode().real
-        zeta_new = -nl.zero_mode().real / a
-        if zeta_secant and zeta_hist:
-            z_prev, g_prev = zeta_hist[-1]
-            if balance != g_prev and zeta_now != z_prev:
-                zeta_new = zeta_now - balance * (zeta_now - z_prev) \
-                    / (balance - g_prev)
-        zeta_hist.append((zeta_now, balance))
-        table[(0,) * d] = zeta_new
-        w_new = FourierSeries(d, table, w.real_valued)
-        if damping != 1.0:
-            w = w.scaled(1.0 - damping).add(w_new.scaled(damping))
-        else:
-            w = w_new
+        table[(0,) * d] = -nl.zero_mode().real / a
+        w = FourierSeries(d, table, w.real_valued)
     return w, iterations, residual, False
 
 
@@ -154,11 +139,6 @@ CASES = {
     "general-d3": (general_d3_system, 0.03, 3, {}),
     "near-resonant": (near_resonant_system, 0.05, 5, {}),
     "eps-near-bar": (near_bar, eps_near_bar()[1], 6, {}),
-    "damped": (general_system, 0.04, 5, dict(damping=0.7)),
-    "secant": (lambda: separable_system(2, TAYLOR), 0.05, 6,
-               dict(zeta_secant=True)),
-    "secant-general-d3": (general_d3_system, 0.03, 3,
-                          dict(zeta_secant=True, damping=0.9)),
     "max-iter": (lambda: separable_system(2, TAYLOR), 0.05, 6,
                  dict(max_iter=2)),
     "diverging": (strongly_forced_cubic, 1.5, 6, dict(max_iter=300)),
@@ -195,10 +175,8 @@ def test_seeded_fft_solve_is_the_seeded_series_solve(make, eps, K, N):
     sys = make()
     # seeded from a series cut at a larger radius than the solve's
     seed = solve_response(eps, sys, K, N + 2, probe=False)
-    for kwargs in ({}, dict(damping=0.8, zeta_secant=True)):
-        assert_same_solve(direct_solve(sys, eps, N, seed=seed, **kwargs),
-                          reference_direct_solve(sys, eps, N, seed=seed,
-                                                 **kwargs))
+    assert_same_solve(direct_solve(sys, eps, N, seed=seed),
+                      reference_direct_solve(sys, eps, N, seed=seed))
 
 
 def test_the_grid_keeps_aliases_off_the_ball():

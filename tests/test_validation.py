@@ -94,11 +94,6 @@ class TestDirectSolve:
         )
         assert worst <= 1e-10
 
-    def test_zeta_secant_option_converges(self):
-        sys = separable({1: 1.0, 2: 0.6})
-        result = direct_solve(sys, 0.05, 10, zeta_secant=True)
-        assert result.converged
-
 
 class TestIntegrate:
     def test_homogeneous_decay(self):
@@ -189,7 +184,7 @@ def test_trajectory_csv_format(tmp_path):
     report = compare(sol, sys, 0.05, [(x0, v0)], T0=5.0, T1=10.0, tol=1e-10,
                      samples=51)
     out = tmp_path / "trajectory.csv"
-    write_trajectory_csv(out, report.trajectories[0], sol, GOLDEN)
+    write_trajectory_csv(out, report.trajectories[0], report.reference)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,x,y,x_response,abs_error"
     assert len(lines) == 52
