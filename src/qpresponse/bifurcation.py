@@ -8,10 +8,9 @@ fixes it by a derivative-free root solve of the balance
 over a bracket inside the analyticity disk, by Brent's method: a port of
 scipy's ``Zeros/brentq.c`` that evaluates the same points and returns the
 same root bit for bit, with the argument checks of
-``scipy.optimize.brentq``.  The balance is implemented in its
-dissipation-homogeneous form; for theorem-2 systems the literal
-scaled variant (the linear angle-coupling term not carrying the
-dissipation factor) is available behind ``literal=True`` for comparison.
+``scipy.optimize.brentq``.  The balance is the zero mode of the equation
+itself, in its dissipation-homogeneous form, the form that the tree and
+Picard oracles check.
 
 The solves at several eps (the continuity probe's eps, eps/2 and eps/4,
 or the points of a sweep) advance in lockstep.  Brent's method and the
@@ -43,7 +42,6 @@ from .ladder import (
     _Expansion,
     _nonlinearity,
     _ratios,
-    coupled_powers_zero_mode,
     range_residual,
 )
 # not called here: bench/test_checks.py reads this binding of the name
@@ -51,7 +49,9 @@ from .ladder import build_ladder  # noqa: F401
 
 _IMAG_TOL = 1e-12
 DEFAULT_BRACKET = (-0.25, 0.25)
-DEFAULT_SCAN_POINTS = 7
+SCAN_POINTS = 7
+# the balance residual a solved zeta meets, relative to max(1, |a|)
+ZETA_TOL = 1e-12
 _RTOL_MIN = 4 * np.finfo(float).eps
 
 
@@ -161,48 +161,29 @@ def _real_part(value: complex, what: str) -> float:
     return value.real
 
 
-def _balances(sys, w: DenseBlock, eps: list, literal: bool) -> list:
-    """The zero-mode balance of each series in the block ``w``, series
-    ``b`` at ``eps[b]``: a float, or the SymmetryError that
+def _balances(sys, w: DenseBlock) -> list:
+    """The zero-mode balance a zeta + [nl(w)]_0 of each series in the
+    block ``w``: a float, or the SymmetryError that
     :func:`bifurcation_balance` raises for it."""
     zetas = np.broadcast_to(w.zero_mode(), (w.batch,))
-    a = sys.a
-    plain = sys.theorem == 1 or not literal
-    if plain:
-        nl0 = _nonlinearity(sys, w, radius=0).zero_mode()
-    else:
-        # literal scaled form, theorem 2 only
-        lin0 = np.zeros(w.batch, dtype=complex)
-        coupling = sys.layers.coupling
-        if coupling.values.size and w.present().any():
-            lin0 = coupling.convolve(w, radius=0).zero_mode()
-        nl0 = coupled_powers_zero_mode(sys, w)
-    nl0 = np.broadcast_to(nl0, (w.batch,)).tolist()
+    nl0 = np.broadcast_to(_nonlinearity(sys, w, radius=0).zero_mode(),
+                          (w.batch,)).tolist()
     out = []
-    for b, zeta in enumerate(zetas.tolist()):
+    for zeta, nl in zip(zetas.tolist(), nl0):
         try:
             zeta = _real_part(zeta, "the assembled zero mode")
-            if plain:
-                out.append(a * zeta + _real_part(nl0[b], "the zero-mode balance"))
-            else:
-                out.append(eps[b] * a * zeta + _real_part(
-                    complex(lin0[b]) + eps[b] * nl0[b], "the zero-mode balance"))
+            out.append(sys.a * zeta + _real_part(nl, "the zero-mode balance"))
         except SymmetryError as exc:
             out.append(exc)
     return out
 
 
-def bifurcation_balance(sys, w: FourierSeries, eps: float,
-                        literal: bool = False) -> float:
+def bifurcation_balance(sys, w: FourierSeries, eps: float) -> float:
     """Evaluate the zero-mode balance at an assembled solution ``w``
-    (whose zero mode is the free parameter zeta).
-
-    ``literal`` switches theorem-2 systems to the alternative scaling in
-    which only the linear angle-coupling average enters undamped; it is a
-    no-op on theorem 1.
-    """
+    (whose zero mode is the free parameter zeta).  The balance is
+    homogeneous in the dissipation, so it does not depend on ``eps``."""
     with np.errstate(all="ignore"):
-        (value,) = _balances(sys, DenseBlock.of(w), [eps], literal)
+        (value,) = _balances(sys, DenseBlock.of(w))
     if isinstance(value, Exception):
         raise value
     return value
@@ -230,7 +211,7 @@ class _Evaluation:
     ``ratios`` is keyed by the positions of the rows that contracted.
     """
 
-    def __init__(self, sys, eps, zetas, K, N, literal):
+    def __init__(self, sys, eps, zetas, K, N):
         if K < 1:
             raise ValueError("K must be >= 1")
         exp = _Expansion(sys, eps, zetas, N)
@@ -249,7 +230,7 @@ class _Evaluation:
                     failed[pos] = error
             exp.fail(failed)
             self.w = exp.assembled()
-            balances = _balances(sys, self.w, exp.eps, literal)
+            balances = _balances(sys, self.w)
         self.outcomes = [exp.errors.get(pos, value)
                          for pos, value in enumerate(balances)]
         self.expansion = exp
@@ -262,11 +243,10 @@ class _Evaluation:
         return self.expansion.ladder(pos), ratios, estimate, self.w.series(pos)
 
 
-def H(zeta: float, eps: float, sys, K: int, N: int,
-      literal: bool = False) -> float:
+def H(zeta: float, eps: float, sys, K: int, N: int) -> float:
     """Zero-mode balance evaluated through a fresh K-order expansion."""
     sys.require_certified()
-    (value,) = _Evaluation(sys, eps, [zeta], K, N, literal).outcomes
+    (value,) = _Evaluation(sys, eps, [zeta], K, N).outcomes
     if isinstance(value, Exception):
         raise value
     return value
@@ -395,8 +375,7 @@ def _bracket(bracket, envelope) -> tuple:
     return DEFAULT_BRACKET
 
 
-def _lockstep(sys, eps_list, K, N, bracket, tol, literal,
-              scan_points) -> list:
+def _lockstep(sys, eps_list, K, N, bracket) -> list:
     """Solve the balance for zeta at every eps of ``eps_list`` together,
     on the bracket ``(lo, hi)`` that :func:`_bracket` gives.
 
@@ -409,12 +388,11 @@ def _lockstep(sys, eps_list, K, N, bracket, tol, literal,
     one at a time would.
     """
     sys.require_certified()
-    if tol is None:
-        tol = 1e-12 * max(1.0, abs(sys.a))
+    tol = ZETA_TOL * max(1.0, abs(sys.a))
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    xs = [float(x) for x in np.linspace(lo, hi, max(3, scan_points))]
+    xs = [float(x) for x in np.linspace(lo, hi, SCAN_POINTS)]
     solves = [_zeta_steps(lo, hi, xs, tol) for _ in eps_list]
     wanted = {i: next(solve) for i, solve in enumerate(solves)}
     outcomes: list = [None] * len(solves)
@@ -422,7 +400,7 @@ def _lockstep(sys, eps_list, K, N, bracket, tol, literal,
         live = list(wanted)
         evaluation = _Evaluation(
             sys, [eps_list[i] for i in live for _ in wanted[i]],
-            [z for i in live for z in wanted[i]], K, N, literal)
+            [z for i in live for z in wanted[i]], K, N)
         stop = 0
         for i in live:
             positions = range(stop, stop + len(wanted[i]))
@@ -439,37 +417,28 @@ def _lockstep(sys, eps_list, K, N, bracket, tol, literal,
     return outcomes
 
 
-def solve_zeta(eps: float, sys, K: int, N: int, bracket=None, *,
-               tol: float | None = None, literal: bool = False,
-               scan_points: int = DEFAULT_SCAN_POINTS,
-               keep: dict | None = None) -> float:
+def solve_zeta(eps: float, sys, K: int, N: int, bracket=None) -> float:
     """Solve the balance for zeta on a bracket.
 
     The bracket is scanned first: a point already below tolerance is
     returned as is (zeta = 0 is probed up front, so linear systems return
     exactly 0.0), the sign change must be unique, and the root is then
     polished by a safeguarded secant/bisection iteration to
-    |H| <= 1e-12 max(1, |a|).
+    |H| <= :data:`ZETA_TOL` max(1, |a|).  The scan takes
+    :data:`SCAN_POINTS` points, ends included.
 
     zeta = 0 and the scan points are evaluated together in one batched
     expansion, then read in the order above: a value, or an error a point
     raised, counts only once the scan reaches that point.  After the
     scan, the balance is evaluated once per distinct zeta, and the
     expansions of the last two evaluations are held; a root whose
-    expansion is no longer held is evaluated again.  ``keep``, when
-    given, is emptied and on return maps the root to its expansion
-    (ladder, ratios, estimate, assembled series).  This is the lockstep
+    expansion is no longer held is evaluated again.  This is the lockstep
     solve of :func:`solve_response` over one eps.
     """
-    (outcome,) = _lockstep(sys, [eps], K, N, _bracket(bracket, None), tol,
-                           literal, scan_points)
+    (outcome,) = _lockstep(sys, [eps], K, N, _bracket(bracket, None))
     if isinstance(outcome, Exception):
         raise outcome
-    zeta, expansion, _ = outcome
-    if keep is not None:
-        keep.clear()
-        keep[zeta] = expansion
-    return zeta
+    return outcome[0]
 
 
 @dataclass
@@ -488,7 +457,6 @@ class ResponseSolution:
     ratio_estimate: float = 0.0
     continuity_checked: bool = False
     probe_norms: list = field(default_factory=list)
-    literal_balance: bool = False
     # the expansion u was assembled from; not serialised
     ladder: OrderLadder | None = field(default=None, repr=False, compare=False)
 
@@ -526,12 +494,11 @@ class ResponseSolution:
                 "ratio_estimate": self.ratio_estimate,
                 "continuity_checked": self.continuity_checked,
                 "probe_norms": list(self.probe_norms),
-                "literal_balance": self.literal_balance,
             },
         }
 
 
-def _response(sys, eps, K, N, root, literal) -> ResponseSolution:
+def _response(sys, eps, K, N, root) -> ResponseSolution:
     """The response at ``eps`` from its root ``(zeta, (ladder, ratios,
     estimate, assembled series), balance)``, with its residuals; a root
     that is an exception is raised."""
@@ -549,15 +516,13 @@ def _response(sys, eps, K, N, root, literal) -> ResponseSolution:
         N=N,
         ratios=ratios,
         ratio_estimate=estimate,
-        literal_balance=literal,
         ladder=ladder,
     )
 
 
 def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
-                   bounds=None, bracket=None, tol: float | None = None,
-                   literal: bool = False, probe: bool = True,
-                   scan_points: int = DEFAULT_SCAN_POINTS) -> ResponseSolution:
+                   bounds=None, bracket=None,
+                   probe: bool = True) -> ResponseSolution:
     """Solve the balance, take the expansion at the solved zeta and
     package the response with residuals.
 
@@ -578,9 +543,8 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
         )
     probing = probe and eps != 0.0
     eps_list = [eps, eps * 0.5, eps * 0.25] if probing else [eps]
-    roots = _lockstep(sys, eps_list, K, N, _bracket(bracket, envelope), tol,
-                      literal, scan_points)
-    solution = _response(sys, eps, K, N, roots[0], literal)
+    roots = _lockstep(sys, eps_list, K, N, _bracket(bracket, envelope))
+    solution = _response(sys, eps, K, N, roots[0])
     if probing:
         norms = [solution.response_norm()]
         for root in roots[1:]:
@@ -600,19 +564,16 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
 
 
 def solve_responses(eps_grid, sys, K: int, N: int, *, envelope=None,
-                    bracket=None, tol: float | None = None,
-                    literal: bool = False,
-                    scan_points: int = DEFAULT_SCAN_POINTS) -> list:
+                    bracket=None) -> list:
     """:func:`solve_response` without the probe at every eps of
     ``eps_grid``, all solved in lockstep.  Entry i is the solution at
     ``eps_grid[i]`` or the exception that solving there alone raises; no
     eps_bar warning is issued."""
-    roots = _lockstep(sys, list(eps_grid), K, N, _bracket(bracket, envelope),
-                      tol, literal, scan_points)
+    roots = _lockstep(sys, list(eps_grid), K, N, _bracket(bracket, envelope))
     out = []
     for eps, root in zip(eps_grid, roots):
         try:
-            out.append(_response(sys, eps, K, N, root, literal))
+            out.append(_response(sys, eps, K, N, root))
         except Exception as exc:
             # the caller raises it where the solves in turn would
             out.append(exc)

@@ -276,16 +276,15 @@ def estimate_epsilon_bar(
     def delta_of(level: int) -> float:
         return math.exp(-xi * 2**level / 4.0)
 
+    # the large-mode branch holds at a level once delta_of(level) <= target
     if theorem == 1:
         target = (A / C0) ** 2 * abs(a)
-        need = lambda level: delta_of(level) <= target
     else:
         target = 0.5 * (A / C0) ** 4 * min(abs(a), 1.0)
-        need = lambda level: delta_of(level) <= target
 
     if n0 is None:
         n0 = 0
-        while not need(n0):
+        while not delta_of(n0) <= target:
             n0 += 1
             if n0 > 60:
                 raise ValueError("no admissible n0 below 2^60: envelope too tight")

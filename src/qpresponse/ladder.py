@@ -449,44 +449,27 @@ def _ratios(norms):
     return ratios, float(median(ratios[-tail:]))
 
 
-def _powers_of(w: DenseBlock, powers, radius: int | None = None,
-               coupling: int = 0):
-    """Yield (p, w^p) for the ascending ``powers``, each by repeated
-    convolution with ``w``.
-
-    With ``radius``, w^p is kept out to the radius from which it can still
-    reach |nu| <= radius: after a convolution with coefficients of mode
-    radius ``coupling`` and the remaining factors of w.
-    """
-    step = w.max_norm()
-    w_pow = w
-    current = 1
-    for p in powers:
-        while current < p:
-            current += 1
-            reach = None if radius is None else \
-                radius + coupling + (powers[-1] - current) * step
-            w_pow = w_pow.convolve(w, radius=reach)
-        yield p, w_pow
-
-
-def _coupled_powers(layers, w: DenseBlock, radius: int | None):
-    """Yield (alpha_p, w^p) for p >= 2 in increasing p, each power formed
-    out to the radius from which alpha_p * w^p can still reach
-    ``radius``."""
-    powers = [p for p, _ in layers.powers]
-    for (_, alpha), (_, w_pow) in zip(
-            layers.powers, _powers_of(w, powers, radius, layers.radius)):
-        yield alpha, w_pow
-
-
 def _nonlinearity(sys, w: DenseBlock, radius: int | None = None) -> DenseBlock:
-    """:func:`nonlinearity_series` of each series in the block ``w``."""
+    """:func:`nonlinearity_series` of each series in the block ``w``.
+
+    Each power w^p is formed by repeated convolution with ``w``.  With
+    ``radius``, w^p is kept out to the radius from which it can still
+    reach |nu| <= radius: after a convolution with alpha_p and the
+    remaining factors of w.
+    """
     layers = sys.layers
     pairs = []
     if layers.coupling.values.size and w.present().any():
         pairs.append((layers.coupling, w))
-    pairs += _coupled_powers(layers, w, radius)
+    step = w.max_norm()
+    w_pow, current = w, 1
+    for p, alpha in layers.powers:
+        while current < p:
+            current += 1
+            reach = None if radius is None else \
+                radius + layers.radius + (layers.powers[-1][0] - current) * step
+            w_pow = w_pow.convolve(w, radius=reach)
+        pairs.append((alpha, w_pow))
     return sum_of_products(pairs, radius, w.dimension)
 
 
@@ -502,16 +485,6 @@ def nonlinearity_series(sys, w: FourierSeries,
     to be read.
     """
     return _nonlinearity(sys, DenseBlock.of(w), radius).series()
-
-
-def coupled_powers_zero_mode(sys, w: DenseBlock) -> np.ndarray:
-    """Zero mode of sum_{p>=2} alpha_p * w^p for each series in the block
-    ``w``, each power formed only out to the radius from which it can
-    still reach the zero mode, and the terms summed in increasing p."""
-    total = np.zeros(w.batch, dtype=complex)
-    for alpha, w_pow in _coupled_powers(sys.layers, w, 0):
-        total = total + alpha.convolve(w_pow, radius=0).zero_mode()
-    return total
 
 
 def forcing_term(sys) -> FourierSeries:

@@ -17,7 +17,13 @@ import warnings
 import numpy as np
 import pytest
 
-from qpresponse.bifurcation import H, _Evaluation, solve_response, solve_zeta
+from qpresponse.bifurcation import (
+    H,
+    _Evaluation,
+    _lockstep,
+    solve_response,
+    solve_zeta,
+)
 from qpresponse.diophantine import estimate_epsilon_bar
 from qpresponse.errors import (
     LadderDivergenceError,
@@ -75,21 +81,11 @@ def real_part(value, what):
     return value.real
 
 
-def reference_balance(sys, w, eps, literal):
+def reference_balance(sys, w):
     """The zero-mode balance with every power of ``w`` at full support."""
     zeta = real_part(w.zero_mode(), "the assembled zero mode")
-    general = isinstance(sys, GeneralSystem)
-    if general and literal:
-        lin0 = 0j
-        if len(sys.alpha1_series) and len(w):
-            lin0 = sys.alpha1_series.convolve(w).zero_mode()
-        nl0 = 0j
-        for p in powers(sys):
-            nl0 += sys.alpha_series(p).convolve(w.power(p)).zero_mode()
-        return eps * sys.a * zeta + real_part(lin0 + eps * nl0,
-                                              "the zero-mode balance")
     total = zero_series(sys.dimension)
-    if general:
+    if isinstance(sys, GeneralSystem):
         total = total.add(sys.forcing_series)
         if len(sys.alpha1_series) and len(w):
             total = total.add(sys.alpha1_series.convolve(w))
@@ -101,7 +97,7 @@ def reference_balance(sys, w, eps, literal):
     return sys.a * zeta + real_part(total.zero_mode(), "the zero-mode balance")
 
 
-def reference_h(sys, eps, zeta, K, N, literal):
+def reference_h(sys, eps, zeta, K, N):
     """One zeta alone: (ladder, ratios, estimate, w, balance), or the
     exception the scalar evaluation raises."""
     try:
@@ -120,8 +116,7 @@ def reference_h(sys, eps, zeta, K, N, literal):
                 f"expansion does not contract at eps={eps!r}, zeta={zeta!r} "
                 f"(ratio estimate {estimate:.3g})")
         w = assemble(ladder, 1.0)
-        return ladder, ratios, estimate, w, reference_balance(sys, w, eps,
-                                                              literal)
+        return ladder, ratios, estimate, w, reference_balance(sys, w)
     except (LadderDivergenceError, ResonanceError, SymmetryError) as exc:
         return exc
 
@@ -144,13 +139,13 @@ def assert_failed_rows_are_zero(evaluation):
         assert not any(n[pos] for n in exp.norms)
 
 
-def assert_batch_matches_alone(sys, eps, zetas, K, N, literal=False):
+def assert_batch_matches_alone(sys, eps, zetas, K, N):
     """Every (eps, zeta) row of the batch against its own reference
     evaluation; ``eps`` is one value for all rows or one per row.  Returns
     the reference outcomes."""
     eps_rows = list(eps) if isinstance(eps, list) else [eps] * len(zetas)
-    batch = _Evaluation(sys, eps, zetas, K, N, literal)
-    expected = [reference_h(sys, e, z, K, N, literal)
+    batch = _Evaluation(sys, eps, zetas, K, N)
+    expected = [reference_h(sys, e, z, K, N)
                 for e, z in zip(eps_rows, zetas)]
     assert_failed_rows_are_zero(batch)
     for pos, (got, want) in enumerate(zip(batch.outcomes, expected)):
@@ -178,8 +173,7 @@ def assert_batch_matches_alone(sys, eps, zetas, K, N, literal=False):
         assert float(held_estimate).hex() == float(estimate).hex()
         assert bits(held_w) == bits(w)
         # the batch of one that H evaluates gives the same numbers
-        assert H(zetas[pos], e, sys, K, N, literal=literal).hex() == \
-            value.hex()
+        assert H(zetas[pos], e, sys, K, N).hex() == value.hex()
     return expected
 
 
@@ -196,13 +190,12 @@ def eps_near_bar():
 
 
 SYSTEMS = {
-    "separable-d1": (lambda: (separable_system(1, TAYLOR), 0.05), 8, 4, False),
-    "separable-d2": (lambda: (separable_system(2, TAYLOR), 0.05), 7, 4, False),
-    "separable-d3": (lambda: (separable_system(3, TAYLOR), 0.05), 5, 2, False),
-    "general": (lambda: (general_system(), 0.04), 6, 3, False),
-    "general-literal": (lambda: (general_system(), 0.04), 6, 3, True),
-    "near-resonant": (lambda: (near_resonant_system(), 0.05), 6, 3, False),
-    "eps-near-bar": (eps_near_bar, 6, 3, False),
+    "separable-d1": (lambda: (separable_system(1, TAYLOR), 0.05), 8, 4),
+    "separable-d2": (lambda: (separable_system(2, TAYLOR), 0.05), 7, 4),
+    "separable-d3": (lambda: (separable_system(3, TAYLOR), 0.05), 5, 2),
+    "general": (lambda: (general_system(), 0.04), 6, 3),
+    "near-resonant": (lambda: (near_resonant_system(), 0.05), 6, 3),
+    "eps-near-bar": (eps_near_bar, 6, 3),
 }
 BATCHES = {
     1: [0.0],
@@ -215,19 +208,18 @@ BATCHES = {
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 @pytest.mark.parametrize("size", sorted(BATCHES))
 def test_batch_matches_each_zeta_alone(name, size):
-    make, K, N, literal = SYSTEMS[name]
+    make, K, N = SYSTEMS[name]
     sys, eps = make()
-    expected = assert_batch_matches_alone(sys, eps, BATCHES[size], K, N,
-                                          literal)
+    expected = assert_batch_matches_alone(sys, eps, BATCHES[size], K, N)
     assert not any(isinstance(e, Exception) for e in expected)
 
 
 @pytest.mark.parametrize("name", ["separable-d2", "general"])
 def test_one_diverging_zeta_leaves_the_others_alone(name):
-    make, K, N, literal = SYSTEMS[name]
+    make, K, N = SYSTEMS[name]
     sys, eps = make()
     zetas = [0.0, 0.1, 40.0, -0.05]
-    expected = assert_batch_matches_alone(sys, eps, zetas, K + 2, N, literal)
+    expected = assert_batch_matches_alone(sys, eps, zetas, K + 2, N)
     failed = [isinstance(e, Exception) for e in expected]
     assert failed == [False, False, True, False]
     assert isinstance(expected[2], LadderDivergenceError)
@@ -251,11 +243,11 @@ PROBE_FRACTIONS = (1.0, 0.5, 0.25)
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_mixed_eps_batch_matches_each_row_alone(name):
-    make, K, N, literal = SYSTEMS[name]
+    make, K, N = SYSTEMS[name]
     sys, eps = make()
     rows = [(eps * f, z) for z in BATCHES[3] for f in PROBE_FRACTIONS]
     expected = assert_batch_matches_alone(
-        sys, [e for e, _ in rows], [z for _, z in rows], K, N, literal)
+        sys, [e for e, _ in rows], [z for _, z in rows], K, N)
     assert not any(isinstance(e, Exception) for e in expected)
 
 
@@ -280,10 +272,10 @@ def assert_rows_match_batches_of_one(sys, eps, zetas, K, N):
     """Every row of the batch against its own batch of one (the reference
     recursion cannot stand in: it divides by a vanishing D).  Returns the
     batch."""
-    batch = _Evaluation(sys, eps, zetas, K, N, False)
+    batch = _Evaluation(sys, eps, zetas, K, N)
     assert_failed_rows_are_zero(batch)
     for pos, (e, z) in enumerate(zip(eps, zetas)):
-        alone = _Evaluation(sys, e, [z], K, N, False)
+        alone = _Evaluation(sys, e, [z], K, N)
         (want,) = alone.outcomes
         got = batch.outcomes[pos]
         if isinstance(want, Exception):
@@ -323,13 +315,12 @@ def odd_cubic_system():
 def test_later_divergence_does_not_mask_a_zero_at_the_origin():
     sys = odd_cubic_system()
     bracket = (-40.0, 40.0)
-    scan = _Evaluation(sys, 0.05, [0.0, -40.0, 40.0], 10, 4, False)
+    scan = _Evaluation(sys, 0.05, [0.0, -40.0, 40.0], 10, 4)
     assert scan.outcomes[0] == 0.0
     assert all(isinstance(e, LadderDivergenceError) for e in scan.outcomes[1:])
-    keep = {}
-    assert solve_zeta(0.05, sys, 10, 4, bracket, keep=keep) == 0.0
+    assert solve_zeta(0.05, sys, 10, 4, bracket) == 0.0
     assert unmemoized_solve_zeta(0.05, sys, 10, 4, bracket) == 0.0
-    (z, (ladder, _, _, w)), = keep.items()
+    (z, (ladder, _, _, w), _), = _lockstep(sys, [0.05], 10, 4, bracket)
     assert z == 0.0 and ladder.zeta == 0.0 and len(ladder) == 10
 
 
@@ -360,7 +351,7 @@ def test_resonance_only_where_the_source_has_the_mode():
     for zeta in (0.0, 0.1):
         assert H(zeta, 0.0, quiet, 4, 4) == \
             pytest.approx(zeta + zeta**2 + 0.5 * zeta**3)
-    scan = _Evaluation(quiet, 0.0, [0.0, 0.1], 4, 4, False)
+    scan = _Evaluation(quiet, 0.0, [0.0, 0.1], 4, 4)
     assert not any(isinstance(e, Exception) for e in scan.outcomes)
 
     resonant = FourierSeries(2, {(2, -1): 0.1, (-2, 1): 0.1},
@@ -369,7 +360,7 @@ def test_resonance_only_where_the_source_has_the_mode():
     with pytest.raises(ResonanceError) as alone:
         H(0.1, 0.0, loud, 4, 4)
     assert alone.value.value == 0.0
-    scan = _Evaluation(loud, 0.0, [0.0, 0.1], 4, 4, False)
+    scan = _Evaluation(loud, 0.0, [0.0, 0.1], 4, 4)
     for exc in scan.outcomes:
         assert isinstance(exc, ResonanceError)
         assert str(exc) == str(alone.value) and exc.value == 0.0
@@ -395,7 +386,7 @@ def coupled_rational_system():
 
 def test_resonance_at_a_higher_order_fails_only_its_zeta():
     sys = coupled_rational_system()
-    scan = _Evaluation(sys, 0.0, [0.0, 0.1, -0.2], 3, 4, False)
+    scan = _Evaluation(sys, 0.0, [0.0, 0.1, -0.2], 3, 4)
     assert scan.outcomes[0] == H(0.0, 0.0, sys, 3, 4)
     for pos, zeta in ((1, 0.1), (2, -0.2)):
         with pytest.raises(ResonanceError) as alone:
@@ -459,7 +450,7 @@ def test_block_operations_match_series_operations(d):
 @pytest.mark.parametrize("make, eps, K, N, kwargs", [
     (lambda: separable_system(2, TAYLOR), 0.05, 8, 6, dict(probe=True)),
     (general_system, 0.04, 7, 4, dict(probe=False)),
-    (general_system, 0.04, 7, 4, dict(probe=False, literal=True)),
+    (general_system, 0.04, 7, 4, dict(probe=True)),
 ])
 def test_solve_builds_no_ladder_twice(make, eps, K, N, kwargs, monkeypatch):
     sys = make()
@@ -520,9 +511,9 @@ def scalar_range_residual(sys, eps, w, N):
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_range_residual_is_unchanged(name):
-    make, K, N, literal = SYSTEMS[name]
+    make, K, N = SYSTEMS[name]
     sys, eps = make()
-    sol = solve_response(eps, sys, K, N, probe=False, literal=literal)
+    sol = solve_response(eps, sys, K, N, probe=False)
     for w in (sol.u, sol.u.scaled(1.5)):
         assert range_residual(sys, eps, w, N).hex() == \
             scalar_range_residual(sys, eps, w, N).hex()

@@ -73,25 +73,16 @@ class TestBalance:
         expected = conv_brute(table, table).get((0, 0), 0j).real
         assert H(0.0, eps, sys, 10, 12) == pytest.approx(expected, abs=1e-14)
 
-    def test_literal_form_differs_for_general_systems(self):
+    def test_general_balance_against_brute_force_zero_mode(self):
         sys = grid_system()
         eps, K, N = 0.03, 8, 10
         ladder = build_ladder(sys, eps, 0.01, K, N)
         w = assemble(ladder, 1.0)
-        homog = bifurcation_balance(sys, w, eps, literal=False)
-        literal = bifurcation_balance(sys, w, eps, literal=True)
-        # literal = eps*a*zeta + lin0 + eps*nl0 vs homog = a*zeta + lin0 + nl0
-        assert literal != pytest.approx(homog, abs=1e-15)
+        # a zeta + [alpha_1 * w]_0 + [alpha_2 * w^2]_0, with a = 1
         lin0 = sys.alpha1_series.convolve(w).zero_mode().real
         nl0 = sys.alpha_series(2).convolve(w.convolve(w)).zero_mode().real
-        assert homog == pytest.approx(0.01 + lin0 + nl0, abs=1e-14)
-        assert literal == pytest.approx(eps * 0.01 + lin0 + eps * nl0, abs=1e-14)
-
-    def test_literal_flag_is_noop_for_separable(self):
-        sys = separable({1: 1.0, 3: 1.0})
-        assert H(0.05, 0.04, sys, 6, 8, literal=True) == pytest.approx(
-            H(0.05, 0.04, sys, 6, 8, literal=False), abs=1e-16
-        )
+        assert bifurcation_balance(sys, w, eps) == pytest.approx(
+            0.01 + lin0 + nl0, abs=1e-14)
 
 
 class TestSolveZeta:
@@ -181,13 +172,6 @@ class TestSolveResponse:
         assert sol.residual_bifurcation <= 1e-12
         assert sol.residual_range <= 1e-10 * max(sol.u.weighted_norm(0.0), 1e-30)
 
-    def test_literal_solution_differs(self):
-        sys = grid_system()
-        sol_h = solve_response(0.03, sys, 8, 10, probe=False)
-        sol_l = solve_response(0.03, sys, 8, 10, probe=False, literal=True)
-        assert sol_l.literal_balance
-        assert abs(sol_h.zeta - sol_l.zeta) > 1e-9
-
     def test_json_shape(self):
         sys = separable({1: 1.0})
         sol = solve_response(0.05, sys, 3, 8, probe=False)
@@ -195,6 +179,9 @@ class TestSolveResponse:
         assert set(blob) == {"c0", "zeta", "epsilon", "residuals", "u",
                              "ladder_meta"}
         assert blob["residuals"]["bifurcation"] == 0.0
+        assert set(blob["ladder_meta"]) == {
+            "K", "N", "ratios", "ratio_estimate", "continuity_checked",
+            "probe_norms"}
 
     def test_keeps_the_ladder_it_assembled(self):
         sys = separable({1: 1.0, 2: 0.8, 3: 0.5})

@@ -1,8 +1,11 @@
+import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -350,6 +353,42 @@ class TestVerify:
         assert "tree_oracle_equivalence: FAIL" in out
         report = json.loads((tmp_path / "verify.json").read_text())
         assert not report["all_passed"]
+
+    @pytest.mark.parametrize("K, passed, where", [
+        (5, False, "within"), (8, True, "within"), (12, True, "above")])
+    def test_agreement_names_the_series_tail(self, tmp_path, capsys, K,
+                                             passed, where):
+        # the sweep-d3 benchmark config at seed 1: at K = 5 the gap to the
+        # Picard fixed point (5.67e-10) fails, inside a tail of 1.21e-8; at
+        # K = 12 the gap (3.3e-13) is the Picard solve's own floor
+        spec = importlib.util.spec_from_file_location(
+            "workloads", CONFIGS.parents[1] / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        config = workloads.sweep_d3(1)
+        config["truncation"]["K"] = K
+        cfg = write_config(tmp_path, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["verify", "--config", cfg, "--out", str(tmp_path)])
+            main(["solve", "--config", cfg, "--out", str(tmp_path)])
+        assert code == (0 if passed else 2)
+        report = json.loads((tmp_path / "verify.json").read_text())
+        (check,) = [c for c in report["checks"]
+                    if c["name"] == "direct_solve_agreement"]
+        assert check["passed"] is passed
+        gap, tail = (float(x) for x in re.fullmatch(
+            rf"max gap (\S+), {where} the series tail (\S+) after K = {K}",
+            check["detail"]).groups())
+        assert (gap <= cli.AGREEMENT_TOL) is passed
+        assert (gap <= tail) is (where == "within")
+        # the tail is the last order's norm times r / (1 - r)
+        r = json.loads((tmp_path / "solution.json").read_text())[
+            "ladder_meta"]["ratio_estimate"]
+        last = json.loads((tmp_path / "ladder.json").read_text())["norms"][-1]
+        assert f"{last * r / (1 - r):.2e}" == f"{tail:.2e}"
+        assert f"direct_solve_agreement: {'PASS' if passed else 'FAIL'} " \
+            f"({check['detail']})" in capsys.readouterr().out
 
     def test_negative_slope_skips_trajectory(self, tmp_path, capsys):
         config = base_config(

@@ -513,22 +513,20 @@ def test_evaluate_is_evaluate_many_of_one_row(d):
 
 # -- one ladder per distinct zeta ------------------------------------------
 
-def unmemoized_solve_zeta(eps, sys, K, N, bracket=None, *, tol=None,
-                          literal=False, scan_points=7, keep=None):
+def unmemoized_solve_zeta(eps, sys, K, N, bracket=None):
     """The zeta solve without a memo: scan, brentq, then a secant polish,
-    with H called afresh at every point (``keep`` is ignored)."""
+    with H called afresh at every point."""
     from scipy.optimize import brentq
 
-    if tol is None:
-        tol = 1e-12 * max(1.0, abs(sys.a))
+    tol = bifurcation.ZETA_TOL * max(1.0, abs(sys.a))
     lo, hi = (-0.25, 0.25) if bracket is None else bracket
 
     def h(z):
-        return H(z, eps, sys, K, N, literal=literal)
+        return H(z, eps, sys, K, N)
 
     if lo <= 0.0 <= hi and abs(h(0.0)) <= tol:
         return 0.0
-    xs = list(np.linspace(lo, hi, max(3, scan_points)))
+    xs = list(np.linspace(lo, hi, bifurcation.SCAN_POINTS))
     vals = []
     for x in xs:
         v = h(x)
@@ -551,18 +549,15 @@ def unmemoized_solve_zeta(eps, sys, K, N, bracket=None, *, tol=None,
     return float(x1)
 
 
-def sequential_lockstep(sys, eps_list, K, N, bracket, tol, literal,
-                        scan_points):
+def sequential_lockstep(sys, eps_list, K, N, bracket):
     """``bifurcation._lockstep`` as solves one eps at a time: each root
     from :func:`unmemoized_solve_zeta`, its expansion and balance built
     afresh as a batch of one."""
     out = []
     for eps in eps_list:
         try:
-            zeta = unmemoized_solve_zeta(eps, sys, K, N, bracket, tol=tol,
-                                         literal=literal,
-                                         scan_points=scan_points)
-            alone = _Evaluation(sys, eps, [zeta], K, N, literal)
+            zeta = unmemoized_solve_zeta(eps, sys, K, N, bracket)
+            alone = _Evaluation(sys, eps, [zeta], K, N)
             out.append((zeta, alone.result(0), alone.outcomes[0]))
         except QPResponseError as exc:
             out.append(exc)
@@ -589,8 +584,6 @@ MEMO_CASES = {
     "separable-probe": (lambda: separable_system(2, TAYLOR), 0.05, 8, 6,
                         dict(probe=True)),
     "general": (general_system, 0.04, 7, 4, dict(probe=False)),
-    "general-literal": (general_system, 0.04, 7, 4,
-                        dict(probe=False, literal=True)),
 }
 
 
@@ -598,9 +591,8 @@ MEMO_CASES = {
 def test_memoized_solve_builds_each_zeta_once(case, monkeypatch):
     make, eps, K, N, kwargs = MEMO_CASES[case]
     sys = make()
-    literal = kwargs.get("literal", False)
     probed = [eps, eps * 0.5, eps * 0.25] if kwargs["probe"] else [eps]
-    roots = [(e, solve_zeta(e, sys, K, N, literal=literal)) for e in probed]
+    roots = [(e, solve_zeta(e, sys, K, N)) for e in probed]
     built, _ = spy_builds(monkeypatch)
     fast = solve_response(eps, sys, K, N, **kwargs)
     # each (eps, zeta) is built once, except a root whose expansion was
@@ -621,6 +613,8 @@ def test_secant_polish_matches_the_unmemoized_polish(monkeypatch):
     # at tol = 1e-17 the brentq root's balance (6e-17) is not small
     # enough, and the solve goes on to the secant polish
     sys = separable_system(2, TAYLOR)
+    assert sys.a == 1.0
+    monkeypatch.setattr(bifurcation, "ZETA_TOL", 1e-17)
     polished = []
     secant = bifurcation._secant_steps
 
@@ -629,22 +623,20 @@ def test_secant_polish_matches_the_unmemoized_polish(monkeypatch):
         return secant(x0, f0, tol)
 
     monkeypatch.setattr(bifurcation, "_secant_steps", spy)
-    root = solve_zeta(0.05, sys, 8, 6, tol=1e-17)
+    root = solve_zeta(0.05, sys, 8, 6)
     assert len(polished) == 1
-    assert root.hex() == unmemoized_solve_zeta(0.05, sys, 8, 6, tol=1e-17).hex()
+    assert root.hex() == unmemoized_solve_zeta(0.05, sys, 8, 6).hex()
     polished.clear()
-    fast = solve_response(0.05, sys, 8, 6, tol=1e-17)
+    fast = solve_response(0.05, sys, 8, 6)
     assert polished
     monkeypatch.setattr(bifurcation, "_lockstep", sequential_lockstep)
-    slow = solve_response(0.05, sys, 8, 6, tol=1e-17)
+    slow = solve_response(0.05, sys, 8, 6)
     assert json.dumps(fast.to_json_dict()) == json.dumps(slow.to_json_dict())
 
 
 def test_solve_zeta_keeps_at_most_one_expansion():
     sys = separable_system(2, TAYLOR)
-    keep = {}
-    solve_zeta(0.05, sys, 8, 6, keep=keep)
-    assert len(keep) <= 1
-    if keep:
-        (z, (ladder, _, _, w)), = keep.items()
-        assert ladder.zeta == z and w.zero_mode().real == z
+    (z, (ladder, _, _, w), _), = bifurcation._lockstep(
+        sys, [0.05], 8, 6, bifurcation.DEFAULT_BRACKET)
+    assert z == solve_zeta(0.05, sys, 8, 6)
+    assert ladder.zeta == z and w.zero_mode().real == z

@@ -388,10 +388,9 @@ def test_the_walk_sees_the_loops_it_forbids(tmp_path):
     assert omega_loops(path) == ["loops.py:3", "loops.py:6", "loops.py:9"]
 
 
-FAST_PATH_NAMES = {"nonlinearity_series", "_nonlinearity",
-                   "coupled_powers_zero_mode", "forcing_term", "DenseBlock",
-                   "sum_of_products", "_Expansion", "_propagator_table",
-                   GRID_HELPER}
+FAST_PATH_NAMES = {"nonlinearity_series", "_nonlinearity", "forcing_term",
+                   "DenseBlock", "sum_of_products", "_Expansion",
+                   "_propagator_table", GRID_HELPER}
 SERIES_ARITHMETIC = {"convolve", "power", "add", "scaled"}
 
 

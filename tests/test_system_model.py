@@ -19,7 +19,7 @@ import pytest
 
 from qpresponse.bifurcation import (
     DEFAULT_BRACKET,
-    DEFAULT_SCAN_POINTS,
+    SCAN_POINTS,
     _Evaluation,
     solve_response,
 )
@@ -106,9 +106,8 @@ def test_separable_system_is_its_grid(name):
         assert hexes(one.norms) == hexes(two.norms)
 
     lo, hi = DEFAULT_BRACKET
-    scan = [0.0] + [float(x) for x in np.linspace(lo, hi, DEFAULT_SCAN_POINTS)]
-    values = [_Evaluation(s, eps, scan, K, N, False).outcomes
-              for s in (sep, gen)]
+    scan = [0.0] + [float(x) for x in np.linspace(lo, hi, SCAN_POINTS)]
+    values = [_Evaluation(s, eps, scan, K, N).outcomes for s in (sep, gen)]
     assert [outcome_bits(v) for v in values[0]] == \
         [outcome_bits(v) for v in values[1]]
 
