@@ -36,7 +36,7 @@ ladder = build_ladder(system, EPS, ZETA, 4, 10)
 
 print("trees of each order (any momentum):")
 for k in range(1, 6):
-    trees = enumerate_all(k, support, theorem=1)
+    trees = enumerate_all(k, support)
     print(f"  k = {k}: {len(trees)} trees")
 print("(order 2 is empty: a branching node needs two subtrees, forcing k >= 3)")
 
@@ -54,13 +54,13 @@ for nu in order3.support():
 print("\ncounting relations over all trees up to order 5:")
 total = 0
 for k in range(1, 6):
-    for tree in enumerate_all(k, support, theorem=1):
-        assert all(verify_counting(tree, theorem=1).values())
+    for tree in enumerate_all(k, support):
+        assert all(verify_counting(tree).values())
         total += 1
 print(f"  all relations hold on {total} trees")
 
 nu = (1, 0)
-k3 = enumerate_trees(3, nu, support, theorem=1)
+k3 = enumerate_trees(3, nu, support)
 print(f"\nthe {len(k3)} order-3 trees with momentum {nu}, serialized:")
 for tree in k3[:4]:
     print("  ", tree.canonical())

@@ -43,7 +43,7 @@ for k, norm in enumerate(ladder.norms, start=1):
 support = TreeSupport.from_system(system)
 chain_counts = {}
 for k in range(2, 5):
-    for tree in enumerate_all(k, support, theorem=2):
+    for tree in enumerate_all(k, support):
         for chain in find_chains(tree):
             chain_counts[chain.length] = chain_counts.get(chain.length, 0) + 1
 print("\nchain census over trees of orders 2..4 (length: count):",

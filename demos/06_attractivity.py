@@ -37,7 +37,8 @@ print(f"\ntransient skipped: T0 = {report.transient_time:.0f} time units")
 for ic, err in zip(ics, report.sup_errors):
     print(f"  start {tuple(round(z, 3) for z in ic)} -> sup error {err:.2e}")
 print(f"pairwise trajectory spread: {report.pairwise_max:.2e}")
-print(f"attraction verified: {report.attraction_verified}")
+# compare only measures; the verdict is ours to draw
+print(f"all landed within 1e-5: {report.sup_error <= 1e-5}")
 
 # show the approach itself: distance to the response at a few checkpoints
 traj = integrate(system, EPS, x_star + 0.08, v_star, 200.0, tol=1e-10,

@@ -178,10 +178,10 @@ def _balances(sys, w: DenseBlock) -> list:
     return out
 
 
-def bifurcation_balance(sys, w: FourierSeries, eps: float) -> float:
+def bifurcation_balance(sys, w: FourierSeries) -> float:
     """Evaluate the zero-mode balance at an assembled solution ``w``
     (whose zero mode is the free parameter zeta).  The balance is
-    homogeneous in the dissipation, so it does not depend on ``eps``."""
+    homogeneous in the dissipation, so it takes no eps."""
     with np.errstate(all="ignore"):
         (value,) = _balances(sys, DenseBlock.of(w))
     if isinstance(value, Exception):

@@ -125,7 +125,9 @@ def epsilon_n(alpha: float, n: int) -> float:
     return math.log(1.0 / alpha) / 2 ** int(n)
 
 
-_SPIKE_RATIO = 1.02
+# a ball-to-ball drop of alpha_n below this share of the Diophantine
+# decay 2^-(d-1) marks a near-resonance
+_DROP_SHARE = 0.1
 
 
 @dataclass
@@ -147,17 +149,17 @@ class DiophantineProfile:
     classification: str = "unclassified"
 
 
-def classify_eps_sequence(eps: list) -> str:
-    """Rough decay class of the scaled-divisor sequence: spikes mark
-    near-resonances entering the ball (liouville-suspect), clear decay is
-    diophantine-like, a plateau of partial sums is bryuno-like."""
+def classify_eps_sequence(eps: list, dimension: int) -> str:
+    """Rough decay class of the scaled-divisor sequence of a d-dimensional
+    frequency vector.  A near-resonance entering the ball makes
+    alpha_{n+1}/alpha_n = exp(2^n eps_n - 2^{n+1} eps_{n+1}) drop far below
+    the Diophantine decay 2^-(d-1) (liouville-suspect); otherwise clear
+    decay of eps_n is diophantine-like and a plateau is bryuno-like."""
     if len(eps) < 3:
         return "unclassified"
-    spikes = [
-        n for n in range(1, len(eps) - 1)
-        if eps[n] > 0 and eps[n + 1] > eps[n] * _SPIKE_RATIO
-    ]
-    if spikes:
+    floor = _DROP_SHARE * 2.0 ** (1 - dimension)
+    if any(math.exp(2**n * eps[n] - 2 ** (n + 1) * eps[n + 1]) < floor
+           for n in range(len(eps) - 1)):
         return "liouville-suspect"
     positive = [e for e in eps[1:] if e > 0]
     if not positive:
@@ -197,7 +199,7 @@ def profile(omega, n_max: int, N_list=(), guard: int | None = None) -> Diophanti
         omega=omega, n_max=len(rows) - 1, alpha=alpha, eps=eps,
         argmins=argmins, bryuno_partial=partial,
         r_table=ball_minima(omega, N_list, guard),
-        classification=classify_eps_sequence(eps))
+        classification=classify_eps_sequence(eps, len(omega)))
 
 
 @dataclass

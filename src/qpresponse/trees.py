@@ -6,11 +6,12 @@ coefficients are reproduced term by term with no symmetry factors.  The
 oracle is deliberately independent of the ladder: values are products of
 node factors and line propagators, never convolutions.
 
-Separable trees: internal nodes carry only a branching number p >= 2 and
-modes live on end nodes.  General trees: every node carries a mode; the
-internal nodes split into chain nodes (p = 1, nonzero mode) and branching
-nodes (p >= 2).  Every line leaving an internal node must carry nonzero
-momentum.
+Every node carries a mode from the system's grid.  The internal nodes
+split into chain nodes (p = 1, nonzero mode) and branching nodes
+(p >= 2); every line leaving an internal node must carry nonzero
+momentum.  A separable system is the case whose grid has no chain modes
+and whose branching nodes all sit at the zero mode, so one enumeration
+serves both of the paper's theorems.
 """
 
 from __future__ import annotations
@@ -37,21 +38,14 @@ class TreeNode:
 
     def __init__(self, kind, mode, children=()):
         self.kind = kind  # "end" | "internal"
-        self.mode = None if mode is None else tuple(mode)
+        self.mode = tuple(mode)
         self.children = tuple(children)
+        total = self.mode
         size = 1
-        if self.mode is None:
-            total = None
-        else:
-            total = list(self.mode)
         for child in self.children:
+            total = tuple(a + b for a, b in zip(total, child.total))
             size += child.size
-            if child.total is not None:
-                if total is None:
-                    total = list(child.total)
-                else:
-                    total = [a + b for a, b in zip(total, child.total)]
-        self.total = None if total is None else tuple(total)
+        self.total = total
         self.size = size
 
     @property
@@ -66,15 +60,14 @@ class TreeNode:
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "mode": None if self.mode is None else list(self.mode),
+            "mode": list(self.mode),
             "p": self.p,
             "children": [c.to_json_dict() for c in self.children],
         }
 
     def canonical(self) -> str:
-        mode = "." if self.mode is None else ",".join(map(str, self.mode))
         inner = ";".join(c.canonical() for c in self.children)
-        return f"{self.kind[0]}[{mode}]({inner})"
+        return f"{self.kind[0]}[{','.join(map(str, self.mode))}]({inner})"
 
     def __repr__(self):
         return f"TreeNode({self.canonical()})"
@@ -86,9 +79,9 @@ class TreeSupport:
 
     ``end_modes`` are the nonzero end-node labels (the zero label is always
     allowed and contributes the free zero-mode parameter); ``v1_modes`` the
-    chain-node labels; ``v2_layers`` maps each power p >= 2 to its internal
-    mode labels (``(None,)`` for separable trees, whose internal nodes are
-    unlabelled).
+    chain-node labels, the nonzero modes of the p = 1 layer; ``v2_layers``
+    maps each power p >= 2 to its branching-node labels, the support of
+    that layer (the zero mode alone for a separable system).
     """
 
     dimension: int
@@ -98,17 +91,13 @@ class TreeSupport:
 
     @classmethod
     def from_system(cls, sys) -> "TreeSupport":
-        """The alphabets of the system's grid; theorem-1 trees leave their
-        internal nodes unlabelled."""
+        """The alphabets of the system's grid."""
         return cls(
             dimension=sys.dimension,
             end_modes=tuple(sys.range_forcing.support()),
             v1_modes=tuple(sys.alpha1_series.support()),
-            v2_layers=tuple(
-                (p, (None,) if sys.theorem == 1
-                 else tuple(sys.alpha_series(p).support()))
-                for p in sys.nonlinear_powers()
-            ),
+            v2_layers=tuple((p, tuple(sys.alpha_series(p).support()))
+                            for p in sys.nonlinear_powers()),
         )
 
 
@@ -123,9 +112,8 @@ def _compositions(total: int, parts: int):
 
 
 class _Enumerator:
-    def __init__(self, support: TreeSupport, theorem: int):
+    def __init__(self, support: TreeSupport):
         self.support = support
-        self.theorem = theorem
         self.zero = (0,) * support.dimension
         self._memo: dict[int, list[TreeNode]] = {}
 
@@ -139,12 +127,11 @@ class _Enumerator:
             for mode in self.support.end_modes:
                 out.append(TreeNode("end", mode))
         else:
-            if self.theorem == 2:
-                for mode in self.support.v1_modes:
-                    for child in self.subtrees(k - 1):
-                        node = TreeNode("internal", mode, (child,))
-                        if any(node.total):
-                            out.append(node)
+            for mode in self.support.v1_modes:
+                for child in self.subtrees(k - 1):
+                    node = TreeNode("internal", mode, (child,))
+                    if any(node.total):
+                        out.append(node)
             for p, modes in self.support.v2_layers:
                 if p < 2 or p > k - 1:
                     continue
@@ -166,8 +153,7 @@ class _Enumerator:
                 yield (head,) + rest
 
 
-def enumerate_trees(k: int, nu, support: TreeSupport,
-                    theorem: int) -> list[TreeNode]:
+def enumerate_trees(k: int, nu, support: TreeSupport) -> list[TreeNode]:
     """All inequivalent ordered trees of order k with root-line momentum nu.
 
     Refuses k beyond ``MAX_TREE_ORDER`` (enumeration cost explodes).
@@ -179,18 +165,17 @@ def enumerate_trees(k: int, nu, support: TreeSupport,
     if k < 1:
         raise ValueError("tree order must be >= 1")
     nu = tuple(int(x) for x in nu)
-    trees = _Enumerator(support, theorem).subtrees(k)
+    trees = _Enumerator(support).subtrees(k)
     return [t for t in trees if t.total == nu]
 
 
-def enumerate_all(k: int, support: TreeSupport,
-                  theorem: int) -> list[TreeNode]:
+def enumerate_all(k: int, support: TreeSupport) -> list[TreeNode]:
     """All valid trees of order k regardless of momentum (for bulk checks)."""
     if k > MAX_TREE_ORDER:
         raise GuardExceededError(
             f"tree order {k} exceeds the enumeration guard {MAX_TREE_ORDER}"
         )
-    return list(_Enumerator(support, theorem).subtrees(k))
+    return list(_Enumerator(support).subtrees(k))
 
 
 @dataclass
@@ -205,7 +190,6 @@ class TreeValueContext:
     def __post_init__(self):
         self.system.require_certified()
         self._prop = Propagator(self.eps, self.system.a)
-        self._zero = (0,) * self.system.dimension
 
     def propagator(self, nu) -> complex:
         if not any(nu):
@@ -221,10 +205,7 @@ class TreeValueContext:
         return self.eps * self.system.range_forcing.coeff(mode)
 
     def internal_factor(self, mode, p: int) -> complex:
-        """-eps a[mode, p]; an unlabelled (theorem-1) node reads the zero
-        mode."""
-        if mode is None:
-            mode = self._zero
+        """-eps a[mode, p]."""
         return -self.eps * self.system.grid.get((mode, p), 0j)
 
 
@@ -243,7 +224,7 @@ def sum_trees(k: int, nu, ctx: TreeValueContext) -> complex:
     recursion's order-k coefficient at that mode."""
     support = TreeSupport.from_system(ctx.system)
     total = 0j
-    for tree in enumerate_trees(k, nu, support, ctx.system.theorem):
+    for tree in enumerate_trees(k, nu, support):
         total += tree_value(tree, ctx)
     return total
 
@@ -285,12 +266,13 @@ def find_chains(tree: TreeNode) -> list[Chain]:
     return [Chain(tuple(c)) for c in chains]
 
 
-def verify_counting(tree: TreeNode, theorem: int) -> dict:
+def verify_counting(tree: TreeNode) -> dict:
     """Evaluate the structural counting relations on one tree.
 
-    Common relations: #end >= #branching + 1, #chains <= #end + #branching,
+    Every tree: #end >= #branching + 1, #chains <= #end + #branching,
     #chains <= #chain-nodes, and order = #end + #chain-nodes + #branching.
-    Separable trees additionally satisfy #end >= (order + 1)/2.
+    A tree without chain nodes (every tree of a separable system) also
+    gets #end >= (order + 1)/2 and #end >= #internal + 1.
     """
     ends = v1 = v2 = 0
     for node in tree.nodes():
@@ -308,7 +290,7 @@ def verify_counting(tree: TreeNode, theorem: int) -> dict:
         "chains_le_v1": n_chains <= v1,
         "order_identity": k == ends + v1 + v2,
     }
-    if theorem == 1:
+    if v1 == 0:
         report["end_ge_half_order_plus_1"] = ends >= 0.5 * (k + 1)
         report["end_ge_internal_plus_1"] = ends >= (v1 + v2) + 1
     return report

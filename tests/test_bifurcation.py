@@ -81,7 +81,7 @@ class TestBalance:
         # a zeta + [alpha_1 * w]_0 + [alpha_2 * w^2]_0, with a = 1
         lin0 = sys.alpha1_series.convolve(w).zero_mode().real
         nl0 = sys.alpha_series(2).convolve(w.convolve(w)).zero_mode().real
-        assert bifurcation_balance(sys, w, eps) == pytest.approx(
+        assert bifurcation_balance(sys, w) == pytest.approx(
             0.01 + lin0 + nl0, abs=1e-14)
 
 

@@ -84,6 +84,26 @@ class TestProfile:
         assert prof.alpha[4] == pytest.approx(0.009991, abs=1e-12)
         assert prof.classification == "liouville-suspect"
 
+    @pytest.mark.parametrize("omega, n_max, label", [
+        (GOLDEN, 8, "diophantine-like"),
+        ((1.0, math.sqrt(2.0)), 8, "diophantine-like"),
+        ((1.0, math.e), 8, "diophantine-like"),
+        ((1.0, math.pi), 8, "diophantine-like"),
+        ((1.0, math.sqrt(2.0), math.sqrt(3.0)), 6, "diophantine-like"),
+        (LIOUVILLE, 8, "liouville-suspect"),
+        (LIOUVILLE_OFFSET, 8, "liouville-suspect"),
+    ], ids=["golden", "sqrt2", "e", "pi", "sqrt2-sqrt3", "liouville",
+            "liouville-offset"])
+    def test_classification_by_alpha_drop(self, omega, n_max, label):
+        # a near-resonance makes alpha_{n+1}/alpha_n fall to 0.01; the
+        # Diophantine vectors bottom out at 0.0625 ((1, pi), d = 2) and
+        # 0.0714 ((1, sqrt 2, sqrt 3), d = 3), above a tenth of 2^-(d-1)
+        prof = profile(omega, n_max)
+        assert prof.classification == label
+        drops = [prof.alpha[n + 1] / prof.alpha[n] for n in range(n_max)]
+        floor = 0.1 * 2.0 ** (1 - len(omega))
+        assert (min(drops) < floor) is (label == "liouville-suspect")
+
     def test_one_dimensional_degenerate(self):
         prof = profile((0.7,), 6)
         assert prof.n_max == 0

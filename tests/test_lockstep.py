@@ -223,7 +223,7 @@ def test_a_probed_solve_forms_each_balance_in_its_evaluations(monkeypatch):
     assert callers and set(callers) == {"_Evaluation.__init__"}
     monkeypatch.undo()
     assert solution.residual_bifurcation.hex() == \
-        abs(bifurcation_balance(system, solution.u, 0.05)).hex()
+        abs(bifurcation_balance(system, solution.u)).hex()
 
 
 def test_each_propagator_table_is_built_once_per_system(monkeypatch):

@@ -119,8 +119,8 @@ def test_separable_system_is_its_grid(name):
     assert json.dumps(one.ladder.to_json_dict()) == \
         json.dumps(two.ladder.to_json_dict())
 
-    # theorem-1 trees leave internal nodes unlabelled, theorem-2 trees label
-    # them with the zero mode: the sums agree term by term
+    # both systems enumerate the same trees, branching nodes at the zero
+    # mode: the sums agree term by term
     ctxs = [TreeValueContext(s, eps, one.zeta) for s in (sep, gen)]
     ladder = build_ladder(sep, eps, one.zeta, 3, N)
     for k in (1, 2, 3):

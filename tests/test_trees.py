@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import pytest
@@ -51,7 +53,7 @@ class TestEnumeration:
     def test_order_one_single_tree(self):
         sys = cubic_system()
         support = TreeSupport.from_system(sys)
-        trees = enumerate_trees(1, (1, 0), support, theorem=1)
+        trees = enumerate_trees(1, (1, 0), support)
         assert len(trees) == 1
         assert trees[0].kind == "end"
         assert trees[0].mode == (1, 0)
@@ -60,29 +62,28 @@ class TestEnumeration:
         sys = cubic_system(extra_quadratic=1.0)
         support = TreeSupport.from_system(sys)
         for nu in ((1, 0), (2, 0), (1, 1)):
-            assert enumerate_trees(2, nu, support, theorem=1) == []
+            assert enumerate_trees(2, nu, support) == []
 
     def test_order_two_general_has_chains(self):
         sys = grid_system()
         support = TreeSupport.from_system(sys)
-        trees = enumerate_trees(2, (1, 1), support, theorem=2)
+        trees = enumerate_trees(2, (1, 1), support)
         assert trees
         for tree in trees:
             assert tree.p == 1
             assert tree.mode in ((1, 0), (-1, 0))
 
     def test_duplicate_free(self):
-        for sys, theorem in ((cubic_system(extra_quadratic=0.5), 1),
-                             (grid_system(), 2)):
+        for sys in (cubic_system(extra_quadratic=0.5), grid_system()):
             support = TreeSupport.from_system(sys)
             for k in range(1, 5):
-                forms = [t.canonical() for t in enumerate_all(k, support, theorem)]
+                forms = [t.canonical() for t in enumerate_all(k, support)]
                 assert len(forms) == len(set(forms))
 
     def test_guard(self):
         support = TreeSupport.from_system(cubic_system())
         with pytest.raises(GuardExceededError):
-            enumerate_trees(6, (1, 0), support, theorem=1)
+            enumerate_trees(6, (1, 0), support)
 
 
 class TestTreeValue:
@@ -106,7 +107,7 @@ class TestTreeValue:
         ctx = TreeValueContext(sys, eps, 0.0)
         leaf_a = TreeNode("end", (1, 0))
         leaf_b = TreeNode("end", (0, 1))
-        tree = TreeNode("internal", None, (leaf_a, leaf_b))
+        tree = TreeNode("internal", (0, 0), (leaf_a, leaf_b))
         s_a, s_b = 1.0, PHI
         s_root = 1.0 + PHI
 
@@ -123,7 +124,7 @@ class TestTreeValue:
 
 
 class TestOracleEquivalence:
-    def check(self, sys, theorem, eps, zeta, k_max=4, N=12):
+    def check(self, sys, eps, zeta, k_max=4, N=12):
         ladder = build_ladder(sys, eps, zeta, k_max, N)
         ctx = TreeValueContext(sys, eps, zeta)
         for k in range(1, k_max + 1):
@@ -141,14 +142,14 @@ class TestOracleEquivalence:
                 assert abs(got - expected) <= 1e-12 * max(scale, 1e-16)
 
     def test_separable_cubic_with_quadratic(self):
-        self.check(cubic_system(extra_quadratic=0.8), 1, 0.05, 0.02)
+        self.check(cubic_system(extra_quadratic=0.8), 0.05, 0.02)
 
     def test_separable_k2_zero(self):
         ctx = TreeValueContext(cubic_system(extra_quadratic=1.0), 0.05, 0.1)
         assert sum_trees(2, (1, 0), ctx) == 0j
 
     def test_general_grid(self):
-        self.check(grid_system(), 2, 0.03, 0.02)
+        self.check(grid_system(), 0.03, 0.02)
 
     def test_first_order_match(self):
         sys = cubic_system()
@@ -165,7 +166,7 @@ class TestChains:
         sys = cubic_system(extra_quadratic=1.0)
         support = TreeSupport.from_system(sys)
         for k in range(1, 5):
-            for tree in enumerate_all(k, support, 1):
+            for tree in enumerate_all(k, support):
                 assert find_chains(tree) == []
 
     def test_single_chain_node(self):
@@ -195,27 +196,41 @@ class TestChains:
 
 class TestCounting:
     def test_single_end_node_boundary(self):
-        report = verify_counting(TreeNode("end", (1, 0)), theorem=1)
+        report = verify_counting(TreeNode("end", (1, 0)))
         assert all(report.values())
 
     def test_order_three_boundary(self):
         sys = cubic_system(extra_quadratic=1.0)
         support = TreeSupport.from_system(sys)
-        trees = enumerate_all(3, support, 1)
+        trees = enumerate_all(3, support)
         assert trees
         for tree in trees:
-            report = verify_counting(tree, theorem=1)
+            report = verify_counting(tree)
             assert all(report.values())
             ends = sum(1 for n in tree.nodes() if n.kind == "end")
             assert ends >= 0.5 * (3 + 1)
 
     def test_all_trees_up_to_five(self):
-        jobs = ((cubic_system(extra_quadratic=0.7), 1), (grid_system(), 2))
-        for sys, theorem in jobs:
+        for sys in (cubic_system(extra_quadratic=0.7), grid_system()):
             support = TreeSupport.from_system(sys)
             for k in range(1, 6):
-                for tree in enumerate_all(k, support, theorem):
-                    assert all(verify_counting(tree, theorem).values())
+                for tree in enumerate_all(k, support):
+                    assert all(verify_counting(tree).values())
+
+    def test_separable_relations_exactly_on_chain_free_trees(self):
+        separable = {"end_ge_half_order_plus_1", "end_ge_internal_plus_1"}
+        support = TreeSupport.from_system(grid_system())
+        seen = {True: 0, False: 0}
+        for k in range(1, 6):
+            for tree in enumerate_all(k, support):
+                chain_free = not any(n.kind == "internal" and n.p == 1
+                                     for n in tree.nodes())
+                report = verify_counting(tree)
+                assert (separable <= report.keys()) is chain_free
+                assert all(report.values())
+                seen[chain_free] += 1
+        # the theorem-2 grid has trees of both shapes
+        assert seen[True] and seen[False]
 
 
 class TestChainBound:
@@ -286,7 +301,7 @@ class TestChainBound:
         support = TreeSupport.from_system(sys)
         checked = 0
         for k in range(2, 5):
-            for tree in enumerate_all(k, support, 2):
+            for tree in enumerate_all(k, support):
                 for chain in find_chains(tree):
                     report = chain_value_bound_check(chain, ctx, C0, beta, xi)
                     assert report["passed"], report
@@ -300,3 +315,21 @@ def test_serialization_round_trip_shape():
     blob = inner.to_json_dict()
     assert blob["kind"] == "internal"
     assert blob["children"][0]["mode"] == [0, 1]
+
+
+def test_one_tree_family():
+    # no switch on the system's theorem and no unlabelled node: a separable
+    # tree is a general tree whose branching nodes sit at the zero mode
+    module = ast.parse(inspect.getsource(inspect.getmodule(TreeNode)))
+    for node in ast.walk(module):
+        assert not (isinstance(node, ast.Attribute) and node.attr == "theorem")
+        assert not (isinstance(node, ast.Name) and node.id == "theorem")
+        assert not (isinstance(node, ast.arg) and node.arg == "theorem")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "TreeNode":
+            assert not any(isinstance(arg, ast.Constant) and arg.value is None
+                           for arg in node.args)
+    support = TreeSupport.from_system(cubic_system(extra_quadratic=1.0))
+    assert support.v1_modes == ()
+    assert support.v2_layers == ((2, ((0, 0),)), (3, ((0, 0),)))
+    with pytest.raises(TypeError):
+        TreeNode("internal", None, (TreeNode("end", (1, 0)),))

@@ -138,22 +138,23 @@ class TestCompare:
         x0, v0 = response_state(sol, GOLDEN, 0.0)
         ics = [(x0 + 0.05, v0), (x0 - 0.03, v0 + 0.04), (x0, v0 - 0.05)]
         report = compare(sol, sys, eps, ics, tol=1e-10)
-        assert report.attraction_checked
-        assert report.attraction_verified
         assert report.sup_error <= 1e-6
         assert len(report.sup_errors) == 3
 
     def test_negative_feedback_skips_attraction(self):
-        # a < 0: the response exists but repels; comparison still runs
+        # a < 0: the response exists but repels; compare judges nothing and
+        # still measures finite errors for the caller
         sys = separable({1: -1.0}, forcing=cosine(2, 0))
         eps = 0.05
         sol = solve_response(eps, sys, 3, 6, probe=False)
         assert sol.residual_bifurcation <= 1e-12
         x0, v0 = response_state(sol, GOLDEN, 0.0)
         report = compare(sol, sys, eps, [(x0, v0)], T0=1.0, T1=5.0, tol=1e-10)
-        assert not report.attraction_checked
-        assert not report.attraction_verified
-        assert "skipped" in report.notice
+        assert report.transient_time == 1.0
+        assert len(report.sup_errors) == 1
+        assert math.isfinite(report.sup_error)
+        assert report.sup_error == report.sup_errors[0]
+        assert not hasattr(report, "attraction_verified")
 
     def test_tighter_integrator_does_not_worsen_error(self):
         sys = separable({1: 1.0}, forcing=cosine(2, 0))
