@@ -23,8 +23,6 @@ import sys as _sys
 import warnings
 from pathlib import Path
 
-import jsonschema
-
 import qpresponse.trees as trees
 from .bifurcation import solve_response, solve_responses
 from .diophantine import (
@@ -186,22 +184,99 @@ _SCHEMA = {
 }
 
 
-# built once: jsonschema.validate would check the schema and build a new
-# validator on every call (tests/test_cli.py checks the schema itself)
-_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+# _conforms reads these keywords of _SCHEMA as JSON Schema does, so a valid
+# config needs no jsonschema import; jsonschema words an invalid config's
+# error (tests/test_cli.py checks that _SCHEMA uses no other keyword and
+# that the two verdicts agree)
+_KEYWORDS = frozenset({
+    "type", "enum", "minimum", "exclusiveMinimum", "minItems", "maxItems",
+    "prefixItems", "items", "required", "properties", "additionalProperties",
+})
+_TYPES = {"number": (int, float), "string": str, "array": list,
+          "object": dict, "boolean": bool, "null": type(None)}
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's reading: a bool is not a number, and 4.0 is an
+    integer."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "integer":
+        return isinstance(value, int) or (isinstance(value, float)
+                                          and value.is_integer())
+    return isinstance(value, _TYPES[name])
+
+
+def _conforms(value, schema, at: str, floats: list) -> bool:
+    """Whether ``value`` at path ``at`` is valid under ``schema``, which
+    uses only ``_KEYWORDS``; a comparison with NaN never fails.  Each float
+    accepted as an integer is appended to ``floats`` as ``(path, value)``."""
+    if isinstance(schema, bool):
+        return schema
+    if "type" in schema:
+        types = schema["type"]
+        types = [types] if isinstance(types, str) else types
+        if not any(_is_type(value, name) for name in types):
+            return False
+        if isinstance(value, float) and "integer" in types:
+            floats.append((at, value))
+    if "enum" in schema and not any(
+            value == each and isinstance(value, bool) == isinstance(each, bool)
+            for each in schema["enum"]):
+        return False
+    if isinstance(value, bool):
+        return True
+    if isinstance(value, (int, float)):
+        return not ("minimum" in schema and value < schema["minimum"]
+                    or "exclusiveMinimum" in schema
+                    and value <= schema["exclusiveMinimum"])
+    if isinstance(value, list):
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", len(value))
+        if not lo <= len(value) <= hi:
+            return False
+        prefix = schema.get("prefixItems", [])
+        rest = schema.get("items", True)
+        return all(_conforms(item, prefix[i] if i < len(prefix) else rest,
+                             f"{at}[{i}]", floats)
+                   for i, item in enumerate(value))
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        return all(key in value for key in schema.get("required", ())) and all(
+            _conforms(item, properties.get(key, extra),
+                      f"{at}.{key}" if at else key, floats)
+            for key, item in value.items())
+    return True
+
+
+def _finite_float(text: str) -> float:
+    """``json.load``'s reading of a float literal or of NaN, Infinity or
+    -Infinity, refusing a value that is not finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(fh, parse_float=_finite_float,
+                               parse_constant=_finite_float)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
-    if error is not None:
+    floats = []
+    if not _conforms(config, _SCHEMA, "", floats):
+        import jsonschema
+
+        validator = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+        error = jsonschema.exceptions.best_match(validator.iter_errors(config))
         at = error.json_path[2:]  # "$.options.T1" names the option
         raise ConfigError(f"invalid config: {error.message}" + (
             f" ({at})" if at.startswith("options.") else "")) from error
+    if floats:
+        at, value = floats[0]
+        raise ConfigError(f"{at} must be an integer, not {value!r}")
     theorem = config["theorem"]
     if theorem == 1 and ("g" not in config or "f" not in config):
         raise ConfigError("theorem 1 configs need both 'g' and 'f'")
@@ -479,12 +554,11 @@ def cmd_verify(config: dict, out_dir: Path) -> int:
     checks.append(("tree_oracle_equivalence", ok,
                    f"worst relative gap {worst:.2e} ({worst_detail})"))
 
-    # 2. counting relations on every enumerated tree
-    support = trees.TreeSupport.from_system(sys_)
+    # 2. counting relations on every tree of the enumeration that 1 summed
     failed_counts = 0
     total_trees = 0
     for k in range(1, TREE_ORDER + 1):
-        for tree in trees.enumerate_all(k, support):
+        for tree in trees.enumerate_all(k, ctx.support):
             total_trees += 1
             if not all(trees.verify_counting(tree).values()):
                 failed_counts += 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GuardExceededError
 from .fourier import mode_norm
@@ -100,6 +101,12 @@ class TreeSupport:
                             for p in sys.nonlinear_powers()),
         )
 
+    @cached_property
+    def enumerator(self) -> "_Enumerator":
+        """The one enumeration of these alphabets: every order's subtrees
+        are built once, whichever call asks for them first."""
+        return _Enumerator(self)
+
 
 def _compositions(total: int, parts: int):
     """Ordered tuples of ``parts`` positive integers summing to ``total``."""
@@ -165,8 +172,7 @@ def enumerate_trees(k: int, nu, support: TreeSupport) -> list[TreeNode]:
     if k < 1:
         raise ValueError("tree order must be >= 1")
     nu = tuple(int(x) for x in nu)
-    trees = _Enumerator(support).subtrees(k)
-    return [t for t in trees if t.total == nu]
+    return [t for t in support.enumerator.subtrees(k) if t.total == nu]
 
 
 def enumerate_all(k: int, support: TreeSupport) -> list[TreeNode]:
@@ -175,13 +181,15 @@ def enumerate_all(k: int, support: TreeSupport) -> list[TreeNode]:
         raise GuardExceededError(
             f"tree order {k} exceeds the enumeration guard {MAX_TREE_ORDER}"
         )
-    return list(_Enumerator(support).subtrees(k))
+    return list(support.enumerator.subtrees(k))
 
 
 @dataclass
 class TreeValueContext:
     """Everything a tree value needs: the certified system, the dissipation
-    parameter and the free zero-mode parameter."""
+    parameter and the free zero-mode parameter.  ``support`` holds the
+    system's alphabets, and so the one enumeration that every
+    ``sum_trees`` call on this context filters."""
 
     system: object
     eps: float
@@ -190,6 +198,7 @@ class TreeValueContext:
     def __post_init__(self):
         self.system.require_certified()
         self._prop = Propagator(self.eps, self.system.a)
+        self.support = TreeSupport.from_system(self.system)
 
     def propagator(self, nu) -> complex:
         if not any(nu):
@@ -222,9 +231,8 @@ def tree_value(tree: TreeNode, ctx: TreeValueContext) -> complex:
 def sum_trees(k: int, nu, ctx: TreeValueContext) -> complex:
     """Sum of tree values over all order-k trees of momentum nu; equals the
     recursion's order-k coefficient at that mode."""
-    support = TreeSupport.from_system(ctx.system)
     total = 0j
-    for tree in enumerate_trees(k, nu, support):
+    for tree in enumerate_trees(k, nu, ctx.support):
         total += tree_value(tree, ctx)
     return total
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -610,3 +611,152 @@ class TestConfigSchema:
         with pytest.raises(ConfigError) as got:
             load_config(write_config(tmp_path, config))
         assert str(got.value) == f"invalid config: {expected.value.message}"
+
+
+def schema_keywords(schema) -> set:
+    """Every keyword of ``schema`` and of the subschemas under it."""
+    if isinstance(schema, bool):
+        return set()
+    found = set(schema)
+    subschemas = [*schema.get("properties", {}).values(),
+                  *schema.get("prefixItems", [])]
+    subschemas += [schema[key] for key in ("items", "additionalProperties")
+                   if key in schema]
+    for subschema in subschemas:
+        found |= schema_keywords(subschema)
+    return found
+
+
+# what each node of a config is replaced by: every JSON type, integral
+# floats, NaN, infinities and values that meet or miss the schema's bounds
+MUTANTS = [None, True, False, 0, 1, 2, 3, -1, 0.0, 1.0, 4.0, -1.0, 0.5, -0.5,
+           1e-14, 1e300, math.nan, math.inf, -math.inf, "", "1", [], [0],
+           [1, 2], [0.5, 1.5], [2.0, -2.0], [[0, 0], 1, 1.0],
+           [[1.0, 0], 2.0, 0.5, 0.0], [1, 2, 3, 4, 5], {}, {"K": 4, "N": 8},
+           {"nu": [0, 1], "re": 0.5}]
+
+
+def every_option(config):
+    """``config`` with every optional key set, each option by a value runs
+    could set."""
+    config = copy.deepcopy(config)
+    config["search_interval"] = [-2.0, 2.0]
+    config["options"] = {
+        "n_max": 8, "N_list": [4, 8], "alpha_guard": 12,
+        "zeta_bracket": [-1.0, 1.0], "ode_tol": 1e-10, "T1": 50.0,
+        "samples": 2001, "continuity_probe": True, "ode_check_tol": 1e-4}
+    return config
+
+
+def mutants(config):
+    """``config`` with each node (the root too) replaced by each of
+    ``MUTANTS``, each node below the root deleted, and an unknown key added
+    to each object."""
+    def paths(node, path=()):
+        yield path
+        items = node.items() if isinstance(node, dict) else \
+            enumerate(node) if isinstance(node, list) else ()
+        for key, child in items:
+            yield from paths(child, path + (key,))
+
+    def edited(path, edit):
+        out = copy.deepcopy(config)
+        node = out
+        for key in path[:-1]:
+            node = node[key]
+        edit(node, path[-1])
+        return out
+
+    yield from MUTANTS
+    for path in list(paths(config))[1:]:
+        for value in MUTANTS:
+            yield edited(path, lambda node, key: node.__setitem__(key, value))
+        yield edited(path, lambda node, key: node.__delitem__(key))
+    for path in paths(config):
+        node = config
+        for key in path:
+            node = node[key]
+        if isinstance(node, dict):
+            yield edited(path + ("surprise",),
+                         lambda node, key: node.__setitem__(key, 1))
+
+
+class TestSchemaReading:
+    def test_the_schema_uses_only_the_keywords_load_config_reads(self):
+        assert schema_keywords(cli._SCHEMA) <= cli._KEYWORDS
+
+    def test_the_keyword_walk_sees_a_new_keyword(self):
+        schema = copy.deepcopy(cli._SCHEMA)
+        grid = schema["properties"]["h"]["properties"]["grid"]
+        grid["items"]["prefixItems"][1]["maximum"] = 8
+        assert schema_keywords(schema) - cli._KEYWORDS == {"maximum"}
+
+    @pytest.mark.parametrize("demo", ["cubic", "linear", "mixed",
+                                      "cubic with every option"])
+    def test_the_verdict_is_jsonschemas(self, demo):
+        import jsonschema
+
+        validator = jsonschema.validators.validator_for(cli._SCHEMA)(
+            cli._SCHEMA)
+        config = json.loads((CONFIGS / f"{demo.split()[0]}.json").read_text())
+        if demo.endswith("every option"):
+            config = every_option(config)
+        assert validator.is_valid(config)
+        verdicts = []
+        for mutant in mutants(config):
+            expected = validator.is_valid(mutant)
+            assert cli._conforms(mutant, cli._SCHEMA, "", []) == expected, \
+                mutant
+            verdicts.append(expected)
+        # both verdicts are common: the mutants test the reading both ways
+        assert min(verdicts.count(True), verdicts.count(False)) > 100
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("truncation", "K"), 4.0, "truncation.K must be an integer, not 4.0"),
+        (("f", "modes", 1, "nu", 0), 0.0,
+         "f.modes[1].nu[0] must be an integer, not 0.0"),
+        (("g", "coeffs", 1, 0), 3.0,
+         "g.coeffs[1][0] must be an integer, not 3.0"),
+        (("options", "n_max"), 8.0, "options.n_max must be an integer, not 8.0"),
+        (("options", "N_list"), [16, 4.0],
+         "options.N_list[1] must be an integer, not 4.0"),
+    ], ids=["K", "nu", "power", "n_max", "N_list"])
+    @pytest.mark.parametrize("command", ["solve", "diagnose", "sweep",
+                                         "verify"])
+    def test_an_integral_float_in_an_integer_field_is_a_config_error(
+            self, tmp_path, capsys, command, path, value, message):
+        import jsonschema
+
+        config = json.loads(CUBIC.read_text())
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        # JSON Schema counts the float as an integer: the schema verdict
+        # stands, and the refusal comes after it
+        jsonschema.validate(config, cli._SCHEMA)
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, literal", [
+        ("epsilon", "NaN"),
+        ("omega", "[1.0, NaN]"),
+        ("xi", "Infinity"),
+        ("rho", "-Infinity"),
+        ("epsilon", "1e400"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "diagnose", "sweep",
+                                         "verify"])
+    def test_a_non_finite_number_is_a_config_error(self, tmp_path, capsys,
+                                                   command, key, literal):
+        config = json.loads(CUBIC.read_text())
+        config[key] = "@"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config).replace('"@"', literal))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        word = literal.strip("[]").split()[-1]
+        assert f"config error: cannot read config {cfg}: {word} is not a " \
+            f"finite number" in capsys.readouterr().err

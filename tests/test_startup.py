@@ -3,9 +3,11 @@
 
 No command but ``verify`` loads scipy: the zeta balance is solved by the
 package's own Brent's method, and ``verify`` imports ``scipy.integrate``
-for the LSODA call (``odeint``) inside ``validation.integrate``.  Each
-check runs in a fresh interpreter, since this test session has scipy
-loaded already.
+for the LSODA call (``odeint``) inside ``validation.integrate``.  No
+command on a valid config loads jsonschema: ``load_config`` checks a
+config with its own reading of ``_SCHEMA`` and imports jsonschema only to
+word an invalid config's error.  Each check runs in a fresh interpreter,
+since this test session has scipy and jsonschema loaded already.
 
 ``find_c0`` scans its interval in one vectorised polynomial evaluation; it
 is compared with the per-point scan it replaced, kept below as it was.
@@ -33,9 +35,15 @@ from qpresponse.systems import (
 SRC = Path(qpresponse.__file__).resolve().parents[1]
 CUBIC = SRC.parent / "demos" / "configs" / "cubic.json"
 
-# prints the scipy modules loaded so far, as one JSON line
-LOADED = ("print(json.dumps(sorted(m for m in sys.modules "
-          "if m.split('.')[0] == 'scipy')))")
+
+def print_loaded(package):
+    """Code that prints the modules of ``package`` loaded so far, as one
+    JSON line."""
+    return ("print(json.dumps(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] == {package!r})))")
+
+
+LOADED = print_loaded("scipy")
 
 
 def fresh_interpreter(code, cwd=None):
@@ -65,6 +73,11 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 
 def test_only_verify_loads_scipy_and_only_scipy_integrate(tmp_path):
+    # and no command on a valid config loads jsonschema; an invalid config
+    # loads it to word the error, and exits 1
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps({**json.loads(CUBIC.read_text()),
+                                   "surprise": 1}))
     code = "\n".join([
         "import contextlib, io, json, sys, warnings",
         "from qpresponse.cli import main",
@@ -74,9 +87,17 @@ def test_only_verify_loads_scipy_and_only_scipy_integrate(tmp_path):
         f"        code = main([command, '--config', {str(CUBIC)!r}, "
         "'--out', command])",
         "    assert code == 0, (command, code)",
+        "    " + print_loaded("jsonschema"),
         "    " + LOADED,
+        "with contextlib.redirect_stderr(io.StringIO()):",
+        f"    code = main(['solve', '--config', {str(invalid)!r}])",
+        "assert code == 1, code",
+        print_loaded("jsonschema"),
     ])
-    *before_verify, after_verify = fresh_interpreter(code, cwd=tmp_path)
+    *lines, after_invalid = fresh_interpreter(code, cwd=tmp_path)
+    assert [json.loads(line) for line in lines[0::2]] == [[], [], [], []]
+    assert "jsonschema" in json.loads(after_invalid)
+    *before_verify, after_verify = lines[1::2]
     assert [json.loads(line) for line in before_verify] == [[], [], []]
     (path,) = fresh_interpreter(f"import json, sys, scipy.integrate; {LOADED}")
     loaded = set(json.loads(after_verify))
