@@ -249,20 +249,21 @@ def _conforms(value, schema, at: str, floats: list) -> bool:
     return True
 
 
-def _finite_float(text: str) -> float:
-    """``json.load``'s reading of a float literal or of NaN, Infinity or
-    -Infinity, refusing a value that is not finite."""
+def _finite(text: str):
+    """``json.load``'s reading of a number literal or of NaN, Infinity or
+    -Infinity, refusing a value that is not finite as a float (an integer
+    beyond float range among them); an integer literal stays an int."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text} is not a finite number")
-    return value
+    return int(text) if text.lstrip("-").isdigit() else value
 
 
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            config = json.load(fh, parse_float=_finite_float,
-                               parse_constant=_finite_float)
+            config = json.load(fh, parse_float=_finite,
+                               parse_int=_finite, parse_constant=_finite)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     floats = []

@@ -664,11 +664,6 @@ def zero_series(dimension: int, real_valued: bool = True) -> FourierSeries:
     return FourierSeries(dimension, {}, real_valued=real_valued)
 
 
-def unit_series(dimension: int) -> FourierSeries:
-    """Multiplicative identity: the constant 1."""
-    return FourierSeries(dimension, {(0,) * dimension: 1.0}, real_valued=True)
-
-
 def delta(nu: Iterable[int], coefficient=1.0) -> FourierSeries:
     """Series with a single mode."""
     mode = tuple(int(x) for x in nu)
@@ -681,13 +676,3 @@ def cosine(dimension: int, axis: int, amplitude: float = 1.0) -> FourierSeries:
     minus = tuple(-x for x in plus)
     half = 0.5 * amplitude
     return FourierSeries(dimension, {plus: half, minus: half}, real_valued=True)
-
-
-def sine(dimension: int, axis: int, amplitude: float = 1.0) -> FourierSeries:
-    """sin(psi_axis) scaled by ``amplitude`` as a real series."""
-    plus = tuple(1 if i == axis else 0 for i in range(dimension))
-    minus = tuple(-x for x in plus)
-    half = 0.5 * amplitude
-    return FourierSeries(
-        dimension, {plus: -1j * half, minus: 1j * half}, real_valued=True
-    )

@@ -233,16 +233,6 @@ class System:
                        default=0),
         )
 
-    def h_value(self, x: float, psi) -> float:
-        """Evaluate h(x, psi) directly from the grid."""
-        t = x - self.center
-        total = 0j
-        for p in sorted({q for (_, q) in self.grid}):
-            total += self.alpha_series(p).evaluate(psi) * t**p
-        if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
-            raise SymmetryError("h evaluated to a non-real value")
-        return total.real
-
     def require_certified(self):
         if not self.certified:
             raise HypothesisError("system is not certified at a simple zero")
@@ -280,22 +270,8 @@ class SeparableSystem(System):
                          center=center, c0=c0)
 
     @property
-    def g_const(self) -> float:
-        return self.g_taylor.get(0, 0.0)
-
-    @cached_property
-    def nonlinear_taylor(self) -> dict[int, float]:
-        """Coefficients of the nonlinear remainder (powers p >= 2)."""
-        return {p: c for p, c in sorted(self.g_taylor.items())
-                if p >= 2 and c != 0.0}
-
-    @property
     def f0(self) -> float:
         return self.forcing.zero_mode().real
-
-    def g_value(self, x: float) -> float:
-        t = x - self.center
-        return float(sum(c * t**p for p, c in sorted(self.g_taylor.items())))
 
     def _recentred(self, grid, c0):
         # the forcing does not depend on x; g(c0) = f0 once certified

@@ -12,9 +12,12 @@ measure; the caller judges what they report.
 
 from __future__ import annotations
 
+import importlib.util
 import math
-import warnings
+import os
+import sys as _sys  # the name sys is a system in this module
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
@@ -33,6 +36,18 @@ _NO_STEP_CAP = np.iinfo(np.int32).max
 # LSODA under rtol = atol = tol strays up to 2.7e-9 from DOP853 under tol
 # (tol = 1e-10, t <= 3); a decade tighter it stays within 4.2e-10
 _LSODA_TOL_FACTOR = 0.1
+_ODEPACK = "scipy.integrate._odepack"
+# scipy's texts for LSODA's return codes -1, -2, ..., -8
+_LSODA_FAILURES = (
+    "Excess work done on this call (perhaps wrong Dfun type).",
+    "Excess accuracy requested (tolerances too small).",
+    "Illegal input detected (internal error).",
+    "Repeated error test failures (internal error).",
+    "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
+    "Error weight became zero during problem.",
+    "Internal workspace insufficient to finish (internal error).",
+    "Run terminated (internal error).",
+)
 
 
 @dataclass
@@ -178,12 +193,34 @@ def _rhs_factory(sys, eps: float):
     return rhs
 
 
+def _odepack():
+    """scipy's compiled LSODA module, loaded alone from its file once per
+    process: ``import scipy.integrate`` would load 585 modules and 48 MB."""
+    module = _sys.modules.get(_ODEPACK)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        folder = os.path.join(scipy.submodule_search_locations[0], "integrate")
+        paths = [os.path.join(folder, "_odepack" + suffix)
+                 for suffix in EXTENSION_SUFFIXES]
+        loader = ExtensionFileLoader(
+            _ODEPACK, next(filter(os.path.exists, paths), paths[0]))
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(_ODEPACK, loader))
+        loader.exec_module(module)
+        _sys.modules[_ODEPACK] = module
+    return module
+
+
 def integrate(sys, eps: float, x0, v0, T: float, tol: float = 1e-10, *,
               t0: float = 0.0, samples: int = 1000,
               t_eval=None) -> Trajectory:
-    """Integrate x' = v, v' = -v/eps - h(x, omega t) with LSODA (scipy's
-    ``odeint``) in one call over [t0, *t_eval], under
-    rtol = atol = ``tol`` / 10.
+    """Integrate x' = v, v' = -v/eps - h(x, omega t) with LSODA in one call
+    over [t0, *t_eval], under rtol = atol = ``tol`` / 10.  The call goes to
+    the compiled ``odeint`` of scipy's LSODA module, with the arguments that
+    ``scipy.integrate.odeint(..., ml=1, mu=1, full_output=True,
+    tfirst=True)`` passes it; the ``scipy.integrate`` package is not loaded.
 
     LSODA switches between Adams steps and the stiff BDF steps that the
     fast rate 1/eps calls for, and forms the Jacobian by banded finite
@@ -196,9 +233,8 @@ def integrate(sys, eps: float, x0, v0, T: float, tol: float = 1e-10, *,
     run, or one whose states stop being finite (LSODA can report success
     past a finite-time blow-up), raises StiffnessError.
     """
-    # imported here: only verify integrates, and the import is slow
-    from scipy.integrate import ODEintWarning, odeint
-
+    # loaded here, alone: only verify integrates
+    odeint = _odepack().odeint
     sys.require_certified()
     if eps < MIN_EPS_FOR_INTEGRATION:
         raise StiffnessError(
@@ -219,22 +255,24 @@ def integrate(sys, eps: float, x0, v0, T: float, tol: float = 1e-10, *,
     if t_eval.size and (t_eval[0] < t0 or t_eval[-1] > t0 + T
                         or np.any(np.diff(t_eval) < 0)):
         raise ValueError("t_eval must be sorted and lie within [t0, t0 + T]")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ODEintWarning)
-        try:
-            states, info = odeint(
-                _rhs_factory(sys, eps), np.column_stack((xs, vs)).ravel(),
-                np.concatenate(([t0], t_eval)), tfirst=True, ml=1, mu=1,
-                rtol=_LSODA_TOL_FACTOR * tol, atol=_LSODA_TOL_FACTOR * tol,
-                mxstep=_NO_STEP_CAP, full_output=True)
-        except OverflowError:
-            raise StiffnessError(
-                "integration failed (the right-hand side overflowed); "
-                "increase eps or shorten T") from None
-    states = states[1:]
-    if any(issubclass(w.category, ODEintWarning) for w in caught):
+    lsoda_tol = _LSODA_TOL_FACTOR * tol
+    try:
+        # func, y0, t, args, Dfun, col_deriv, ml, mu, full_output, rtol,
+        # atol, tcrit, h0, hmax, hmin, ixpr, mxstep, mxhnil, mxordn,
+        # mxords, tfirst
+        states, _, istate = odeint(
+            _rhs_factory(sys, eps), np.column_stack((xs, vs)).ravel(),
+            np.concatenate(([t0], t_eval)), (), None, 0, 1, 1, 1,
+            lsoda_tol, lsoda_tol, None, 0.0, 0.0, 0.0, 0, _NO_STEP_CAP, 0,
+            12, 5, 1)
+    except OverflowError:
         raise StiffnessError(
-            f"integration failed (LSODA: {info['message']}); "
+            "integration failed (the right-hand side overflowed); "
+            "increase eps or shorten T") from None
+    states = states[1:]
+    if istate < 0:
+        raise StiffnessError(
+            f"integration failed (LSODA: {_LSODA_FAILURES[-istate - 1]}); "
             "increase eps or shorten T"
         )
     bad = ~np.isfinite(states).all(axis=1)

@@ -71,7 +71,7 @@ PHI = (1 + math.sqrt(5)) / 2
 def powers(sys):
     if isinstance(sys, GeneralSystem):
         return sys.nonlinear_powers()
-    return sorted(sys.nonlinear_taylor)
+    return sorted(p for p, c in sys.g_taylor.items() if p >= 2 and c)
 
 
 def real_part(value, what):
@@ -93,7 +93,7 @@ def reference_balance(sys, w):
             total = total.add(sys.alpha_series(p).convolve(w.power(p)))
     else:
         for p in powers(sys):
-            total = total.add(w.power(p).scaled(sys.nonlinear_taylor[p]))
+            total = total.add(w.power(p).scaled(sys.g_taylor[p]))
     return sys.a * zeta + real_part(total.zero_mode(), "the zero-mode balance")
 
 

@@ -760,3 +760,24 @@ class TestSchemaReading:
         word = literal.strip("[]").split()[-1]
         assert f"config error: cannot read config {cfg}: {word} is not a " \
             f"finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", [
+        ("xi",), ("f", "modes", 0, "re"), ("truncation", "K"),
+    ], ids=["xi", "re", "K"])
+    @pytest.mark.parametrize("command", ["solve", "diagnose", "sweep",
+                                         "verify"])
+    def test_an_integer_beyond_float_range_is_a_config_error(
+            self, tmp_path, capsys, command, path):
+        # float(10**400) overflows, and K = 10**400 would never finish
+        config = json.loads(CUBIC.read_text())
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "@"
+        huge = "1" + "0" * 400
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config).replace('"@"', huge))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: cannot read config {cfg}: {huge} is not a " \
+            f"finite number" in capsys.readouterr().err

@@ -5,7 +5,9 @@ evaluation and the memoized zeta solve are compared bitwise: a radius-cut
 product must keep exactly the modes of the full product within the
 radius, with coefficients whose real and imaginary parts have the same
 bits (signed zeros included).  The stacked LSODA integrator is compared
-against DOP853 within a tolerance, since the two take different steps.
+against DOP853 within a tolerance, since the two take different steps,
+and bitwise against the public ``scipy.integrate.odeint``, whose compiled
+module it calls without loading ``scipy.integrate``.
 """
 
 import cmath
@@ -14,7 +16,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import ode, solve_ivp
+from scipy.integrate import ode, odeint, solve_ivp
+from scipy.integrate._odepack_py import _msgs
 
 import qpresponse.bifurcation as bifurcation
 from qpresponse.bifurcation import H, _Evaluation, solve_response, solve_zeta
@@ -34,7 +37,12 @@ from qpresponse.ladder import (
     propagator_denominator,
 )
 from qpresponse.systems import GeneralSystem, SeparableSystem, recentre
-from qpresponse.validation import _rhs_factory, integrate
+from qpresponse.validation import (
+    _LSODA_FAILURES,
+    _LSODA_TOL_FACTOR,
+    _rhs_factory,
+    integrate,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 OMEGAS = {1: (1.0,), 2: (1.0, PHI), 3: (1.0, math.sqrt(2.0), math.sqrt(3.0))}
@@ -188,7 +196,7 @@ class TestNonlinearityRadius:
 def _powers(sys):
     if isinstance(sys, GeneralSystem):
         return sys.nonlinear_powers()
-    return sorted(sys.nonlinear_taylor)
+    return sorted(p for p, c in sys.g_taylor.items() if p >= 2 and c)
 
 
 def _divide(sys, eps, N, series, scale):
@@ -235,7 +243,7 @@ def reference_next(sys, eps, orders, N):
         if general:
             source = source.add(sys.alpha_series(p).convolve(block))
         else:
-            source = source.add(block.scaled(sys.nonlinear_taylor[p]))
+            source = source.add(block.scaled(sys.g_taylor[p]))
     return FourierSeries(d, _divide(sys, eps, N, source, -eps),
                          real_valued=True)
 
@@ -470,13 +478,51 @@ class TestIntegrateGuards:
             integrate(sys, 0.1, 10.0, 0.0, 5.0, samples=11)
 
     @pytest.mark.parametrize("x0, reason", [
-        (1e60, "LSODA: "),  # LSODA stops with a negative return code
+        # LSODA stops with return code -3, worded as scipy words it
+        (1e60, "LSODA: Illegal input detected (internal error)."),
         (1e120, "the right-hand side overflowed"),  # (1e120)**3 is no float
     ], ids=["lsoda-failure", "overflow"])
     def test_huge_states_fail_with_a_stiffness_error(self, x0, reason):
         sys = separable_system(1, {1: 1.0, 3: -5.0})
-        with pytest.raises(StiffnessError, match=reason):
+        with pytest.raises(StiffnessError) as failure:
             integrate(sys, 0.1, x0, 0.0, 5.0, samples=11)
+        assert str(failure.value) == \
+            f"integration failed ({reason}); increase eps or shorten T"
+
+
+def test_failure_texts_are_scipys():
+    # the texts scipy.integrate.odeint gives LSODA's codes -1, ..., -8
+    assert {-k: text for k, text in enumerate(_LSODA_FAILURES, 1)} == \
+        {code: _msgs[code] for code in range(-8, 0)}
+
+
+@pytest.mark.parametrize("x0, v0, t0, times", [
+    (0.1, -0.05, 0.0, TIMES),
+    ((0.1, -0.08, 0.0), (-0.05, 0.1, 0.0), 0.0, TIMES),
+    # t0 != 0, with the initial time and a later time repeated
+    ((0.1, -0.08), (-0.05, 0.1), 0.7, [0.7, 0.7, 1.5, 1.5, 2.25, 3.0]),
+], ids=["scalar", "stacked", "t0-repeated-times"])
+@pytest.mark.parametrize("name", sorted(ODE_SYSTEMS))
+# at eps = 1e-3 LSODA takes BDF steps up to order 5 with banded Jacobians,
+# at 0.02 Adams steps up to order 8
+@pytest.mark.parametrize("eps", [1e-3, 0.02])
+def test_integrate_is_public_odeint_bit_for_bit(eps, name, x0, v0, t0, times):
+    # integrate calls scipy's compiled LSODA module directly, with the
+    # arguments scipy.integrate.odeint passes it for these settings
+    sys = ODE_SYSTEMS[name]()
+    times = np.array(times, dtype=float)
+    traj = integrate(sys, eps, x0, v0, 3.0, tol=1e-10, t0=t0, t_eval=times)
+    tol = _LSODA_TOL_FACTOR * 1e-10
+    states = odeint(_rhs_factory(sys, eps),
+                    np.column_stack((np.atleast_1d(x0), np.atleast_1d(v0))).ravel(),
+                    np.concatenate(([t0], times)), ml=1, mu=1, rtol=tol,
+                    atol=tol, mxstep=np.iinfo(np.int32).max, tfirst=True)[1:]
+    x, v = states[:, 0::2].T, states[:, 1::2].T
+    if np.ndim(x0) == 0:
+        x, v = x[0], v[0]
+    assert traj.x.shape == x.shape and traj.v.shape == v.shape
+    assert traj.x.tobytes() == x.tobytes()
+    assert traj.v.tobytes() == v.tobytes()
 
 
 # -- response evaluation ----------------------------------------------------

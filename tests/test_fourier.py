@@ -10,10 +10,23 @@ from qpresponse.fourier import (
     cosine,
     delta,
     mode_norm,
-    sine,
-    unit_series,
     zero_series,
 )
+
+
+def unit_series(dimension):
+    """Multiplicative identity: the constant 1."""
+    return FourierSeries(dimension, {(0,) * dimension: 1.0}, real_valued=True)
+
+
+def sine(dimension, axis, amplitude=1.0):
+    """sin(psi_axis) scaled by ``amplitude`` as a real series."""
+    plus = tuple(1 if i == axis else 0 for i in range(dimension))
+    minus = tuple(-x for x in plus)
+    half = 0.5 * amplitude
+    return FourierSeries(
+        dimension, {plus: -1j * half, minus: 1j * half}, real_valued=True
+    )
 
 
 def random_series(rng, d=2, n_modes=6, span=3, real=False):

@@ -2,8 +2,9 @@
 ``qpresponse.cli`` and the root search that each system build runs.
 
 No command but ``verify`` loads scipy: the zeta balance is solved by the
-package's own Brent's method, and ``verify`` imports ``scipy.integrate``
-for the LSODA call (``odeint``) inside ``validation.integrate``.  No
+package's own Brent's method, and ``verify`` loads only scipy's compiled
+LSODA module, ``scipy.integrate._odepack``, for the ``odeint`` call inside
+``validation.integrate``, not the ``scipy.integrate`` package.  No
 command on a valid config loads jsonschema: ``load_config`` checks a
 config with its own reading of ``_SCHEMA`` and imports jsonschema only to
 word an invalid config's error.  Each check runs in a fresh interpreter,
@@ -73,8 +74,11 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 
 def test_only_verify_loads_scipy_and_only_scipy_integrate(tmp_path):
-    # and no command on a valid config loads jsonschema; an invalid config
-    # loads it to word the error, and exits 1
+    # verify loads scipy's compiled LSODA module alone, not the
+    # scipy.integrate package, and no command on a valid config loads
+    # jsonschema; an invalid config loads it to word the error, and exits 1.
+    # A later import of scipy.integrate works, and its odeint gives the
+    # states of validation.integrate bit for bit
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({**json.loads(CUBIC.read_text()),
                                    "surprise": 1}))
@@ -93,16 +97,29 @@ def test_only_verify_loads_scipy_and_only_scipy_integrate(tmp_path):
         f"    code = main(['solve', '--config', {str(invalid)!r}])",
         "assert code == 1, code",
         print_loaded("jsonschema"),
+        "import numpy as np",
+        "from qpresponse.cli import build_system, load_config",
+        "from qpresponse.validation import (_LSODA_TOL_FACTOR, _rhs_factory,",
+        "                                   integrate)",
+        f"system, _ = build_system(load_config({str(CUBIC)!r}))",
+        "traj = integrate(system, 0.05, [0.1, -0.08], [-0.05, 0.1], 3.0,",
+        "                 samples=31)",
+        "import scipy.integrate",
+        "tol = _LSODA_TOL_FACTOR * 1e-10",
+        "states = scipy.integrate.odeint(",
+        "    _rhs_factory(system, 0.05), [0.1, -0.05, -0.08, 0.1],",
+        "    np.concatenate(([0.0], traj.t)), ml=1, mu=1, rtol=tol, atol=tol,",
+        "    mxstep=np.iinfo(np.int32).max, tfirst=True)[1:]",
+        "print(states[:, 0::2].T.tobytes() == traj.x.tobytes()",
+        "      and states[:, 1::2].T.tobytes() == traj.v.tobytes())",
     ])
-    *lines, after_invalid = fresh_interpreter(code, cwd=tmp_path)
+    *lines, after_invalid, same_bits = fresh_interpreter(code, cwd=tmp_path)
     assert [json.loads(line) for line in lines[0::2]] == [[], [], [], []]
     assert "jsonschema" in json.loads(after_invalid)
     *before_verify, after_verify = lines[1::2]
     assert [json.loads(line) for line in before_verify] == [[], [], []]
-    (path,) = fresh_interpreter(f"import json, sys, scipy.integrate; {LOADED}")
-    loaded = set(json.loads(after_verify))
-    assert "scipy.integrate" in loaded
-    assert loaded <= set(json.loads(path))
+    assert json.loads(after_verify) == ["scipy.integrate._odepack"]
+    assert same_bits == "True"
 
 
 def find_c0_pointwise(g_coeffs, f0, search_interval, *, center=0.0,

@@ -1,4 +1,5 @@
 import math
+import sys as interpreter
 
 import numpy as np
 import pytest
@@ -128,6 +129,16 @@ class TestIntegrate:
         sys = separable({1: 1.0})
         with pytest.raises(ValueError):
             integrate(sys, 0.05, 0.0, 0.0, 1.0, tol=1e-14)
+
+    def test_without_scipy_the_error_names_scipy(self, monkeypatch):
+        # as `from scipy.integrate import odeint` words a missing scipy
+        monkeypatch.delitem(interpreter.modules, "scipy.integrate._odepack",
+                            raising=False)
+        monkeypatch.setitem(interpreter.modules, "scipy", None)
+        with pytest.raises(ModuleNotFoundError,
+                           match="^No module named 'scipy'$") as missing:
+            integrate(separable({1: 1.0}), 0.05, 0.0, 0.0, 1.0)
+        assert missing.value.name == "scipy"
 
 
 class TestCompare:
