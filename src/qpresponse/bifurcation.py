@@ -13,13 +13,13 @@ itself, in its dissipation-homogeneous form, the form that the tree and
 Picard oracles check.
 
 The solves at several eps (the continuity probe's eps, eps/2 and eps/4,
-or the points of a sweep) advance in lockstep.  Brent's method and the
-secant polish are generators that yield the next zeta they need; each
-step gathers the next zeta of every live solve and evaluates them all in
-one batched expansion whose rows differ in eps as well as in zeta.  Every
-row keeps its place in the batch, a failed one as the zero series, and is
-bitwise what its evaluation alone gives, so the lockstep solves return
-what the solves one eps at a time return.
+or the points of a sweep) advance in lockstep.  Brent's method is a
+generator that yields the next zeta it needs; each step gathers the next
+zeta of every live solve and evaluates them all in one batched expansion
+whose rows differ in eps as well as in zeta.  Every row keeps its place
+in the batch, a failed one as the zero series, and is bitwise what its
+evaluation alone gives, so the lockstep solves return what the solves
+one eps at a time return.
 """
 
 from __future__ import annotations
@@ -252,38 +252,6 @@ def H(zeta: float, eps: float, sys, K: int, N: int) -> float:
     return value
 
 
-def _follow(steps, h):
-    """Run the step generator ``steps`` (as :func:`brent_steps`), answering
-    each x it yields with ``yield from h(x)``, and return its result."""
-    x = next(steps)
-    while True:
-        fx = yield from h(x)
-        try:
-            x = steps.send(fx)
-        except StopIteration as done:
-            return done.value
-
-
-def _secant_steps(x0: float, f0: float, tol: float):
-    """The secant polish from x0, where f is f0, as a generator like
-    :func:`brent_steps`: it yields each x at which f is needed, is sent
-    f(x), and returns the first x it finds with |f(x)| <= tol."""
-    x1 = x0 + max(1e-13, 1e-10 * abs(x0))
-    f1 = yield x1
-    for _ in range(10):
-        if abs(f1) <= tol:
-            return x1
-        if f1 == f0:
-            break
-        x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
-        f1 = yield x1
-    if abs(f1) <= tol:
-        return x1
-    raise BifurcationSolveError(
-        f"balance residual {abs(f1):.3e} stayed above tolerance {tol:.3e}"
-    )
-
-
 def _zeta_steps(lo, hi, xs: list, tol: float):
     """The zeta solve at one eps, as a generator.
 
@@ -354,14 +322,21 @@ def _zeta_steps(lo, hi, xs: list, tol: float):
     # brentq starts from the bracket ends: they are the first two held
     held.update((x, (scan, at[x])) for x in xs[i:i + 2])
     scan = None
-    root = yield from _follow(
-        brent_steps(xs[i], xs[i + 1], xtol=1e-15, rtol=1e-15, maxiter=200), h)
+    steps = brent_steps(xs[i], xs[i + 1], xtol=1e-15, rtol=1e-15,
+                        maxiter=200)
+    try:
+        z = next(steps)
+        while True:
+            z = steps.send((yield from h(z)))
+    except StopIteration as done:
+        root = done.value
     value = yield from h(root)
-    if abs(value) <= tol:
-        return (yield from found(root))
-    # secant polish from the brentq endpoint pair
-    x1 = yield from _follow(_secant_steps(root, value, tol), h)
-    return (yield from found(x1))
+    if abs(value) > tol:
+        raise BifurcationSolveError(
+            f"balance residual {abs(value):.3e} stayed above tolerance "
+            f"{tol:.3e}"
+        )
+    return (yield from found(root))
 
 
 def _bracket(bracket, envelope) -> tuple:
@@ -422,10 +397,12 @@ def solve_zeta(eps: float, sys, K: int, N: int, bracket=None) -> float:
 
     The bracket is scanned first: a point already below tolerance is
     returned as is (zeta = 0 is probed up front, so linear systems return
-    exactly 0.0), the sign change must be unique, and the root is then
-    polished by a safeguarded secant/bisection iteration to
-    |H| <= :data:`ZETA_TOL` max(1, |a|).  The scan takes
-    :data:`SCAN_POINTS` points, ends included.
+    exactly 0.0), the sign change must be unique, and Brent's method
+    then finds the root inside it, which must meet |H| <= :data:`ZETA_TOL`
+    max(1, |a|): near the simple zero the balance has slope close to a,
+    so Brent's root meets it, and a root that misses it raises
+    :class:`BifurcationSolveError`.  The scan takes :data:`SCAN_POINTS`
+    points, ends included.
 
     zeta = 0 and the scan points are evaluated together in one batched
     expansion, then read in the order above: a value, or an error a point

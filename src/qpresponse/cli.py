@@ -184,10 +184,10 @@ _SCHEMA = {
 }
 
 
-# _conforms reads these keywords of _SCHEMA as JSON Schema does, so a valid
-# config needs no jsonschema import; jsonschema words an invalid config's
-# error (tests/test_cli.py checks that _SCHEMA uses no other keyword and
-# that the two verdicts agree)
+# _violations reads these keywords of _SCHEMA as JSON Schema does and words
+# a violation as jsonschema does, so no config needs jsonschema
+# (tests/test_cli.py checks that _SCHEMA uses no other keyword and that
+# the verdicts and messages agree with jsonschema's best_match)
 _KEYWORDS = frozenset({
     "type", "enum", "minimum", "exclusiveMinimum", "minItems", "maxItems",
     "prefixItems", "items", "required", "properties", "additionalProperties",
@@ -207,46 +207,73 @@ def _is_type(value, name: str) -> bool:
     return isinstance(value, _TYPES[name])
 
 
-def _conforms(value, schema, at: str, floats: list) -> bool:
-    """Whether ``value`` at path ``at`` is valid under ``schema``, which
-    uses only ``_KEYWORDS``; a comparison with NaN never fails.  Each float
-    accepted as an integer is appended to ``floats`` as ``(path, value)``."""
-    if isinstance(schema, bool):
-        return schema
+def _violations(value, schema, path: tuple, floats: list):
+    """Yield ``(path, message)`` for each violation of ``schema`` by
+    ``value`` at ``path`` and below it, worded as jsonschema words it;
+    ``schema`` uses only ``_KEYWORDS``, and a comparison with NaN never
+    fails.  A node yields its first violation in jsonschema's order and
+    is not walked below, since best_match prefers a shallower one.  Each
+    float accepted as an integer is appended to ``floats`` as ``(path,
+    value)``, in the config's own order."""
     if "type" in schema:
         types = schema["type"]
         types = [types] if isinstance(types, str) else types
         if not any(_is_type(value, name) for name in types):
-            return False
+            yield path, f"{value!r} is not of type " + ", ".join(
+                map(repr, types))
+            return
         if isinstance(value, float) and "integer" in types:
-            floats.append((at, value))
+            floats.append((path, value))
     if "enum" in schema and not any(
             value == each and isinstance(value, bool) == isinstance(each, bool)
             for each in schema["enum"]):
-        return False
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+        return
     if isinstance(value, bool):
-        return True
+        return
     if isinstance(value, (int, float)):
-        return not ("minimum" in schema and value < schema["minimum"]
-                    or "exclusiveMinimum" in schema
-                    and value <= schema["exclusiveMinimum"])
-    if isinstance(value, list):
-        lo, hi = schema.get("minItems", 0), schema.get("maxItems", len(value))
-        if not lo <= len(value) <= hi:
-            return False
-        prefix = schema.get("prefixItems", [])
-        rest = schema.get("items", True)
-        return all(_conforms(item, prefix[i] if i < len(prefix) else rest,
-                             f"{at}[{i}]", floats)
-                   for i, item in enumerate(value))
-    if isinstance(value, dict):
+        if "minimum" in schema and value < schema["minimum"]:
+            yield path, (f"{value!r} is less than the minimum of "
+                         f"{schema['minimum']!r}")
+        elif "exclusiveMinimum" in schema and \
+                value <= schema["exclusiveMinimum"]:
+            yield path, (f"{value!r} is less than or equal to the minimum "
+                         f"of {schema['exclusiveMinimum']!r}")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"{value!r} " + ("should be non-empty"
+                                         if schema["minItems"] == 1
+                                         else "is too short")
+        elif len(value) > schema.get("maxItems", len(value)):
+            yield path, f"{value!r} is too long"
+        else:
+            prefix = schema.get("prefixItems", [])
+            rest = schema.get("items", {})
+            for i, item in enumerate(value):
+                yield from _violations(
+                    item, prefix[i] if i < len(prefix) else rest,
+                    (*path, i), floats)
+    elif isinstance(value, dict):
         properties = schema.get("properties", {})
-        extra = schema.get("additionalProperties", True)
-        return all(key in value for key in schema.get("required", ())) and all(
-            _conforms(item, properties.get(key, extra),
-                      f"{at}.{key}" if at else key, floats)
-            for key, item in value.items())
-    return True
+        extras = sorted(key for key in value if key not in properties)
+        missing = [key for key in schema.get("required", ())
+                   if key not in value]
+        if extras and not schema.get("additionalProperties", True):
+            yield path, "Additional properties are not allowed ({} {} " \
+                "unexpected)".format(", ".join(map(repr, extras)),
+                                     "was" if len(extras) == 1 else "were")
+        elif missing:
+            yield path, f"{missing[0]!r} is a required property"
+        else:
+            for key, item in value.items():
+                yield from _violations(item, properties.get(key, {}),
+                                       (*path, key), floats)
+
+
+def _dotted(path: tuple) -> str:
+    """``path`` written as in ``f.modes[1].nu``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in path)[1:]
 
 
 def _finite(text: str):
@@ -267,17 +294,17 @@ def load_config(path) -> dict:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     floats = []
-    if not _conforms(config, _SCHEMA, "", floats):
-        import jsonschema
-
-        validator = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
-        error = jsonschema.exceptions.best_match(validator.iter_errors(config))
-        at = error.json_path[2:]  # "$.options.T1" names the option
-        raise ConfigError(f"invalid config: {error.message}" + (
-            f" ({at})" if at.startswith("options.") else "")) from error
+    violations = list(_violations(config, _SCHEMA, (), floats))
+    if violations:
+        # jsonschema's best_match: the shallowest, then the greatest path,
+        # and the first of equals
+        path, message = max(violations, key=lambda v: (-len(v[0]), v[0]))
+        at = _dotted(path)
+        raise ConfigError(f"invalid config: {message}" + (
+            f" ({at})" if at.startswith("options.") else ""))
     if floats:
-        at, value = floats[0]
-        raise ConfigError(f"{at} must be an integer, not {value!r}")
+        path, value = floats[0]
+        raise ConfigError(f"{_dotted(path)} must be an integer, not {value!r}")
     theorem = config["theorem"]
     if theorem == 1 and ("g" not in config or "f" not in config):
         raise ConfigError("theorem 1 configs need both 'g' and 'f'")
@@ -349,9 +376,7 @@ def build_system(config: dict):
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value)
 
 
 def _write_json(path: Path, payload: dict):

@@ -162,9 +162,6 @@ class FourierSeries:
         self._require_same_dim(other)
         return self._block.add(other._block).series()
 
-    def __add__(self, other):
-        return self.add(other)
-
     def scaled(self, factor) -> "FourierSeries":
         """Series with every coefficient multiplied by ``factor``."""
         return self._block.scaled(factor).series()

@@ -37,36 +37,35 @@ class Root(NamedTuple):
     simple: bool
 
 
-def _poly_from_taylor(coeffs) -> Polynomial:
-    """Build a polynomial from {power: coefficient} or a dense sequence."""
-    if isinstance(coeffs, dict):
-        if not coeffs:
-            return Polynomial([0.0])
-        top = max(coeffs)
-        dense = [0.0] * (top + 1)
-        for p, c in coeffs.items():
-            if p < 0:
-                raise ValueError("negative Taylor power")
-            dense[int(p)] = float(c)
-        return Polynomial(dense)
-    return Polynomial([float(c) for c in coeffs])
+def _poly_from_taylor(coeffs: dict) -> Polynomial:
+    """Build a polynomial from {power: coefficient}."""
+    if not coeffs:
+        return Polynomial([0.0])
+    top = max(coeffs)
+    dense = [0.0] * (top + 1)
+    for p, c in coeffs.items():
+        if p < 0:
+            raise ValueError("negative Taylor power")
+        dense[int(p)] = float(c)
+    return Polynomial(dense)
 
 
-def shift_taylor(coeffs, old_center: float, new_center: float) -> dict:
+def shift_taylor(coeffs: dict, old_center: float, new_center: float) -> dict:
     """Re-expand sum_p c_p (x - old)^p about ``new_center`` (exact binomials)."""
     poly = _poly_from_taylor(coeffs)
     shifted = poly(Polynomial([new_center - old_center, 1.0]))
     return {p: float(c) for p, c in enumerate(shifted.coef)}
 
 
-def find_c0(g_coeffs, f0: float, search_interval, *,
+def find_c0(g_coeffs: dict, f0: float, search_interval, *,
             center: float = 0.0, grid_points: int = 601) -> list[Root]:
     """Locate zeros of g(x) - f0 on an interval by sign-change bisection
     refined with Newton steps.
 
-    ``g_coeffs`` is finite Taylor data about ``center``.  Every root is
-    polished to |g(c0) - f0| <= 1e-13 and paired with g'(c0); roots whose
-    derivative magnitude is <= 1e-9 are flagged non-simple.
+    ``g_coeffs`` is finite Taylor data {power: coefficient} about
+    ``center``.  Every root is polished to |g(c0) - f0| <= 1e-13 and
+    paired with g'(c0); roots whose derivative magnitude is <= 1e-9 are
+    flagged non-simple.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not lo < hi:

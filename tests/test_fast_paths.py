@@ -20,8 +20,15 @@ from scipy.integrate import ode, odeint, solve_ivp
 from scipy.integrate._odepack_py import _msgs
 
 import qpresponse.bifurcation as bifurcation
-from qpresponse.bifurcation import H, _Evaluation, solve_response, solve_zeta
+from qpresponse.bifurcation import (
+    H,
+    _Evaluation,
+    solve_response,
+    solve_responses,
+    solve_zeta,
+)
 from qpresponse.errors import (
+    BifurcationSolveError,
     DimensionMismatchError,
     QPResponseError,
     StiffnessError,
@@ -560,8 +567,8 @@ def test_evaluate_is_evaluate_many_of_one_row(d):
 # -- one ladder per distinct zeta ------------------------------------------
 
 def unmemoized_solve_zeta(eps, sys, K, N, bracket=None):
-    """The zeta solve without a memo: scan, brentq, then a secant polish,
-    with H called afresh at every point."""
+    """The zeta solve without a memo: scan, then brentq, with H called
+    afresh at every point."""
     from scipy.optimize import brentq
 
     tol = bifurcation.ZETA_TOL * max(1.0, abs(sys.a))
@@ -582,17 +589,11 @@ def unmemoized_solve_zeta(eps, sys, K, N, bracket=None):
     (i,) = [i for i in range(len(xs) - 1) if vals[i] * vals[i + 1] < 0.0]
     root = brentq(h, xs[i], xs[i + 1], xtol=1e-15, rtol=1e-15, maxiter=200)
     value = h(root)
-    if abs(value) <= tol:
-        return float(root)
-    x0, x1 = root, root + max(1e-13, 1e-10 * abs(root))
-    f0, f1 = value, h(x1)
-    for _ in range(10):
-        if abs(f1) <= tol or f1 == f0:
-            break
-        x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
-        f1 = h(x1)
-    assert abs(f1) <= tol
-    return float(x1)
+    if abs(value) > tol:
+        raise BifurcationSolveError(
+            f"balance residual {abs(value):.3e} stayed above tolerance "
+            f"{tol:.3e}")
+    return float(root)
 
 
 def sequential_lockstep(sys, eps_list, K, N, bracket):
@@ -655,29 +656,33 @@ def test_memoized_solve_builds_each_zeta_once(case, monkeypatch):
         [bits(s) for s in slow.ladder.orders]
 
 
-def test_secant_polish_matches_the_unmemoized_polish(monkeypatch):
+def test_a_brent_root_above_tolerance_is_a_solve_error(monkeypatch):
     # at tol = 1e-17 the brentq root's balance (6e-17) is not small
-    # enough, and the solve goes on to the secant polish
+    # enough, and every solve refuses the root with the same error
     sys = separable_system(2, TAYLOR)
     assert sys.a == 1.0
     monkeypatch.setattr(bifurcation, "ZETA_TOL", 1e-17)
-    polished = []
-    secant = bifurcation._secant_steps
-
-    def spy(x0, f0, tol):
-        polished.append(x0)
-        return secant(x0, f0, tol)
-
-    monkeypatch.setattr(bifurcation, "_secant_steps", spy)
-    root = solve_zeta(0.05, sys, 8, 6)
-    assert len(polished) == 1
-    assert root.hex() == unmemoized_solve_zeta(0.05, sys, 8, 6).hex()
-    polished.clear()
-    fast = solve_response(0.05, sys, 8, 6)
-    assert polished
-    monkeypatch.setattr(bifurcation, "_lockstep", sequential_lockstep)
-    slow = solve_response(0.05, sys, 8, 6)
-    assert json.dumps(fast.to_json_dict()) == json.dumps(slow.to_json_dict())
+    with pytest.raises(BifurcationSolveError) as alone:
+        solve_zeta(0.05, sys, 8, 6)
+    message = str(alone.value)
+    assert message.startswith("balance residual ")
+    assert message.endswith(" stayed above tolerance 1.000e-17")
+    with pytest.raises(BifurcationSolveError) as probed:
+        solve_response(0.05, sys, 8, 6)
+    assert str(probed.value) == message
+    eps_list = [0.05, 0.025, 0.0125]
+    fast = bifurcation._lockstep(sys, eps_list, 8, 6,
+                                 bifurcation.DEFAULT_BRACKET)
+    slow = sequential_lockstep(sys, eps_list, 8, 6,
+                               bifurcation.DEFAULT_BRACKET)
+    for got in (fast[0], slow[0]):
+        assert isinstance(got, BifurcationSolveError)
+        assert str(got) == message
+    # eps/2 and eps/4 meet the tolerance
+    assert [o[0] for o in fast[1:]] == [o[0] for o in slow[1:]]
+    (swept,) = solve_responses([0.05], sys, 8, 6)
+    assert isinstance(swept, BifurcationSolveError)
+    assert str(swept) == message
 
 
 def test_solve_zeta_keeps_at_most_one_expansion():

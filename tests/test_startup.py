@@ -5,10 +5,10 @@ No command but ``verify`` loads scipy: the zeta balance is solved by the
 package's own Brent's method, and ``verify`` loads only scipy's compiled
 LSODA module, ``scipy.integrate._odepack``, for the ``odeint`` call inside
 ``validation.integrate``, not the ``scipy.integrate`` package.  No
-command on a valid config loads jsonschema: ``load_config`` checks a
-config with its own reading of ``_SCHEMA`` and imports jsonschema only to
-word an invalid config's error.  Each check runs in a fresh interpreter,
-since this test session has scipy and jsonschema loaded already.
+command loads jsonschema: ``load_config`` checks a config with its own
+reading of ``_SCHEMA`` and words an invalid config's error itself.  Each
+check runs in a fresh interpreter, since this test session has scipy and
+jsonschema loaded already.
 
 ``find_c0`` scans its interval in one vectorised polynomial evaluation; it
 is compared with the per-point scan it replaced, kept below as it was.
@@ -75,10 +75,10 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 def test_only_verify_loads_scipy_and_only_scipy_integrate(tmp_path):
     # verify loads scipy's compiled LSODA module alone, not the
-    # scipy.integrate package, and no command on a valid config loads
-    # jsonschema; an invalid config loads it to word the error, and exits 1.
-    # A later import of scipy.integrate works, and its odeint gives the
-    # states of validation.integrate bit for bit
+    # scipy.integrate package, and no command loads jsonschema, not even
+    # to word an invalid config's error, which exits 1.  A later import of
+    # scipy.integrate works, and its odeint gives the states of
+    # validation.integrate bit for bit
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({**json.loads(CUBIC.read_text()),
                                    "surprise": 1}))
@@ -115,11 +115,42 @@ def test_only_verify_loads_scipy_and_only_scipy_integrate(tmp_path):
     ])
     *lines, after_invalid, same_bits = fresh_interpreter(code, cwd=tmp_path)
     assert [json.loads(line) for line in lines[0::2]] == [[], [], [], []]
-    assert "jsonschema" in json.loads(after_invalid)
+    assert json.loads(after_invalid) == []
     *before_verify, after_verify = lines[1::2]
     assert [json.loads(line) for line in before_verify] == [[], [], []]
     assert json.loads(after_verify) == ["scipy.integrate._odepack"]
     assert same_bits == "True"
+
+
+def test_every_command_words_a_refusal_without_jsonschema(tmp_path):
+    # jsonschema is blocked from loading, and each command still exits 1
+    # with the message that jsonschema's best_match words
+    cubic = json.loads(CUBIC.read_text())
+    refusals = {
+        "config error: invalid config: Additional properties are not "
+        "allowed ('surprise' was unexpected)": {**cubic, "surprise": 1},
+        "config error: invalid config: -1.0 is less than the minimum of 0 "
+        "(options.T1)": {**cubic, "options": {"T1": -1.0}},
+    }
+    paths = []
+    for i, config in enumerate(refusals.values()):
+        paths.append(str(tmp_path / f"invalid{i}.json"))
+        Path(paths[-1]).write_text(json.dumps(config))
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        "sys.modules['jsonschema'] = None",
+        "from qpresponse.cli import main",
+        f"for config in {paths!r}:",
+        "    for command in ('solve', 'diagnose', 'sweep', 'verify'):",
+        "        err = io.StringIO()",
+        "        with contextlib.redirect_stderr(err):",
+        "            code = main([command, '--config', config, '--out', "
+        "command])",
+        "        print(json.dumps([code, err.getvalue()]))",
+    ])
+    lines = fresh_interpreter(code, cwd=tmp_path)
+    assert [json.loads(line) for line in lines] == \
+        [[1, f"{err}\n"] for err in refusals for _ in range(4)]
 
 
 def find_c0_pointwise(g_coeffs, f0, search_interval, *, center=0.0,
