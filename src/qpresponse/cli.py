@@ -474,40 +474,53 @@ def cmd_diagnose(config: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
+# most eps of a sweep solved in one lockstep
+SWEEP_PART = 8
+
+
 def _sweep_rows(args):
     """The rows of the sweep table at the eps of ``grid``, a contiguous
-    part of the sorted grid, all solved in lockstep with the solves'
-    warnings silenced.  An eps whose expansion diverges or whose balance
-    has no unique root gets a row of NaN; any other failure is raised,
-    the first in grid order."""
+    part of the sorted grid, solved with the solves' warnings silenced.
+    The grid is solved in lockstep parts of at most :data:`SWEEP_PART`
+    eps, in grid order, and each part's solutions become rows before the
+    next part is solved, so the working memory does not grow with the
+    grid; each row is bitwise what its eps solved alone gives.  An eps
+    whose expansion diverges or whose balance has no unique root gets a
+    row of NaN; any other failure is raised, the first in grid order."""
     config, grid = args
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sys_, envelope, _ = _prepare(config)
-        solutions = solve_responses(
-            grid, sys_, config["truncation"]["K"], config["truncation"]["N"],
-            envelope=envelope, bracket=options_of(config)["zeta_bracket"])
-        for eps, solution in zip(grid, solutions):
-            if isinstance(solution, (LadderDivergenceError,
-                                     BifurcationSolveError)):
-                row = dict.fromkeys(_SWEEP_COLUMNS, math.nan)
-                row.update(epsilon=eps, converged=False)
-            elif isinstance(solution, Exception):
-                raise solution
-            else:
-                row = {
-                    "epsilon": eps,
-                    "zeta": solution.zeta,
-                    "u_norm":
-                        solution.u.without_zero_mode().weighted_norm(0.0),
-                    "ratio_estimate": solution.ratio_estimate,
-                    "residual_range": solution.residual_range,
-                    "residual_bifurcation": solution.residual_bifurcation,
-                    "converged": True,
-                }
-            rows.append(row)
+        for start in range(0, len(grid), SWEEP_PART):
+            part = grid[start:start + SWEEP_PART]
+            # no name holds the solutions: their ladders go with the part
+            rows.extend(map(_sweep_row, part, solve_responses(
+                part, sys_, config["truncation"]["K"],
+                config["truncation"]["N"], envelope=envelope,
+                bracket=options_of(config)["zeta_bracket"])))
     return rows
+
+
+def _sweep_row(eps, solution) -> dict:
+    """The sweep table's row at ``eps`` from its solution or the error
+    solving it raised; an error other than a divergence or a failed zeta
+    solve is raised."""
+    if isinstance(solution, (LadderDivergenceError, BifurcationSolveError)):
+        row = dict.fromkeys(_SWEEP_COLUMNS, math.nan)
+        row.update(epsilon=eps, converged=False)
+        return row
+    if isinstance(solution, Exception):
+        raise solution
+    return {
+        "epsilon": eps,
+        "zeta": solution.zeta,
+        "u_norm": solution.u.without_zero_mode().weighted_norm(0.0),
+        "ratio_estimate": solution.ratio_estimate,
+        "residual_range": solution.residual_range,
+        "residual_bifurcation": solution.residual_bifurcation,
+        "converged": True,
+    }
 
 
 _SWEEP_COLUMNS = ["epsilon", "zeta", "u_norm", "ratio_estimate",

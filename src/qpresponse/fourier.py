@@ -38,6 +38,9 @@ DROP_THRESHOLD = 1e-300
 
 _REALITY_TOL = 1e-14
 
+# most sample times whose phases evaluate_many holds at once
+EVALUATION_ROWS = 64
+
 
 def mode_norm(nu) -> int:
     """l1 norm of a mode vector."""
@@ -212,7 +215,16 @@ class FourierSeries:
 
     def evaluate_many(self, angles) -> np.ndarray:
         """Sum of coeff(nu) * exp(i nu . psi) for each row psi of
-        ``angles`` (m, d)."""
+        ``angles`` (m, d): bitwise ``exp(1j * (angles @ keys.T)) @ c``
+        over the stored modes ``keys`` and their coefficients ``c``, and
+        for m >= 2 bitwise the complex matmul ``exp((1j * angles) @
+        keys.T) @ c``.
+
+        The phases are formed :data:`EVALUATION_ROWS` rows at a time at
+        most, so the working memory does not grow with m.  The rows are
+        split into ``ceil(m / EVALUATION_ROWS)`` near-equal blocks, so no
+        block holds a single row unless ``angles`` does: numpy forms a
+        one-row product by another path, which rounds differently."""
         angles = np.atleast_2d(np.asarray(angles, dtype=float))
         if angles.shape[1] != self.dimension:
             raise DimensionMismatchError(
@@ -220,14 +232,19 @@ class FourierSeries:
             )
         v = self._block.values[0]
         idx = np.nonzero(v)
-        if not idx[0].size:
-            return np.zeros(angles.shape[0], dtype=complex)
-        keys = np.add(np.stack(idx, axis=1), self._block.lo, dtype=float)
-        # real matmul for the phases, exp in place: bitwise equal to
-        # exp((1j * angles) @ keys.T) without the complex matmul
-        z = 1j * (angles @ keys.T)
-        np.exp(z, out=z)
-        return z @ v[idx]
+        out = np.zeros(angles.shape[0], dtype=complex)
+        if not idx[0].size or not out.size:
+            return out
+        keys = np.add(np.stack(idx, axis=1), self._block.lo, dtype=float).T
+        c = v[idx]
+        blocks = -(-len(out) // EVALUATION_ROWS)
+        for rows, sums in zip(np.array_split(angles, blocks),
+                              np.array_split(out, blocks)):
+            # the phases by a real matmul, exp in place
+            z = 1j * (rows @ keys)
+            np.exp(z, out=z)
+            sums[:] = z @ c
+        return out
 
     def weighted_norm(self, xi_prime: float = 0.0) -> float:
         """Majorant sum_nu |coeff(nu)| exp(xi' |nu|) of the sup on a strip."""
@@ -619,9 +636,18 @@ def _clean(values: np.ndarray, inside=None) -> np.ndarray:
     Cleaning is ``0.0 + c``, which turns a -0.0 part into +0.0, and drops
     cells with |c| < ``DROP_THRESHOLD`` (exact zeros, underflows and NaN)
     and, given the mask ``inside``, the cells outside it.  The caller
-    silences numpy's warnings."""
+    silences numpy's warnings.
+
+    |c| is libm's ``hypot``.  numpy's complex ``abs`` is faster but may
+    differ from it in the last bits, so it decides only the cells it puts
+    clearly below or above the threshold; ``hypot`` decides the rest."""
     np.add(values, 0.0, out=values)
-    keep = np.hypot(values.real, values.imag) >= DROP_THRESHOLD
+    mags = np.abs(values)
+    keep = mags >= DROP_THRESHOLD
+    unsure = ~((mags < 0.5 * DROP_THRESHOLD) | (mags > 2.0 * DROP_THRESHOLD))
+    if unsure.any():
+        keep[unsure] = np.hypot(values.real[unsure],
+                                values.imag[unsure]) >= DROP_THRESHOLD
     if inside is not None:
         keep &= inside
     np.copyto(values, 0, where=~keep)

@@ -540,15 +540,24 @@ def test_evaluate_many_bitwise_equal_to_complex_matmul(d, real):
     rng = np.random.default_rng([d, real, 8])
     w = ball_series(rng, d, 3) if real else \
         random_series(rng, d, n_modes=15, span=3, real=False)
-    times = np.concatenate([np.linspace(0.0, 50.0, 101),
-                            np.linspace(9.9e3, 1e4, 101)])
-    angles = np.outer(times, OMEGAS[d])
     keys = np.array(w.support(), dtype=float)
     vals = np.array([w.coeff(nu) for nu in w.support()])
-    expected = np.exp(1j * angles @ keys.T) @ vals
-    got = w.evaluate_many(angles)
-    assert got.real.tobytes() == expected.real.tobytes()
-    assert got.imag.tobytes() == expected.imag.tobytes()
+    # the rows are evaluated in blocks of at most EVALUATION_ROWS (64); 65
+    # and 129 rows cut in slices of 64 would leave a block of one row,
+    # which numpy multiplies by another path
+    for m in (1, 2, 63, 64, 65, 129, 2001):
+        times = np.concatenate([np.linspace(9.9e3, 1e4, m - m // 2),
+                                np.linspace(0.0, 50.0, m // 2)])
+        angles = np.outer(times, OMEGAS[d])
+        expected = np.exp(1j * angles @ keys.T) @ vals
+        if m == 1:
+            # that other path: at d = 3 its complex phases round apart
+            # from its real ones, so one row is the product of its real
+            # phases
+            expected = np.exp(1j * (angles @ keys.T)) @ vals
+        got = w.evaluate_many(angles)
+        assert got.real.tobytes() == expected.real.tobytes(), m
+        assert got.imag.tobytes() == expected.imag.tobytes(), m
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

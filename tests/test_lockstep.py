@@ -1,10 +1,11 @@
 """The lockstep zeta solves against the solves one eps at a time.
 
 ``solve_response`` solves eps, eps/2 and eps/4 together, and ``sweep``
-solves its whole eps grid together: every build evaluates the next zeta
-of each live solve.  The results must be the bytes that solving each eps
-alone gives, the errors must come out in the order the solves one at a
-time raise them, and the batching must cut the number of builds.
+solves its eps grid together in parts of at most ``cli.SWEEP_PART``:
+every build evaluates the next zeta of each live solve.  The results must
+be the bytes that solving each eps alone gives, the errors must come out
+in the order the solves one at a time raise them, and the batching must
+cut the number of builds.
 """
 
 import csv
@@ -18,6 +19,7 @@ import weakref
 import pytest
 
 import qpresponse.bifurcation as bifurcation
+import qpresponse.cli as cli
 import qpresponse.ladder as ladder
 from qpresponse.bifurcation import (
     ResponseSolution,
@@ -164,6 +166,62 @@ def test_sweep_matches_the_solves_one_eps_at_a_time(tmp_path, monkeypatch,
     monkeypatch.setattr(bifurcation, "_lockstep", sequential_lockstep)
     slow = run_sweep(tmp_path, config, "slow")
     assert b"nan" in fast and fast == slow
+
+
+# 17 eps, two full parts of cli.SWEEP_PART (8) and one of one; the last
+# part's two eps diverge
+SWEEP_GRID = sorted([0.004 * k for k in range(1, 16)] + [3.0, 5.0])
+
+
+def sweep_part_config():
+    return golden_config(truncation={"K": 6, "N": 4}, epsilon_grid=SWEEP_GRID)
+
+
+def row_bits(rows):
+    return [[float(row[c]).hex() for c in cli._SWEEP_COLUMNS] for row in rows]
+
+
+def test_a_sweep_in_parts_writes_the_rows_of_one_lockstep(monkeypatch):
+    config = sweep_part_config()
+    rows = []
+    evaluation = bifurcation._Evaluation
+
+    class Counted(evaluation):
+        def __init__(self, *args):
+            rows.append(len(args[2]))
+            super().__init__(*args)
+
+    monkeypatch.setattr(bifurcation, "_Evaluation", Counted)
+    parts = cli._sweep_rows((config, SWEEP_GRID))
+    assert cli.SWEEP_PART == 8
+    assert max(rows) <= 8 * (bifurcation.SCAN_POINTS + 1)
+    assert [r["converged"] for r in parts] == [True] * 15 + [False] * 2
+    rows.clear()
+    monkeypatch.setattr(cli, "SWEEP_PART", len(SWEEP_GRID))
+    whole = cli._sweep_rows((config, SWEEP_GRID))
+    assert max(rows) > 8 * (bifurcation.SCAN_POINTS + 1)
+    assert row_bits(parts) == row_bits(whole)
+
+
+def test_a_hard_failure_in_the_first_part_is_the_error_raised(monkeypatch):
+    config = sweep_part_config()
+    response = bifurcation._response
+    solved = []
+
+    def failing(sys_, eps, *args):
+        solved.append(eps)
+        if eps in (SWEEP_GRID[2], SWEEP_GRID[12]):
+            raise ValueError(f"fails at {eps!r}")
+        return response(sys_, eps, *args)
+
+    monkeypatch.setattr(bifurcation, "_response", failing)
+    for part in (cli.SWEEP_PART, len(SWEEP_GRID)):
+        monkeypatch.setattr(cli, "SWEEP_PART", part)
+        solved.clear()
+        with pytest.raises(ValueError, match=f"fails at {SWEEP_GRID[2]!r}"):
+            cli._sweep_rows((config, SWEEP_GRID))
+        # in parts, the grid stops at the part that failed
+        assert len(solved) == min(part, len(SWEEP_GRID))
 
 
 def count_builds(monkeypatch, tmp_path, command, config):

@@ -17,6 +17,7 @@ stored, and a series holds the whole bounding box of its support.
 import numpy as np
 import pytest
 
+import qpresponse.fourier as fourier
 from qpresponse.fourier import (
     DROP_THRESHOLD,
     DenseBlock,
@@ -266,3 +267,54 @@ def test_a_series_holds_the_bounding_box_of_its_support():
     assert block.lo == (-2, -3)
     assert block.values.shape == (1, 8, 8)
     assert np.count_nonzero(block.values) == len(s) == 2
+
+
+# -- the keep mask -----------------------------------------------------------------
+
+
+def modulus(c):
+    """abs(c), or inf where it overflows."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return np.inf
+
+
+def test_clean_keeps_the_cells_that_abs_keeps():
+    # the mask is decided by numpy's complex abs where it is clear of the
+    # threshold and by hypot near it; the reference is Python's abs, which
+    # is libm's hypot (math.hypot is not), one cell at a time
+    rng = np.random.default_rng(11)
+    t = DROP_THRESHOLD
+    parts = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+             2.2250738585072014e-308, 1e-310, 1.0, 1e300, 1.7e308,
+             0.5 * t, 2.0 * t, t / np.sqrt(2.0)]
+    x = t
+    for _ in range(4):
+        x = np.nextafter(x, 0.0)
+        parts += [x, -x]
+    x = t
+    for _ in range(4):
+        x = np.nextafter(x, 1.0)
+        parts += [x, -x]
+    parts.append(t)
+    parts = np.array(parts)
+    pairs = np.array(np.meshgrid(parts, parts)).reshape(2, -1)
+    # cells whose modulus is within a few ulp of the threshold, from both parts
+    theta = rng.uniform(0.0, 2.0 * np.pi, 4000)
+    scale = t * (1.0 + rng.integers(-8, 9, theta.size) * 2.0 ** -52)
+    near = np.array([scale * np.cos(theta), scale * np.sin(theta)])
+    re, im = np.concatenate((pairs, near, rng.normal(size=(2, 500))), axis=1)
+    values = np.empty((1, re.size), dtype=complex)
+    values.real, values.imag = re, im
+    inside = rng.random(values.shape[1:]) < 0.8
+    for mask in (None, inside):
+        got = values.copy()
+        with np.errstate(all="ignore"):
+            keep = fourier._clean(got, mask)
+        want = [modulus(c) >= t for c in (0j + values).ravel().tolist()]
+        if mask is not None:
+            want = [k and m for k, m in zip(want, mask.ravel().tolist())]
+        assert keep.ravel().tolist() == want
+        expected = np.where(np.reshape(want, values.shape), 0j + values, 0)
+        assert got.tobytes() == expected.tobytes()
