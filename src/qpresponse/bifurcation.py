@@ -5,27 +5,24 @@ fixes it by a derivative-free root solve of the balance
 
     a zeta + [nonlinear part](zero mode) = 0
 
-over a bracket inside the analyticity disk, by Brent's method: a port of
-scipy's ``Zeros/brentq.c`` that evaluates the same points and returns the
-same root bit for bit, with the argument checks of
-``scipy.optimize.brentq``.  The balance is the zero mode of the equation
-itself, in its dissipation-homogeneous form, the form that the tree and
-Picard oracles check.
+over a bracket inside the analyticity disk: a scan finds the sign
+change, and batched bracketing steps refine it (see :func:`solve_zeta`).
+The balance is the zero mode of the equation itself, in its
+dissipation-homogeneous form, the form that the tree and Picard oracles
+check.
 
 The solves at several eps (the continuity probe's eps, eps/2 and eps/4,
-or the points of a sweep) advance in lockstep.  Brent's method is a
-generator that yields the next zeta it needs; each step gathers the next
-zeta of every live solve and evaluates them all in one batched expansion
-whose rows differ in eps as well as in zeta.  Every row keeps its place
-in the batch, a failed one as the zero series, and is bitwise what its
-evaluation alone gives, so the lockstep solves return what the solves
-one eps at a time return.
+or the points of a sweep) advance in lockstep.  Each solve is a
+generator that yields the zetas it needs next; each step gathers the
+zetas of every live solve and evaluates them all in one batched
+expansion whose rows differ in eps as well as in zeta.  Every row keeps
+its place in the batch, a failed one as the zero series, and is bitwise
+what its evaluation alone gives, so the lockstep solves return what the
+solves one eps at a time return.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -42,7 +39,7 @@ from .ladder import (
     _Expansion,
     _nonlinearity,
     _ratios,
-    range_residual,
+    range_residuals,
 )
 # not called here: bench/test_checks.py reads this binding of the name
 from .ladder import build_ladder  # noqa: F401
@@ -52,105 +49,9 @@ DEFAULT_BRACKET = (-0.25, 0.25)
 SCAN_POINTS = 7
 # the balance residual a solved zeta meets, relative to max(1, |a|)
 ZETA_TOL = 1e-12
-_RTOL_MIN = 4 * np.finfo(float).eps
-
-
-def _div(n: float, d: float) -> float:
-    """``n / d`` as C computes it: inf or nan where Python raises."""
-    if d:
-        return n / d
-    if n == 0 or math.isnan(n):
-        return math.nan
-    return math.copysign(math.inf, n) * math.copysign(1.0, d)
-
-
-def brent_steps(a, b, xtol=2e-12, rtol=_RTOL_MIN, maxiter=100):
-    """Brent's method on [a, b] as a generator: it yields each x at which
-    f is needed, is sent f(x), and returns the root.
-
-    A line-for-line port of scipy's ``Zeros/brentq.c`` with the checks of
-    ``scipy.optimize.brentq``: the same arguments give the same points and
-    root, bit for bit, and the same exceptions.
-    """
-    maxiter = operator.index(maxiter)
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL_MIN:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
-    xtol, rtol = float(xtol), float(rtol)
-
-    def value(x):
-        fx = float((yield x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = yield from value(xpre)
-    fcur = yield from value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
-            else:
-                # extrapolate
-                dpre = _div(fpre - fcur, xpre - xcur)
-                dblk = _div(fblk - fcur, xblk - xcur)
-                stry = _div(-fcur * (fblk * dblk - fpre * dpre),
-                            dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = yield from value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-def brentq(f, a, b, xtol=2e-12, rtol=_RTOL_MIN, maxiter=100):
-    """Root of ``f`` on [a, b] by :func:`brent_steps`: what
-    ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol,
-    maxiter=maxiter)`` returns."""
-    steps = brent_steps(a, b, xtol, rtol, maxiter)
-    x = next(steps)
-    while True:
-        fx = f(x)
-        try:
-            x = steps.send(fx)
-        except StopIteration as done:
-            return done.value
+# the refinement ends at a sign-change bracket narrower than
+# BRACKET_TOL (1 + |root|)
+BRACKET_TOL = 1e-15
 
 
 def _real_part(value: complex, what: str) -> float:
@@ -211,10 +112,10 @@ class _Evaluation:
     ``ratios`` is keyed by the positions of the rows that contracted.
     """
 
-    def __init__(self, sys, eps, zetas, K, N):
+    def __init__(self, sys, eps, zetas, K, N, tables=None):
         if K < 1:
             raise ValueError("K must be >= 1")
-        exp = _Expansion(sys, eps, zetas, N)
+        exp = _Expansion(sys, eps, zetas, N, tables)
         with np.errstate(all="ignore"):
             exp.build(K)
             self.ratios = {}
@@ -252,57 +153,64 @@ def H(zeta: float, eps: float, sys, K: int, N: int) -> float:
     return value
 
 
+def _estimate(values: dict):
+    """The root of the balance by inverse cubic interpolation through the
+    four evaluated zetas of smallest |H| (Neville's scheme at H = 0), and
+    its distance from the inverse quadratic root through the first three
+    of them; None when two of them share a balance."""
+    points = sorted(values.items(), key=lambda item: abs(item[1]))[:4]
+    zs, hs = [z for z, _ in points], [h for _, h in points]
+    for m in range(1, len(zs)):
+        lower = zs[0]
+        for i in range(len(zs) - m):
+            if hs[i + m] == hs[i]:
+                return None
+            zs[i] = (hs[i + m] * zs[i] - hs[i] * zs[i + 1]) \
+                / (hs[i + m] - hs[i])
+    return zs[0], abs(zs[0] - lower)
+
+
 def _zeta_steps(lo, hi, xs: list, tol: float):
     """The zeta solve at one eps, as a generator.
 
     It yields the list of zetas whose balance it needs next and is sent
     ``(evaluation, positions)``, the :class:`_Evaluation` holding them at
     ``positions``.  It asks first for zeta = 0 and the scan points ``xs``
-    together, then for one zeta at a time; each zeta is evaluated once.
-    It returns the root, its expansion (ladder, ratios, estimate,
-    assembled series) and its balance, asking for the root once more when
-    it no longer holds that.  It raises what :func:`solve_zeta` raises.
+    together, then for the zetas of each refinement step together (see
+    :func:`solve_zeta`); each zeta is evaluated once.  It returns the root,
+    its expansion (ladder, ratios, estimate, assembled series) and its
+    balance, and raises what :func:`solve_zeta` raises.  After the scan
+    it holds only the evaluations of the bracket ends, and the root is
+    one of them.
     """
     zetas = list(dict.fromkeys(([0.0] if lo <= 0.0 <= hi else []) + xs))
-    scan, positions = yield zetas
-    at = dict(zip(zetas, positions))
-    values = {z: scan.outcomes[p] for z, p in at.items()}
-    # (evaluation, position) of the last two zetas evaluated after the
-    # scan whose ladders contracted
-    held: dict = {}
+    # the balance at each zeta evaluated, and the (evaluation, position)
+    # of each zeta whose expansion is held
+    values, held = {}, {}
+
+    def record(asked):
+        evaluation, positions = yield asked
+        for z, p in zip(asked, positions):
+            values[z] = evaluation.outcomes[p]
+            held[z] = evaluation, p
 
     def h(z):
-        if z not in values:
-            evaluation, (p,) = yield [z]
-            if len(held) == 2:
-                del held[next(iter(held))]
-            values[z] = evaluation.outcomes[p]
-            if p in evaluation.ratios:
-                held[z] = evaluation, p
         if isinstance(values[z], Exception):
             raise values[z]
         return values[z]
 
     def found(z):
-        if z in held:
-            evaluation, p = held[z]
-        elif scan is not None:
-            evaluation, p = scan, at[z]
-        else:
-            # the solve evaluated the root, so its expansion contracts
-            evaluation, (p,) = yield [z]
+        evaluation, p = held[z]
         return z, evaluation.result(p), evaluation.outcomes[p]
 
-    if lo <= 0.0 <= hi:
-        h0 = yield from h(0.0)
-        if abs(h0) <= tol:
-            return (yield from found(0.0))
-
+    yield from record(zetas)
+    if lo <= 0.0 <= hi and abs(h(0.0)) <= tol:
+        return found(0.0)
     vals = []
     for x in xs:
-        v = yield from h(x)
+        v = h(x)
         if abs(v) <= tol:
-            return (yield from found(x))
+            return found(x)
         vals.append(v)
 
     changes = [
@@ -319,24 +227,43 @@ def _zeta_steps(lo, hi, xs: list, tol: float):
             "the uniqueness neighbourhood, shrink it"
         )
     i = changes[0]
-    # brentq starts from the bracket ends: they are the first two held
-    held.update((x, (scan, at[x])) for x in xs[i:i + 2])
-    scan = None
-    steps = brent_steps(xs[i], xs[i + 1], xtol=1e-15, rtol=1e-15,
-                        maxiter=200)
-    try:
-        z = next(steps)
-        while True:
-            z = steps.send((yield from h(z)))
-    except StopIteration as done:
-        root = done.value
-    value = yield from h(root)
-    if abs(value) > tol:
+    # exactly one end of the bracket [a, b] has a negative balance
+    a, b = xs[i], xs[i + 1]
+    halved = True
+    while True:
+        # release the evaluations that hold no bracket end
+        held = {z: held[z] for z in (a, b)}
+        root = min(a, b, key=lambda z: abs(values[z]))
+        width = b - a
+        if width < BRACKET_TOL * (1.0 + abs(root)):
+            break
+        # the estimate and its guards, or the midpoint when the estimate
+        # leaves the bracket, its guards span more than half of it, or the
+        # last step did not halve it
+        asked = [a + width / 2]
+        estimate = _estimate(values) if halved else None
+        if estimate is not None:
+            x, e = estimate
+            e = max(e, BRACKET_TOL * (1.0 + abs(x)) / 4)
+            if a < x < b and 4 * e <= width:
+                asked = [z for z in (x - e, x, x + e) if a < z < b]
+        yield from record(asked)
+        for z in asked:
+            if h(z) == 0.0:
+                return found(z)
+        # the new bracket from the held zetas alone: zeta = 0, evaluated
+        # with the scan, may lie inside the first bracket but is released
+        inside = sorted(held)
+        a, b = next((l, r) for l, r in zip(inside, inside[1:])
+                    if (values[l] < 0.0) != (values[r] < 0.0))
+        halved = b - a <= width / 2
+    value = values[root]
+    if not abs(value) <= tol:
         raise BifurcationSolveError(
             f"balance residual {abs(value):.3e} stayed above tolerance "
             f"{tol:.3e}"
         )
-    return (yield from found(root))
+    return found(root)
 
 
 def _bracket(bracket, envelope) -> tuple:
@@ -350,19 +277,22 @@ def _bracket(bracket, envelope) -> tuple:
     return DEFAULT_BRACKET
 
 
-def _lockstep(sys, eps_list, K, N, bracket) -> list:
+def _lockstep(sys, eps_list, K, N, bracket, tables=None) -> list:
     """Solve the balance for zeta at every eps of ``eps_list`` together,
     on the bracket ``(lo, hi)`` that :func:`_bracket` gives.
 
-    Each eps runs :func:`_zeta_steps` on its own memo.  The first batched
-    expansion evaluates the scan of every eps; each later one evaluates
-    the zetas that the live solves ask for next, one row per solve.
-    Entry i of the result is ``(zeta, expansion, balance)`` as
-    :func:`_zeta_steps` returns it at ``eps_list[i]``, or the exception
-    that solve raised; the caller raises those in the order the solves
-    one at a time would.
+    Each eps runs :func:`_zeta_steps` on its own memo, and every
+    expansion reads its propagator tables from ``tables``, a cache that
+    lives as long as the caller holds it (one of its own by default).
+    The first batched expansion evaluates the scan of every eps; each
+    later one evaluates the zetas of the next step of every live solve,
+    up to three per solve.  Entry i of the result is ``(zeta, expansion,
+    balance)`` as :func:`_zeta_steps` returns it at ``eps_list[i]``, or
+    the exception that solve raised; the caller raises those in the order
+    the solves one at a time would.
     """
     sys.require_certified()
+    tables = {} if tables is None else tables
     tol = ZETA_TOL * max(1.0, abs(sys.a))
     lo, hi = bracket
     if not lo < hi:
@@ -375,7 +305,7 @@ def _lockstep(sys, eps_list, K, N, bracket) -> list:
         live = list(wanted)
         evaluation = _Evaluation(
             sys, [eps_list[i] for i in live for _ in wanted[i]],
-            [z for i in live for z in wanted[i]], K, N)
+            [z for i in live for z in wanted[i]], K, N, tables)
         stop = 0
         for i in live:
             positions = range(stop, stop + len(wanted[i]))
@@ -397,20 +327,27 @@ def solve_zeta(eps: float, sys, K: int, N: int, bracket=None) -> float:
 
     The bracket is scanned first: a point already below tolerance is
     returned as is (zeta = 0 is probed up front, so linear systems return
-    exactly 0.0), the sign change must be unique, and Brent's method
-    then finds the root inside it, which must meet |H| <= :data:`ZETA_TOL`
-    max(1, |a|): near the simple zero the balance has slope close to a,
-    so Brent's root meets it, and a root that misses it raises
-    :class:`BifurcationSolveError`.  The scan takes :data:`SCAN_POINTS`
-    points, ends included.
+    exactly 0.0), and the sign change must be unique.  The scan takes
+    :data:`SCAN_POINTS` points, ends included; zeta = 0 and the scan
+    points are evaluated together in one batched expansion, then read in
+    the order above: a value, or an error a point raised, counts only once
+    the scan reaches that point.
 
-    zeta = 0 and the scan points are evaluated together in one batched
-    expansion, then read in the order above: a value, or an error a point
-    raised, counts only once the scan reaches that point.  After the
-    scan, the balance is evaluated once per distinct zeta, and the
-    expansions of the last two evaluations are held; a root whose
-    expansion is no longer held is evaluated again.  This is the lockstep
-    solve of :func:`solve_response` over one eps.
+    Bracketing steps then refine the sign change.  Each step evaluates,
+    in one batched expansion, the root estimated by inverse cubic
+    interpolation through the four evaluated zetas of smallest |H|, and
+    two guards at plus and minus that estimate's error: its distance from
+    the inverse quadratic root, and at least a quarter of the stopping
+    width.  The bracket midpoint is asked instead when the estimate leaves
+    the bracket, when its guards span more than half of it, or when the
+    last step did not halve it.  Near the simple zero the guards straddle
+    the root, so the bracket shrinks to the guards' spacing.  The steps
+    stop at an exact zero or at a sign-change bracket narrower than
+    :data:`BRACKET_TOL` (1 + |root|), whose end of smaller |H| is the
+    root; the root must meet |H| <= :data:`ZETA_TOL` max(1, |a|), else
+    :class:`BifurcationSolveError` is raised.  Each zeta is evaluated
+    once, and the root's expansion is that of its own evaluation.  This
+    is the lockstep solve of :func:`solve_response` over one eps.
     """
     (outcome,) = _lockstep(sys, [eps], K, N, _bracket(bracket, None))
     if isinstance(outcome, Exception):
@@ -475,26 +412,36 @@ class ResponseSolution:
         }
 
 
-def _response(sys, eps, K, N, root) -> ResponseSolution:
-    """The response at ``eps`` from its root ``(zeta, (ladder, ratios,
-    estimate, assembled series), balance)``, with its residuals; a root
-    that is an exception is raised."""
-    if isinstance(root, Exception):
-        raise root
-    zeta, (ladder, ratios, estimate, w), balance = root
-    return ResponseSolution(
-        c0=sys.c0,
-        zeta=zeta,
-        u=w,
-        epsilon=eps,
-        residual_range=range_residual(sys, eps, w, N),
-        residual_bifurcation=abs(balance),
-        K=K,
-        N=N,
-        ratios=ratios,
-        ratio_estimate=estimate,
-        ladder=ladder,
-    )
+def _responses(sys, eps_list, K, N, roots, tables) -> list:
+    """The response at each eps of ``eps_list`` from its root ``(zeta,
+    (ladder, ratios, estimate, assembled series), balance)``, with its
+    residuals; a root that is an exception stays in its place.  The range
+    residuals of all roots are formed in one batch, each bitwise what it
+    is alone, reading the propagator tables of the solve."""
+    solved = [i for i, root in enumerate(roots)
+              if not isinstance(root, Exception)]
+    out = list(roots)
+    if not solved:
+        return out
+    residuals = range_residuals(
+        sys, [eps_list[i] for i in solved],
+        DenseBlock.stack([roots[i][1][3] for i in solved]), N, tables)
+    for i, residual in zip(solved, residuals):
+        zeta, (ladder, ratios, estimate, w), balance = roots[i]
+        out[i] = ResponseSolution(
+            c0=sys.c0,
+            zeta=zeta,
+            u=w,
+            epsilon=eps_list[i],
+            residual_range=residual,
+            residual_bifurcation=abs(balance),
+            K=K,
+            N=N,
+            ratios=ratios,
+            ratio_estimate=estimate,
+            ladder=ladder,
+        )
+    return out
 
 
 def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
@@ -520,8 +467,13 @@ def solve_response(eps: float, sys, K: int, N: int, *, envelope=None,
         )
     probing = probe and eps != 0.0
     eps_list = [eps, eps * 0.5, eps * 0.25] if probing else [eps]
-    roots = _lockstep(sys, eps_list, K, N, _bracket(bracket, envelope))
-    solution = _response(sys, eps, K, N, roots[0])
+    # the propagator tables of this solve, dropped with it
+    tables: dict = {}
+    roots = _lockstep(sys, eps_list, K, N, _bracket(bracket, envelope),
+                      tables)
+    (solution,) = _responses(sys, [eps], K, N, roots[:1], tables)
+    if isinstance(solution, Exception):
+        raise solution
     if probing:
         norms = [solution.response_norm()]
         for root in roots[1:]:
@@ -546,12 +498,7 @@ def solve_responses(eps_grid, sys, K: int, N: int, *, envelope=None,
     ``eps_grid``, all solved in lockstep.  Entry i is the solution at
     ``eps_grid[i]`` or the exception that solving there alone raises; no
     eps_bar warning is issued."""
-    roots = _lockstep(sys, list(eps_grid), K, N, _bracket(bracket, envelope))
-    out = []
-    for eps, root in zip(eps_grid, roots):
-        try:
-            out.append(_response(sys, eps, K, N, root))
-        except Exception as exc:
-            # the caller raises it where the solves in turn would
-            out.append(exc)
-    return out
+    eps_list, tables = list(eps_grid), {}
+    roots = _lockstep(sys, eps_list, K, N, _bracket(bracket, envelope),
+                      tables)
+    return _responses(sys, eps_list, K, N, roots, tables)

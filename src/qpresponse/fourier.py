@@ -370,6 +370,25 @@ class DenseBlock:
         box (not a copy)."""
         return series._block
 
+    @classmethod
+    def stack(cls, series: list) -> "DenseBlock":
+        """The batch of the given series, in order, on the smallest box
+        that holds them all."""
+        blocks = [DenseBlock.of(s) for s in series]
+        real = all(b.real for b in blocks)
+        parts = [b for b in blocks if b.values.size]
+        if not parts:
+            return cls.empty(blocks[0].dimension, len(blocks), real)
+        lo = [min(axis) for axis in zip(*(b.lo for b in parts))]
+        hi = [max(axis) for axis in zip(*(b.hi for b in parts))]
+        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+        values = np.zeros((len(blocks),) + shape, dtype=complex)
+        for i, b in enumerate(blocks):
+            if b.values.size:
+                values[(i,) + tuple(slice(x - l, y - l + 1) for x, y, l
+                                    in zip(b.lo, b.hi, lo))] = b.values[0]
+        return cls(values, lo, real)
+
     @property
     def batch(self) -> int:
         return self.values.shape[0]

@@ -40,7 +40,6 @@ only for what they return.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from statistics import median
 
@@ -119,21 +118,16 @@ class OrderLadder:
         }
 
 
-# the propagator tables of each live system, by (bits of eps, N)
-_TABLES = weakref.WeakKeyDictionary()
-
-
-def _propagator_table(sys, eps: float, N: int):
+def _propagator_table(sys, eps: float, N: int, tables: dict):
     """1/D(eps, omega . nu) on the box [-N, N]^d, by components, in two
     read-only arrays that are zero at the zero mode and beyond the ball.
     Each reciprocal is taken in Python, as the scalar propagator takes it.
     The third entry maps each ball mode where |D| < 1e-300 to its
     omega . nu, in lexicographic order; the last three hold D itself by
     components, eps (a - s^2) and s = omega . nu, and the mask of the ball
-    modes 0 < |nu| <= N.  Each table is built once per (system, eps, N)
-    and kept while the system lives; eps is keyed by its bits, so that
-    -0.0 and 0.0 get tables of their own."""
-    tables = _TABLES.setdefault(sys, {})
+    modes 0 < |nu| <= N.  Each table is built once per (eps, N) in
+    ``tables``, the cache of one lockstep solve, which goes with it; eps
+    is keyed by its bits, so that -0.0 and 0.0 get tables of their own."""
     key = (float(eps).hex(), int(N))
     if key not in tables:
         tables[key] = _table(sys.omega, float(sys.a), float(eps), int(N))
@@ -176,15 +170,17 @@ class _Expansion:
     Each order is a :class:`DenseBlock` holding one series per row, and
     batch index i is position i of ``zetas`` and ``eps`` throughout;
     partial products are memoized, so each is formed once per batch, and
-    each row divides by the propagator table of its own eps.  ``eps`` is
-    one value for every row or one per zeta.  A row whose build fails (a
-    resonant source mode or a blown-up order) records in ``errors`` the
-    exception its build alone raises and stays in the batch as the zero
-    series; the others go on exactly as they would alone, since rows never
-    mix and a zero row adds no left mode to a product.
+    each row divides by the propagator table of its own eps, read from
+    ``tables`` (see :func:`_propagator_table`; a cache of its own by
+    default).  ``eps`` is one value for every row or one per zeta.  A row
+    whose build fails (a resonant source mode or a blown-up order) records
+    in ``errors`` the exception its build alone raises and stays in the
+    batch as the zero series; the others go on exactly as they would
+    alone, since rows never mix and a zero row adds no left mode to a
+    product.
     """
 
-    def __init__(self, sys, eps, zetas, N: int):
+    def __init__(self, sys, eps, zetas, N: int, tables=None):
         sys.require_certified()
         self.zetas = [float(z) for z in zetas]
         self.eps = [float(e) for e in
@@ -209,7 +205,9 @@ class _Expansion:
         keys = list(distinct)
         self._which = np.array([keys.index(e.hex()) for e in self.eps],
                                dtype=np.intp)
-        tables = [_propagator_table(sys, e, self.N) for e in distinct.values()]
+        cache = {} if tables is None else tables
+        tables = [_propagator_table(sys, e, self.N, cache)
+                  for e in distinct.values()]
         self._re = np.stack([t[0] for t in tables])
         self._im = np.stack([t[1] for t in tables])
         self._resonant = [t[2] for t in tables]
@@ -496,9 +494,24 @@ def forcing_term(sys) -> FourierSeries:
 def range_residual(sys, eps: float, w: FourierSeries, N: int) -> float:
     """Max over 0 < |nu| <= N of |D(eps, omega.nu) w_nu + eps [nl]_nu
     - eps f_nu|: the defect of the truncated range equation."""
-    *_, dr, s, ball = _propagator_table(sys, eps, N)
+    (residual,) = range_residuals(sys, [eps], DenseBlock.of(w), N)
+    return residual
+
+
+def range_residuals(sys, eps_list, w: DenseBlock, N: int,
+                    tables=None) -> list:
+    """:func:`range_residual` of each series of the block ``w`` at the eps
+    of the same position in ``eps_list``, each bitwise what it gives
+    alone: the nonlinearity of the whole block is formed at once, and each
+    row's defect reads the table of its own eps from ``tables`` (a cache
+    of its own by default)."""
+    tables = {} if tables is None else tables
+    rows = [_propagator_table(sys, e, N, tables) for e in eps_list]
+    *_, s, ball = rows[0]
+    dr = np.stack([row[3] for row in rows])
+    eps = np.array(eps_list, dtype=float).reshape((-1,) + (1,) * w.dimension)
     wv, nv, fv = (_on_box(x, N) for x in (
-        w, nonlinearity_series(sys, w, radius=N), forcing_term(sys)))
+        w, _nonlinearity(sys, w, radius=N), DenseBlock.of(forcing_term(sys))))
     with np.errstate(all="ignore"):
         # D w + eps nl - eps f by components, as Python forms it; eps * z
         # is complex(eps, 0.0) * z
@@ -506,15 +519,19 @@ def range_residual(sys, eps: float, w: FourierSeries, N: int) -> float:
             - (eps * fv.real - 0.0 * fv.imag)
         ri = (dr * wv.imag + s * wv.real) + (eps * nv.imag + 0.0 * nv.real) \
             - (eps * fv.imag + 0.0 * fv.real)
-        r = np.hypot(rr, ri)[ball]
+        r = np.hypot(rr, ri)
     # a mode outside every support adds 0 or NaN, and max skips NaN
-    return float(np.fmax.reduce(r, initial=0.0))
+    return np.fmax.reduce(r, axis=tuple(range(1, r.ndim)), where=ball,
+                          initial=0.0).tolist()
 
 
-def _on_box(series: FourierSeries, N: int) -> np.ndarray:
-    """The coefficients of ``series`` on the box [-N, N]^d."""
-    part = DenseBlock.of(series)._within(N)
+def _on_box(block: DenseBlock, N: int) -> np.ndarray:
+    """The coefficients of each series of ``block`` on the box
+    [-N, N]^d."""
+    part = block._within(N)
     if part is None:
-        return np.zeros((2 * N + 1,) * series.dimension, dtype=complex)
+        return np.zeros((block.batch,) + (2 * N + 1,) * block.dimension,
+                        dtype=complex)
     lo, v = part
-    return np.pad(v[0], [(l + N, N + 1 - l - n) for l, n in zip(lo, v.shape[1:])])
+    return np.pad(v, [(0, 0)] + [(l + N, N + 1 - l - n)
+                                 for l, n in zip(lo, v.shape[1:])])

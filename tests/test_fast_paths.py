@@ -575,40 +575,77 @@ def test_evaluate_is_evaluate_many_of_one_row(d):
 
 # -- one ladder per distinct zeta ------------------------------------------
 
-def unmemoized_solve_zeta(eps, sys, K, N, bracket=None):
-    """The zeta solve without a memo: scan, then brentq, with H called
-    afresh at every point."""
-    from scipy.optimize import brentq
+def inverse_root(points, j):
+    """Neville's inverse interpolation at H = 0 through ``points[0..j]``,
+    a list of (zeta, H): the recursion p(i, j) = (h_j p(i, j - 1) - h_i
+    p(i + 1, j)) / (h_j - h_i), or None where two balances coincide."""
+    if j == 0:
+        return points[0][0]
+    (_, h_i), (_, h_j) = points[0], points[j]
+    if h_i == h_j:
+        return None
+    left, right = inverse_root(points, j - 1), inverse_root(points[1:], j - 1)
+    if left is None or right is None:
+        return None
+    return (h_j * left - h_i * right) / (h_j - h_i)
 
+
+def unmemoized_solve_zeta(eps, sys, K, N, bracket=None):
+    """The zeta solve without a memo: the scan, then the bracketing steps
+    of ``solve_zeta`` one zeta at a time, with H called afresh at every
+    point."""
     tol = bifurcation.ZETA_TOL * max(1.0, abs(sys.a))
     lo, hi = (-0.25, 0.25) if bracket is None else bracket
+    seen = {}
 
     def h(z):
-        return H(z, eps, sys, K, N)
+        seen[z] = H(z, eps, sys, K, N)
+        return seen[z]
 
     if lo <= 0.0 <= hi and abs(h(0.0)) <= tol:
         return 0.0
     xs = list(np.linspace(lo, hi, bifurcation.SCAN_POINTS))
     vals = []
     for x in xs:
-        v = h(x)
+        v = h(float(x))
         if abs(v) <= tol:
             return float(x)
         vals.append(v)
     (i,) = [i for i in range(len(xs) - 1) if vals[i] * vals[i + 1] < 0.0]
-    root = brentq(h, xs[i], xs[i + 1], xtol=1e-15, rtol=1e-15, maxiter=200)
-    value = h(root)
-    if abs(value) > tol:
+    a, b = float(xs[i]), float(xs[i + 1])
+    halved = True
+    while True:
+        root = b if abs(seen[b]) < abs(seen[a]) else a
+        width = b - a
+        if width < 1e-15 * (1.0 + abs(root)):
+            break
+        points = sorted(seen.items(), key=lambda item: abs(item[1]))[:4]
+        cubic, quadratic = inverse_root(points, 3), inverse_root(points, 2)
+        asked = [a + width / 2]
+        if halved and cubic is not None:
+            e = max(abs(cubic - quadratic), 1e-15 * (1.0 + abs(cubic)) / 4)
+            if a < cubic < b and 4 * e <= width:
+                asked = [z for z in (cubic - e, cubic, cubic + e) if a < z < b]
+        for z in asked:
+            h(z)
+        for z in asked:
+            if seen[z] == 0.0:
+                return z
+        inside = sorted({a, b, *asked})
+        a, b = [(l, r) for l, r in zip(inside, inside[1:])
+                if (seen[l] < 0.0) != (seen[r] < 0.0)][0]
+        halved = b - a <= width / 2
+    if abs(seen[root]) > tol:
         raise BifurcationSolveError(
-            f"balance residual {abs(value):.3e} stayed above tolerance "
+            f"balance residual {abs(seen[root]):.3e} stayed above tolerance "
             f"{tol:.3e}")
-    return float(root)
+    return root
 
 
-def sequential_lockstep(sys, eps_list, K, N, bracket):
+def sequential_lockstep(sys, eps_list, K, N, bracket, tables=None):
     """``bifurcation._lockstep`` as solves one eps at a time: each root
     from :func:`unmemoized_solve_zeta`, its expansion and balance built
-    afresh as a batch of one."""
+    afresh as a batch of one, on tables of their own."""
     out = []
     for eps in eps_list:
         try:
@@ -651,10 +688,9 @@ def test_memoized_solve_builds_each_zeta_once(case, monkeypatch):
     roots = [(e, solve_zeta(e, sys, K, N)) for e in probed]
     built, _ = spy_builds(monkeypatch)
     fast = solve_response(eps, sys, K, N, **kwargs)
-    # each (eps, zeta) is built once, except a root whose expansion was
-    # no longer held, built again
-    repeats = [b for b in built if built.count(b) > 1]
-    assert set(repeats) <= set(roots)
+    # each (eps, zeta) is built once, the root's expansion included
+    assert len(set(built)) == len(built)
+    assert set(roots) <= set(built)
     fast_builds = len(built)
 
     monkeypatch.setattr(bifurcation, "_lockstep", sequential_lockstep)
@@ -665,31 +701,33 @@ def test_memoized_solve_builds_each_zeta_once(case, monkeypatch):
         [bits(s) for s in slow.ladder.orders]
 
 
-def test_a_brent_root_above_tolerance_is_a_solve_error(monkeypatch):
-    # at tol = 1e-17 the brentq root's balance (6e-17) is not small
-    # enough, and every solve refuses the root with the same error
-    sys = separable_system(2, TAYLOR)
+def test_a_root_above_tolerance_is_a_solve_error(monkeypatch):
+    # at tol = 1e-17 the root's balance at eps = 0.2 (2.8e-17, rounding
+    # in a balance whose terms reach 0.1) is not small enough, and every
+    # solve refuses the root with the same error
+    forcing = cosine(2, 0, 2.0).add(cosine(2, 1, 2.0))
+    sys = recentre(SeparableSystem(OMEGAS[2], forcing, TAYLOR), 0.0)
     assert sys.a == 1.0
     monkeypatch.setattr(bifurcation, "ZETA_TOL", 1e-17)
     with pytest.raises(BifurcationSolveError) as alone:
-        solve_zeta(0.05, sys, 8, 6)
+        solve_zeta(0.2, sys, 10, 8)
     message = str(alone.value)
     assert message.startswith("balance residual ")
     assert message.endswith(" stayed above tolerance 1.000e-17")
     with pytest.raises(BifurcationSolveError) as probed:
-        solve_response(0.05, sys, 8, 6)
+        solve_response(0.2, sys, 10, 8)
     assert str(probed.value) == message
-    eps_list = [0.05, 0.025, 0.0125]
-    fast = bifurcation._lockstep(sys, eps_list, 8, 6,
+    eps_list = [0.2, 0.1, 0.05]
+    fast = bifurcation._lockstep(sys, eps_list, 10, 8,
                                  bifurcation.DEFAULT_BRACKET)
-    slow = sequential_lockstep(sys, eps_list, 8, 6,
+    slow = sequential_lockstep(sys, eps_list, 10, 8,
                                bifurcation.DEFAULT_BRACKET)
     for got in (fast[0], slow[0]):
         assert isinstance(got, BifurcationSolveError)
         assert str(got) == message
     # eps/2 and eps/4 meet the tolerance
     assert [o[0] for o in fast[1:]] == [o[0] for o in slow[1:]]
-    (swept,) = solve_responses([0.05], sys, 8, 6)
+    (swept,) = solve_responses([0.2], sys, 10, 8)
     assert isinstance(swept, BifurcationSolveError)
     assert str(swept) == message
 

@@ -205,16 +205,17 @@ def test_a_sweep_in_parts_writes_the_rows_of_one_lockstep(monkeypatch):
 
 def test_a_hard_failure_in_the_first_part_is_the_error_raised(monkeypatch):
     config = sweep_part_config()
-    response = bifurcation._response
+    responses = bifurcation._responses
     solved = []
 
-    def failing(sys_, eps, *args):
-        solved.append(eps)
-        if eps in (SWEEP_GRID[2], SWEEP_GRID[12]):
-            raise ValueError(f"fails at {eps!r}")
-        return response(sys_, eps, *args)
+    def failing(sys_, eps_list, *args):
+        solved.extend(eps_list)
+        return [ValueError(f"fails at {eps!r}")
+                if eps in (SWEEP_GRID[2], SWEEP_GRID[12]) else response
+                for eps, response in zip(eps_list,
+                                         responses(sys_, eps_list, *args))]
 
-    monkeypatch.setattr(bifurcation, "_response", failing)
+    monkeypatch.setattr(bifurcation, "_responses", failing)
     for part in (cli.SWEEP_PART, len(SWEEP_GRID)):
         monkeypatch.setattr(cli, "SWEEP_PART", part)
         solved.clear()
@@ -284,9 +285,22 @@ def test_a_probed_solve_forms_each_balance_in_its_evaluations(monkeypatch):
         abs(bifurcation_balance(system, solution.u)).hex()
 
 
-def test_each_propagator_table_is_built_once_per_system(monkeypatch):
-    # the solves and the residuals of 12 eps read 12 tables; more eps than
-    # a small shared cache holds must not make the residuals build them
+def test_range_residuals_of_a_sweep_are_each_alone():
+    # the residuals of a lockstep are formed in one batch, each bitwise
+    # what the root's series gives alone
+    system = golden_system()
+    grid = [0.002 * k for k in range(1, 9)]
+    for solution, eps in zip(solve_responses(grid, system, 6, 4), grid):
+        assert solution.residual_range.hex() == \
+            ladder.range_residual(system, eps, solution.u, 4).hex()
+    solution = solve_response(0.01, system, 6, 4, probe=True)
+    assert solution.residual_range.hex() == \
+        ladder.range_residual(system, 0.01, solution.u, 4).hex()
+
+
+def test_each_propagator_table_is_built_once_per_solve(monkeypatch):
+    # the solves and the residuals of 12 eps read 12 tables, each built
+    # once; the tables go with the solve, so solving again builds them
     # again
     built = []
     table = ladder._table
@@ -302,13 +316,18 @@ def test_each_propagator_table_is_built_once_per_system(monkeypatch):
     assert all(isinstance(s, ResponseSolution) for s in solutions)
     assert len(built) == len(grid)
     assert sorted(eps for _, _, eps, _ in built) == grid
+    again = solve_responses(grid, system, 6, 4)
+    assert len(built) == 2 * len(grid)
+    assert [json.dumps(s.to_json_dict()) for s in again] == \
+        [json.dumps(s.to_json_dict()) for s in solutions]
     # -0.0 and 0.0 have tables of their own, bitwise apart
-    zero, minus_zero = (ladder._propagator_table(system, e, 4)
+    tables = {}
+    zero, minus_zero = (ladder._propagator_table(system, e, 4, tables)
                         for e in (0.0, -0.0))
-    assert len(built) == len(grid) + 2
+    assert len(built) == 2 * len(grid) + 2 and len(tables) == 2
     assert zero[3].tobytes() != minus_zero[3].tobytes()
-    # the tables go with their system
+    # nothing keeps the system alive
     alive = weakref.ref(system)
-    del system, solutions
+    del system, solutions, again
     gc.collect()
     assert alive() is None

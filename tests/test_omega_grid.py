@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from qpresponse.diophantine import min_small_divisor
-from qpresponse.fourier import FourierSeries, _omega_grid
-from qpresponse.ladder import _table, propagator_denominator, range_residual
+from qpresponse.fourier import DenseBlock, FourierSeries, _omega_grid
+from qpresponse.ladder import (_table, propagator_denominator, range_residual,
+                               range_residuals)
 
 from test_batched_scan import eps_near_bar, near_resonant_system, scalar_range_residual
 from test_fast_paths import TAYLOR, bits, general_system, random_series, separable_system
@@ -191,6 +192,26 @@ def test_range_residual_on_complex_and_far_series(name):
               FourierSeries(d)):
         assert range_residual(sys, eps, w, N).hex() == \
             scalar_range_residual(sys, eps, w, N).hex()
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_CASES))
+def test_range_residuals_of_a_stack_are_each_alone(name):
+    # one batch of series on different boxes, at different eps, each row
+    # bitwise its residual alone
+    make, eps, N = RESIDUAL_CASES[name]
+    sys = make()
+    rng = np.random.default_rng([len(name), 6])
+    d = sys.dimension
+    unit = (1,) + (0,) * (d - 1)
+    ws = [random_series(rng, d, 12, N + 2, real=False),
+          random_series(rng, d, 8, N, real=True),
+          FourierSeries(d),
+          FourierSeries(d, {unit: 1e200j, (0,) * (d - 1) + (1,): 1e160j}),
+          FourierSeries(d, {unit: 0.5j})]
+    eps_list = [eps, 0.5 * eps, eps, 0.25 * eps, -0.0]
+    got = range_residuals(sys, eps_list, DenseBlock.stack(ws), N)
+    assert [r.hex() for r in got] == \
+        [range_residual(sys, e, w, N).hex() for e, w in zip(eps_list, ws)]
 
 
 # -- the time derivative --------------------------------------------------------

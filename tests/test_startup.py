@@ -2,7 +2,7 @@
 ``qpresponse.cli`` and the root search that each system build runs.
 
 No command but ``verify`` loads scipy: the zeta balance is solved by the
-package's own Brent's method, and ``verify`` loads only scipy's compiled
+package's own bracketing steps, and ``verify`` loads only scipy's compiled
 LSODA module, ``scipy.integrate._odepack``, for the ``odeint`` call inside
 ``validation.integrate``, not the ``scipy.integrate`` package.  No
 command loads jsonschema: ``load_config`` checks a config with its own
