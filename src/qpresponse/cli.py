@@ -344,8 +344,7 @@ def build_system(config: dict):
     if config["theorem"] == 1:
         forcing = FourierSeries.from_json_dict(config["f"], real_valued=True)
         g_spec = config["g"]
-        coeffs = {int(p): float(c) for p, c in g_spec["coeffs"]}
-        raw = SeparableSystem(omega, forcing, coeffs,
+        raw = SeparableSystem(omega, forcing, g_spec["coeffs"],
                               center=float(g_spec.get("c_ref", 0.0)))
     else:
         h_spec = config["h"]

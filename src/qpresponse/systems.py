@@ -1,24 +1,32 @@
 """Problem instances, hypothesis certification at a simple zero, and
 analyticity-envelope majorants.
 
-Every system is one coefficient grid for h in eps x'' + x' + eps h = 0.
-A separable system (autonomous nonlinearity g plus additive
-quasi-periodic forcing f) is the grid of h = g - f; a general system
-gives its angle-dependent grid directly.
+Every system is one :class:`System`: the coefficient grid of h in
+eps x'' + x' + eps h = 0, tagged with the paper's theorem that covers it.
+Two constructor functions fill the grid and run one shared entry check.
+:func:`SeparableSystem` takes an autonomous nonlinearity g and an
+additive quasi-periodic forcing f and fills the grid of h = g - f
+(theorem 1); :func:`GeneralSystem` takes an angle-dependent grid as it is
+(theorem 2).
 
 Nonlinearities are supplied as finite Taylor data so re-expansions are
-exact binomial shifts rather than quadrature.
+exact binomial shifts rather than quadrature.  The polynomial arithmetic
+is numpy's ``poly1d``, ``polyval`` and ``polyder``.  numpy's docs prefer
+``numpy.polynomial`` for new code, but that subpackage loads 9 modules
+that nothing else in the program needs, on every CLI start, and for the
+evaluations, derivatives and Taylor shifts formed here both give the same
+bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .diophantine import min_small_divisor
 from .errors import ConfigError, HypothesisError, SymmetryError
@@ -37,24 +45,22 @@ class Root(NamedTuple):
     simple: bool
 
 
-def _poly_from_taylor(coeffs: dict) -> Polynomial:
-    """Build a polynomial from {power: coefficient}."""
-    if not coeffs:
-        return Polynomial([0.0])
-    top = max(coeffs)
+def _poly_from_taylor(coeffs: dict) -> np.poly1d:
+    """Build a polynomial (highest power first) from {power: coefficient}."""
+    top = max(coeffs, default=0)
     dense = [0.0] * (top + 1)
     for p, c in coeffs.items():
         if p < 0:
             raise ValueError("negative Taylor power")
-        dense[int(p)] = float(c)
-    return Polynomial(dense)
+        dense[top - int(p)] = float(c)
+    return np.poly1d(dense)
 
 
 def shift_taylor(coeffs: dict, old_center: float, new_center: float) -> dict:
     """Re-expand sum_p c_p (x - old)^p about ``new_center`` (exact binomials)."""
     poly = _poly_from_taylor(coeffs)
-    shifted = poly(Polynomial([new_center - old_center, 1.0]))
-    return {p: float(c) for p, c in enumerate(shifted.coef)}
+    shifted = poly(np.poly1d([1.0, new_center - old_center]))
+    return {p: float(c) for p, c in enumerate(shifted.coeffs[::-1])}
 
 
 def find_c0(g_coeffs: dict, f0: float, search_interval, *,
@@ -70,9 +76,8 @@ def find_c0(g_coeffs: dict, f0: float, search_interval, *,
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not lo < hi:
         raise ValueError("search interval must satisfy lo < hi")
-    poly = _poly_from_taylor(g_coeffs)
-    resid = poly - Polynomial([float(f0)])
-    dresid = resid.deriv()
+    resid = _poly_from_taylor(g_coeffs) - float(f0)
+    dresid = np.polyder(resid)
 
     def r(x):
         return float(resid(x - center))
@@ -166,18 +171,21 @@ class System:
     averaged constant a[0, 0] is gone and ``a = a[0, 1] != 0``.  The
     solver reads a system only through its grid; the ladder and the
     balance read it through :attr:`layers`, built once per system.
-    ``theorem`` tags which of the paper's theorems covers the system; only
-    the statements that differ between them read it.
+    ``theorem`` tags which of the paper's theorems covers the system (1
+    for h = g - f, 2 for a general grid); only the statements that differ
+    between them read it.  ``f0`` is the average of theorem 1's forcing f,
+    which its envelope counts, and 0.0 for theorem 2.
     """
 
-    theorem: int
-
-    def __init__(self, omega, grid: dict, *, center: float, c0: float | None):
+    def __init__(self, omega, grid: dict, *, theorem: int, center: float,
+                 c0: float | None, f0: float = 0.0):
         self.omega = tuple(float(w) for w in omega)
         self.dimension = len(self.omega)
         self.grid = grid
+        self.theorem = theorem
         self.center = float(center)
         self.c0 = None if c0 is None else float(c0)
+        self.f0 = float(f0)
 
     @property
     def certified(self) -> bool:
@@ -239,82 +247,56 @@ class System:
             raise HypothesisError("linear coefficient a = a[0, 1] vanishes")
 
 
-class SeparableSystem(System):
-    """Autonomous nonlinearity g plus additive quasi-periodic forcing f:
-    the grid {(0, p): g_p} together with {(nu, 0): -f_nu}, that is
-    h(x, psi) = g(x) - f(psi).
+def _grid(d: int, entries) -> dict:
+    """The entry check both constructors run: the grid of the
+    ((nu, p), c) ``entries``, with each mode of length ``d`` and each
+    power an integer p >= 0.  Repeated entries are summed in input order
+    and exact zeros dropped."""
+    grid: dict[tuple[MultiIndex, int], complex] = {}
+    for (nu, p), c in entries:
+        mode = tuple(int(x) for x in nu)
+        if len(mode) != d:
+            raise ValueError(f"grid mode {nu!r} has wrong length")
+        if p < 0 or p != int(p):
+            raise ValueError(f"Taylor power {p!r} is not an integer >= 0")
+        key, c = (mode, int(p)), complex(c)
+        grid[key] = grid[key] + c if key in grid else c
+    return {key: c for key, c in grid.items() if c != 0j}
 
-    ``g_taylor`` holds Taylor coefficients of g about ``center``; once
-    :func:`recentre` has certified a simple zero, ``center == c0``, the
-    constant term equals the forcing average, and ``a = g'(c0) != 0``.
+
+def SeparableSystem(omega, forcing: FourierSeries, g_taylor, *,
+                    center: float = 0.0, c0: float | None = None) -> System:
+    """The theorem-1 system h(x, psi) = g(x) - f(psi): the grid
+    {(0, p): g_p} together with {(nu, 0): -f_nu}.
+
+    ``g_taylor`` holds the Taylor coefficients of g about ``center``, as
+    {power: coefficient} or as (power, coefficient) pairs.  The forcing is
+    checked as a real-valued series: conjugate symmetric to 1e-14
+    relative.  Once :func:`recentre` has certified a simple zero,
+    ``center == c0`` and ``a = g'(c0) != 0``.
     """
-
-    theorem = 1
-
-    def __init__(self, omega, forcing: FourierSeries, g_taylor, *,
-                 center: float = 0.0, c0: float | None = None):
-        if forcing.dimension != len(omega):
-            raise ValueError("forcing dimension does not match omega")
-        if not forcing.real_valued:
-            forcing = FourierSeries(
-                forcing.dimension, dict(forcing.items_sorted()), real_valued=True
-            )
-        self.forcing = forcing
-        self.g_taylor = {int(p): float(c) for p, c in dict(g_taylor).items()}
-        grid = {(nu, 0): -c for nu, c in forcing.items_sorted()}
-        zero = (0,) * forcing.dimension
-        for p, c in self.g_taylor.items():
-            grid[(zero, p)] = grid.get((zero, p), 0j) + c
-        super().__init__(omega, {k: c for k, c in grid.items() if c != 0j},
-                         center=center, c0=c0)
-
-    @property
-    def f0(self) -> float:
-        return self.forcing.zero_mode().real
-
-    def _recentred(self, grid, c0):
-        # the forcing does not depend on x; g(c0) = f0 once certified
-        zero = (0,) * self.dimension
-        g = {0: self.f0}
-        g.update((p, c.real) for (nu, p), c in grid.items() if nu == zero)
-        return SeparableSystem(self.omega, self.forcing, g, center=c0, c0=c0)
+    forcing = FourierSeries(forcing.dimension, forcing.items_sorted(),
+                            real_valued=True)
+    zero = (0,) * len(omega)
+    pairs = g_taylor.items() if isinstance(g_taylor, Mapping) else g_taylor
+    entries = [((nu, 0), -c) for nu, c in forcing.items_sorted()]
+    entries += [((zero, p), float(c)) for p, c in pairs]
+    return System(omega, _grid(len(omega), entries), theorem=1,
+                  center=center, c0=c0, f0=forcing.zero_mode().real)
 
 
-class GeneralSystem(System):
-    """Angle-dependent nonlinearity given by its coefficient grid
-    a[nu, p] about ``center``, validated here: modes of the right length,
-    powers p >= 0, exact zeros dropped, and conjugate symmetry enforced to
-    1e-14 so the nonlinearity is real-valued.
-    """
-
-    theorem = 2
-
-    def __init__(self, omega, grid, *, center: float = 0.0, c0: float | None = None):
-        d = len(omega)
-        table: dict[tuple[MultiIndex, int], complex] = {}
-        for (nu, p), c in dict(grid).items():
-            mode = tuple(int(x) for x in nu)
-            if len(mode) != d:
-                raise ValueError(f"grid mode {nu!r} has wrong length")
-            if p < 0:
-                raise ValueError("negative Taylor power in grid")
-            c = complex(c)
-            if c != 0j:
-                table[(mode, int(p))] = c
-        super().__init__(omega, table, center=center, c0=c0)
-        self._check_reality()
-
-    def _check_reality(self):
-        for (nu, p), c in self.grid.items():
-            neg = tuple(-x for x in nu)
-            mirror = self.grid.get((neg, p), 0j)
-            if abs(mirror - c.conjugate()) > _GRID_REALITY_TOL:
-                raise SymmetryError(
-                    f"grid entry ({nu}, {p}) breaks conjugate symmetry"
-                )
-
-    def _recentred(self, grid, c0):
-        return GeneralSystem(self.omega, grid, center=c0, c0=c0)
+def GeneralSystem(omega, grid, *, center: float = 0.0,
+                  c0: float | None = None) -> System:
+    """The theorem-2 system with the angle-dependent coefficient grid
+    {(nu, p): a[nu, p]} about ``center``, conjugate symmetric to 1e-14 so
+    that h is real-valued."""
+    table = _grid(len(omega), dict(grid).items())
+    for (nu, p), c in table.items():
+        mirror = table.get((tuple(-x for x in nu), p), 0j)
+        if abs(mirror - c.conjugate()) > _GRID_REALITY_TOL:
+            raise SymmetryError(
+                f"grid entry ({nu}, {p}) breaks conjugate symmetry")
+    return System(omega, table, theorem=2, center=center, c0=c0)
 
 
 def recentre(system, c0: float):
@@ -352,7 +334,8 @@ def recentre(system, c0: float):
         )
     if abs(new_grid.get((zero, 1), 0j)) <= SIMPLE_ZERO_TOL:
         raise HypothesisError("zero is not simple: the averaged slope vanishes")
-    return system._recentred(new_grid, c0)
+    return System(system.omega, new_grid, theorem=system.theorem,
+                  center=c0, c0=c0, f0=system.f0)
 
 
 def certify_envelope(system, xi: float, rho: float) -> AnalyticityEnvelope:
@@ -360,9 +343,10 @@ def certify_envelope(system, xi: float, rho: float) -> AnalyticityEnvelope:
     construction: |f_nu| <= Phi e^{-xi |nu|} and
     |a_{nu,p}| <= Gamma rho^{-p} e^{-xi |nu|}.
 
-    Theorem 1 majorises the forcing, its average included, by Phi and
-    only the powers p >= 1 of g by Gamma; theorem 2 majorises every layer
-    of the grid by Gamma and the forcing layer also by Phi."""
+    Phi is the weighted norm of the range forcing with ``f0`` at its zero
+    mode: theorem 1 majorises the forcing, its average included, by Phi,
+    and theorem 2 (f0 = 0) the forcing layer.  Theorem 1 majorises only
+    the powers p >= 1 of g by Gamma, theorem 2 every layer of the grid."""
     system.require_certified()
     weighted: dict[int, float] = {}
     for (nu, p), c in system.grid.items():
@@ -375,9 +359,9 @@ def certify_envelope(system, xi: float, rho: float) -> AnalyticityEnvelope:
         weighted[p] = weighted.get(p, 0.0) + abs(c) * weight
     if system.theorem == 1:
         weighted.pop(0, None)
-        phi = system.forcing.weighted_norm(xi)
-    else:
-        phi = system.forcing_series.weighted_norm(xi)
+    average = FourierSeries(system.dimension,
+                            {(0,) * system.dimension: system.f0})
+    phi = system.range_forcing.add(average).weighted_norm(xi)
     gamma = max((w * rho**p for p, w in weighted.items()), default=0.0)
     return AnalyticityEnvelope(xi=xi, rho=rho, Phi=phi, Gamma=gamma)
 

@@ -37,6 +37,7 @@ _NO_STEP_CAP = np.iinfo(np.int32).max
 # (tol = 1e-10, t <= 3); a decade tighter it stays within 4.2e-10
 _LSODA_TOL_FACTOR = 0.1
 _ODEPACK = "scipy.integrate._odepack"
+_lsoda = None  # that module, once _odepack has it
 # scipy's texts for LSODA's return codes -1, -2, ..., -8
 _LSODA_FAILURES = (
     "Excess work done on this call (perhaps wrong Dfun type).",
@@ -195,9 +196,13 @@ def _rhs_factory(sys, eps: float):
 
 def _odepack():
     """scipy's compiled LSODA module, loaded alone from its file once per
-    process: ``import scipy.integrate`` would load 585 modules and 48 MB."""
-    module = _sys.modules.get(_ODEPACK)
-    if module is None:
+    process: ``import scipy.integrate`` would load 585 modules and 48 MB.
+    A copy that scipy has loaded is reused.  The module is kept here, not
+    in ``sys.modules``, so a later ``import scipy.integrate`` loads and
+    binds a copy of its own."""
+    global _lsoda
+    _lsoda = _lsoda or _sys.modules.get(_ODEPACK)
+    if _lsoda is None:
         scipy = importlib.util.find_spec("scipy")
         if scipy is None:
             raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
@@ -209,8 +214,8 @@ def _odepack():
         module = importlib.util.module_from_spec(
             importlib.util.spec_from_loader(_ODEPACK, loader))
         loader.exec_module(module)
-        _sys.modules[_ODEPACK] = module
-    return module
+        _lsoda = module
+    return _lsoda
 
 
 def integrate(sys, eps: float, x0, v0, T: float, tol: float = 1e-10, *,

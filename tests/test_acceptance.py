@@ -103,7 +103,7 @@ def test_02_linear_exactness_and_trajectory():
     for eps in (0.2, 0.05, 0.01):
         sol = solve_response(eps, sys_, 4, 8, probe=False)
         assert sol.zeta == 0.0
-        for nu, c in sys_.forcing.items_sorted():
+        for nu, c in sys_.range_forcing.items_sorted():
             s = nu[0] * GOLDEN[0] + nu[1] * GOLDEN[1]
             exact = eps * c / propagator_denominator(eps, s, 1.0)
             worst_coeff = max(worst_coeff, abs(sol.u.coeff(nu) - exact))

@@ -69,9 +69,9 @@ PHI = (1 + math.sqrt(5)) / 2
 
 
 def powers(sys):
-    if isinstance(sys, GeneralSystem):
+    if sys.theorem == 2:
         return sys.nonlinear_powers()
-    return sorted(p for p, c in sys.g_taylor.items() if p >= 2 and c)
+    return sorted(p for p, c in sys.averaged_taylor().items() if p >= 2 and c)
 
 
 def real_part(value, what):
@@ -85,7 +85,7 @@ def reference_balance(sys, w):
     """The zero-mode balance with every power of ``w`` at full support."""
     zeta = real_part(w.zero_mode(), "the assembled zero mode")
     total = zero_series(sys.dimension)
-    if isinstance(sys, GeneralSystem):
+    if sys.theorem == 2:
         total = total.add(sys.forcing_series)
         if len(sys.alpha1_series) and len(w):
             total = total.add(sys.alpha1_series.convolve(w))
@@ -93,7 +93,7 @@ def reference_balance(sys, w):
             total = total.add(sys.alpha_series(p).convolve(w.power(p)))
     else:
         for p in powers(sys):
-            total = total.add(w.power(p).scaled(sys.g_taylor[p]))
+            total = total.add(w.power(p).scaled(sys.averaged_taylor()[p]))
     return sys.a * zeta + real_part(total.zero_mode(), "the zero-mode balance")
 
 

@@ -149,6 +149,29 @@ class TestSolve:
         assert sys_.center == pytest.approx(c0, abs=1e-12)
 
 
+def test_repeated_g_powers_are_summed(tmp_path, capsys):
+    # a power given twice counts with the sum of its coefficients, in
+    # config order, as repeated f.modes modes and h.grid entries do
+    outputs = []
+    for name, coeffs in (("repeated", [[1, 1.0], [3, 0.25], [3, 0.25]]),
+                         ("summed", [[1, 1.0], [3, 0.5]])):
+        config = base_config(g={"c_ref": 0.0, "coeffs": coeffs},
+                             epsilon_grid=[0.02, 0.05],
+                             options={"continuity_probe": False, "n_max": 4})
+        cfg = write_config(tmp_path, config, name=f"{name}.json")
+        runs = {}
+        for command in ("solve", "diagnose", "sweep"):
+            out = tmp_path / name / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            printed = capsys.readouterr().out.replace(str(out), "<out>")
+            files = {path.name: path.read_bytes()
+                     for path in sorted(out.iterdir())}
+            runs[command] = printed, files
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]
+    assert all(files for _, files in outputs[0].values())
+
+
 class TestDiagnose:
     def test_golden_profile(self, tmp_path):
         config = base_config(options={"n_max": 6})

@@ -201,9 +201,9 @@ class TestNonlinearityRadius:
 
 
 def _powers(sys):
-    if isinstance(sys, GeneralSystem):
+    if sys.theorem == 2:
         return sys.nonlinear_powers()
-    return sorted(p for p, c in sys.g_taylor.items() if p >= 2 and c)
+    return sorted(p for p, c in sys.averaged_taylor().items() if p >= 2 and c)
 
 
 def _divide(sys, eps, N, series, scale):
@@ -222,7 +222,7 @@ def reference_next(sys, eps, orders, N):
     """The order after ``orders`` with every product formed at full
     support by plain ``convolve``, cut back only to the ball."""
     d = sys.dimension
-    general = isinstance(sys, GeneralSystem)
+    general = sys.theorem == 2
     k = len(orders) + 1
     products = {}
 
@@ -250,7 +250,7 @@ def reference_next(sys, eps, orders, N):
         if general:
             source = source.add(sys.alpha_series(p).convolve(block))
         else:
-            source = source.add(block.scaled(sys.g_taylor[p]))
+            source = source.add(block.scaled(sys.averaged_taylor()[p]))
     return FourierSeries(d, _divide(sys, eps, N, source, -eps),
                          real_valued=True)
 
@@ -258,10 +258,10 @@ def reference_next(sys, eps, orders, N):
 def reference_ladder(sys, eps, zeta, K, N):
     """Orders 1..K of the range recursion through :func:`reference_next`."""
     d = sys.dimension
-    if isinstance(sys, GeneralSystem):
+    if sys.theorem == 2:
         table = _divide(sys, eps, N, sys.forcing_series, -eps)
     else:
-        table = _divide(sys, eps, N, sys.forcing, eps)
+        table = _divide(sys, eps, N, sys.range_forcing, eps)
     table[(0,) * d] = zeta
     orders = [FourierSeries(d, table, real_valued=True)]
     for _ in range(2, K + 1):
@@ -333,17 +333,23 @@ def reference_rhs(sys, eps):
     def freq(nu):
         return sum(x * w for x, w in zip(nu, sys.omega))
 
+    # a theorem-1 system is h = g - f: g = h_0 + f0, and f is the range
+    # forcing with the average f0 at its zero mode
+    g_taylor = {0: sys.f0, **sys.averaged_taylor()}
+    average = FourierSeries(sys.dimension, {(0,) * sys.dimension: sys.f0})
+    forcing = sys.range_forcing.add(average)
+
     def rhs(t, y):
         x, v = y
         dx = x - sys.center
-        if isinstance(sys, GeneralSystem):
+        if sys.theorem == 2:
             h = 0.0
             for (nu, p), c in sorted(sys.grid.items()):
                 h += (c * cmath.exp(1j * freq(nu) * t)).real * dx**p
             return (v, -v / eps - h)
-        g = sum(c * dx**p for p, c in sorted(sys.g_taylor.items()))
+        g = sum(c * dx**p for p, c in sorted(g_taylor.items()))
         force = sum((c * cmath.exp(1j * freq(nu) * t)).real
-                    for nu, c in sys.forcing.items_sorted())
+                    for nu, c in forcing.items_sorted())
         return (v, -v / eps - g + force)
 
     return rhs

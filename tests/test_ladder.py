@@ -81,7 +81,7 @@ class TestFirstOrder:
         eps = 0.05
         sys = separable({1: 1.0, 3: 1.0})
         u1 = first_order(sys, eps, 0.01, 10)
-        for nu, c in sys.forcing.items_sorted():
+        for nu, c in sys.range_forcing.items_sorted():
             s = nu[0] * 1.0 + nu[1] * PHI
             expected = eps * c / complex(eps * (1 - s * s), s)
             assert u1.coeff(nu) == pytest.approx(expected, abs=1e-16)

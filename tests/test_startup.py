@@ -12,6 +12,10 @@ jsonschema loaded already.
 
 ``find_c0`` scans its interval in one vectorised polynomial evaluation; it
 is compared with the per-point scan it replaced, kept below as it was.
+``systems`` forms its polynomials with numpy's ``poly1d``, which loads with
+numpy, in place of ``numpy.polynomial.Polynomial``; the references below
+keep ``Polynomial``, and ``find_c0`` and ``shift_taylor`` match them bit
+for bit.
 """
 
 import json
@@ -29,8 +33,8 @@ from qpresponse.systems import (
     ROOT_RESIDUAL_TOL,
     SIMPLE_ZERO_TOL,
     Root,
-    _poly_from_taylor,
     find_c0,
+    shift_taylor,
 )
 
 SRC = Path(qpresponse.__file__).resolve().parents[1]
@@ -75,10 +79,10 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 def test_only_verify_loads_scipy_and_only_scipy_integrate(tmp_path):
     # verify loads scipy's compiled LSODA module alone, not the
-    # scipy.integrate package, and no command loads jsonschema, not even
-    # to word an invalid config's error, which exits 1.  A later import of
-    # scipy.integrate works, and its odeint gives the states of
-    # validation.integrate bit for bit
+    # scipy.integrate package, and keeps it out of sys.modules; no command
+    # loads jsonschema, not even to word an invalid config's error, which
+    # exits 1.  A later import of scipy.integrate works, and its odeint
+    # gives the states of validation.integrate bit for bit
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({**json.loads(CUBIC.read_text()),
                                    "surprise": 1}))
@@ -104,7 +108,9 @@ def test_only_verify_loads_scipy_and_only_scipy_integrate(tmp_path):
         f"system, _ = build_system(load_config({str(CUBIC)!r}))",
         "traj = integrate(system, 0.05, [0.1, -0.08], [-0.05, 0.1], 3.0,",
         "                 samples=31)",
+        LOADED,
         "import scipy.integrate",
+        "print(hasattr(scipy.integrate, '_odepack'))",
         "tol = _LSODA_TOL_FACTOR * 1e-10",
         "states = scipy.integrate.odeint(",
         "    _rhs_factory(system, 0.05), [0.1, -0.05, -0.08, 0.1],",
@@ -113,12 +119,17 @@ def test_only_verify_loads_scipy_and_only_scipy_integrate(tmp_path):
         "print(states[:, 0::2].T.tobytes() == traj.x.tobytes()",
         "      and states[:, 1::2].T.tobytes() == traj.v.tobytes())",
     ])
-    *lines, after_invalid, same_bits = fresh_interpreter(code, cwd=tmp_path)
+    *lines, after_invalid, after_integrate, bound, same_bits = \
+        fresh_interpreter(code, cwd=tmp_path)
     assert [json.loads(line) for line in lines[0::2]] == [[], [], [], []]
     assert json.loads(after_invalid) == []
     *before_verify, after_verify = lines[1::2]
     assert [json.loads(line) for line in before_verify] == [[], [], []]
-    assert json.loads(after_verify) == ["scipy.integrate._odepack"]
+    # the LSODA module verify loaded is kept out of sys.modules, so the
+    # later import binds scipy.integrate._odepack itself
+    assert json.loads(after_verify) == []
+    assert json.loads(after_integrate) == []
+    assert bound == "True"
     assert same_bits == "True"
 
 
@@ -153,11 +164,26 @@ def test_every_command_words_a_refusal_without_jsonschema(tmp_path):
         [[1, f"{err}\n"] for err in refusals for _ in range(4)]
 
 
+def taylor_polynomial(coeffs):
+    """The ``Polynomial`` of {power: coefficient}."""
+    dense = [0.0] * (max(coeffs, default=0) + 1)
+    for p, c in coeffs.items():
+        dense[p] = float(c)
+    return Polynomial(dense)
+
+
+def shift_taylor_polynomial(coeffs, old_center, new_center):
+    """``shift_taylor`` by composition of ``Polynomial`` objects."""
+    shifted = taylor_polynomial(coeffs)(
+        Polynomial([new_center - old_center, 1.0]))
+    return {p: float(c) for p, c in enumerate(shifted.coef)}
+
+
 def find_c0_pointwise(g_coeffs, f0, search_interval, *, center=0.0,
                       grid_points=601):
     """``find_c0`` with its scan evaluated one grid point at a time."""
     lo, hi = float(search_interval[0]), float(search_interval[1])
-    poly = _poly_from_taylor(g_coeffs)
+    poly = taylor_polynomial(g_coeffs)
     resid = poly - Polynomial([float(f0)])
     dresid = resid.deriv()
 
@@ -243,7 +269,41 @@ def test_find_c0_polishes_a_steep_root_with_newton():
     # is still near 1e-9, so only the Newton steps meet the 1e-13 residual
     g = {1: 1e6, 3: 1.0}
     (root,) = find_c0(g, 0.3, (-2.0, 2.0))
-    assert abs(_poly_from_taylor(g)(root.c0) - 0.3) <= ROOT_RESIDUAL_TOL
+    assert abs(taylor_polynomial(g)(root.c0) - 0.3) <= ROOT_RESIDUAL_TOL
     assert root.slope == pytest.approx(1e6 + 3 * root.c0**2, rel=1e-15)
     assert root.simple
     assert root_bits([root]) == root_bits(find_c0_pointwise(g, 0.3, (-2.0, 2.0)))
+
+
+def random_taylor(rng, degree):
+    """Taylor data of the given degree, about a third of it exact zeros."""
+    values = rng.normal(size=degree + 1) * (rng.random(degree + 1) > 0.3)
+    return {p: float(c) for p, c in enumerate(values)}
+
+
+def bits_of(coeffs):
+    return {p: float(c).hex() for p, c in coeffs.items()}
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 6])
+def test_shift_taylor_matches_polynomial_composition(degree):
+    rng = np.random.default_rng([degree, 37])
+    for _ in range(200):
+        coeffs = random_taylor(rng, degree)
+        old, new = (float(x) for x in rng.uniform(-2.0, 2.0, size=2))
+        for centers in ((old, new), (old, old), (0.0, new)):
+            assert bits_of(shift_taylor(coeffs, *centers)) == \
+                bits_of(shift_taylor_polynomial(coeffs, *centers))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 4])
+def test_find_c0_with_zero_coefficients_matches_the_reference(degree):
+    # sparse Taylor data, a zero leading coefficient among it
+    rng = np.random.default_rng([degree, 41])
+    for _ in range(40):
+        coeffs = random_taylor(rng, degree)
+        center = float(rng.uniform(-1.0, 1.0))
+        f0 = float(rng.normal(scale=0.5))
+        args = (coeffs, f0, (-3.0, 2.5))
+        assert root_bits(find_c0(*args, center=center)) == \
+            root_bits(find_c0_pointwise(*args, center=center))

@@ -2,16 +2,18 @@
 
 A separable system eps x'' + x' + eps g(x) = eps f(omega t) is the general
 system with the grid {(0, p): g_p} together with {(nu, 0): -f_nu}.  The
-solver reads every system through the layers of its grid, so the
-separable system and the GeneralSystem built on its grid must give, bit
-for bit, the same ladders, balances, zeta, response and tree sums.  No
-module of the package may branch on the system's type, and the scaling
-that stands in for a convolution with a constant layer must be bitwise
-that convolution.
+package defines one system class, ``System``; ``SeparableSystem`` and
+``GeneralSystem`` are functions that fill its grid.  The solver reads
+every system through the layers of its grid, so the separable system and
+the GeneralSystem built on its grid must give, bit for bit, the same
+ladders, balances, zeta, response and tree sums.  No module of the
+package may branch on the system's type, and the scaling that stands in
+for a convolution with a constant layer must be bitwise that convolution.
 """
 
 import ast
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +27,15 @@ from qpresponse.bifurcation import (
 )
 from qpresponse.fourier import DenseBlock
 from qpresponse.ladder import build_ladder
-from qpresponse.systems import GeneralSystem
+from qpresponse.fourier import FourierSeries, cosine
+from qpresponse.systems import GeneralSystem, SeparableSystem, find_c0, recentre
 from qpresponse.trees import TreeValueContext, sum_trees
 
 from test_batched_scan import eps_near_bar, near_resonant_system
 from test_fast_paths import TAYLOR, bits, separable_system
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qpresponse"
-SYSTEM_TYPES = {"SeparableSystem", "GeneralSystem"}
+SYSTEM_TYPES = {"System", "SeparableSystem", "GeneralSystem"}
 
 
 # -- no branch on the system type ---------------------------------------------
@@ -65,6 +68,100 @@ def test_no_module_branches_on_the_system_type():
     assert modules
     hits = [hit for path in modules for hit in type_branches(path)]
     assert hits == []
+
+
+def test_the_package_defines_one_system_class():
+    classes = [node for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    assert [c.name for c in classes if "System" in c.name] == ["System"]
+    bases = {name for c in classes for base in c.bases
+             for name in _class_names(base)}
+    assert not bases & SYSTEM_TYPES
+
+
+# -- recentre keeps the system's statement and re-expands its grid ------------
+
+PHI = (1 + math.sqrt(5)) / 2
+
+# (c0, grid) of the two systems below, recentred at their simple zero by
+# the subclasses that recentre dispatched to before there was one class:
+# (nu, p, real part, imaginary part) in sorted order, as float.hex
+RECENTRED = {
+    "separable": ("0x1.20b596c179919p-2", [
+        ((-1, 0), 0, "-0x1.999999999999ap-3", "-0x0.0p+0"),
+        ((0, -1), 0, "-0x1.3333333333333p-3", "-0x0.0p+0"),
+        ((0, 0), 1, "0x1.34eee217eb793p+0", "0x0.0p+0"),
+        ((0, 0), 2, "0x1.45ddb22227302p-1", "0x0.0p+0"),
+        ((0, 0), 3, "0x1.0000000000000p-2", "0x0.0p+0"),
+        ((0, 1), 0, "-0x1.3333333333333p-3", "-0x0.0p+0"),
+        ((1, 0), 0, "-0x1.999999999999ap-3", "-0x0.0p+0")]),
+    "general": ("-0x1.75d54eec3a7ecp-1", [
+        ((-1, 0), 0, "-0x1.fe0a35bf506f2p-3", "0x1.5406ce7f8af4cp-4"),
+        ((-1, 0), 1, "0x1.3333333333333p-2", "-0x1.999999999999ap-4"),
+        ((-1, 1), 0, "0x1.1a454ceeb287dp-3", "0x1.1a454ceeb287dp-5"),
+        ((-1, 1), 1, "-0x1.5406ce7f8af4cp-2", "-0x1.5406ce7f8af4cp-4"),
+        ((-1, 1), 2, "0x1.999999999999ap-3", "0x1.999999999999ap-5"),
+        ((0, -2), 0, "0x0.0p+0", "0x1.d4a66e5c86425p-5"),
+        ((0, -2), 1, "0x0.0p+0", "-0x1.a767f3660bcbcp-3"),
+        ((0, -2), 2, "0x0.0p+0", "0x1.fe0a35bf506f2p-3"),
+        ((0, -2), 3, "0x0.0p+0", "-0x1.999999999999ap-4"),
+        ((0, -1), 0, "0x1.3333333333333p-3", "-0x1.47ae147ae147bp-6"),
+        ((0, 0), 1, "-0x1.27bac83290daap+0", "0x0.0p+0"),
+        ((0, 0), 2, "0x1.cbd1e7ac75046p+0", "0x0.0p+0"),
+        ((0, 0), 3, "-0x1.999999999999ap-2", "0x0.0p+0"),
+        ((0, 1), 0, "0x1.3333333333333p-3", "0x1.47ae147ae147bp-6"),
+        ((0, 2), 0, "0x0.0p+0", "-0x1.d4a66e5c86425p-5"),
+        ((0, 2), 1, "0x0.0p+0", "0x1.a767f3660bcbcp-3"),
+        ((0, 2), 2, "0x0.0p+0", "-0x1.fe0a35bf506f2p-3"),
+        ((0, 2), 3, "0x0.0p+0", "0x1.999999999999ap-4"),
+        ((1, -1), 0, "0x1.1a454ceeb287dp-3", "-0x1.1a454ceeb287dp-5"),
+        ((1, -1), 1, "-0x1.5406ce7f8af4cp-2", "0x1.5406ce7f8af4cp-4"),
+        ((1, -1), 2, "0x1.999999999999ap-3", "-0x1.999999999999ap-5"),
+        ((1, 0), 0, "-0x1.fe0a35bf506f2p-3", "-0x1.5406ce7f8af4cp-4"),
+        ((1, 0), 1, "0x1.3333333333333p-2", "0x1.999999999999ap-4")]),
+}
+
+
+def unrecentred(name):
+    """A separable system with a forcing average and a complex general
+    system, both expanded about 0.1, away from their simple zero."""
+    if name == "separable":
+        forcing = cosine(2, 0, 0.4).add(cosine(2, 1, 0.3)).add(
+            FourierSeries(2, {(0, 0): 0.2}, real_valued=True))
+        return SeparableSystem((1.0, PHI), forcing,
+                               {1: 1.0, 2: 0.5, 3: 0.25}, center=0.1)
+    grid = {
+        ((0, 0), 0): 0.05,
+        ((0, 0), 1): 1.0,
+        ((1, 0), 1): 0.3 + 0.1j,
+        ((-1, 0), 1): 0.3 - 0.1j,
+        ((0, 0), 2): 0.8,
+        ((1, -1), 2): 0.2 - 0.05j,
+        ((-1, 1), 2): 0.2 + 0.05j,
+        ((0, 0), 3): -0.4,
+        ((0, 2), 3): 0.1j,
+        ((0, -2), 3): -0.1j,
+        ((0, 1), 0): 0.15 + 0.02j,
+        ((0, -1), 0): 0.15 - 0.02j,
+    }
+    return GeneralSystem((1.0, PHI), grid, center=0.1)
+
+
+@pytest.mark.parametrize("name", sorted(RECENTRED))
+def test_recentre_keeps_the_statement_and_the_grid_bits(name):
+    raw = unrecentred(name)
+    root = next(r for r in find_c0(raw.averaged_taylor(), 0.0, (-2.0, 2.0),
+                                   center=raw.center) if r.simple)
+    sys = recentre(raw, root.c0)
+    assert (sys.theorem, sys.f0) == (raw.theorem, raw.f0)
+    assert (sys.theorem, sys.f0) == \
+        ((1, 0.2) if name == "separable" else (2, 0.0))
+    assert sys.center == sys.c0 == root.c0
+    c0, grid = RECENTRED[name]
+    assert root.c0.hex() == c0
+    assert sorted((nu, p, c.real.hex(), c.imag.hex())
+                  for (nu, p), c in sys.grid.items()) == grid
 
 
 # -- a separable system is its grid -------------------------------------------
@@ -132,7 +229,7 @@ def test_separable_system_is_its_grid(name):
 def test_separable_grid_layout():
     sep = separable_system(2, {**TAYLOR, 4: 0.3})
     zero = (0, 0)
-    for nu, c in sep.forcing.without_zero_mode().items_sorted():
+    for nu, c in sep.range_forcing.items_sorted():
         assert sep.grid[(nu, 0)] == -c
     assert {p: c for (nu, p), c in sep.grid.items() if nu == zero} == \
         {1: 1.0, 2: 1.0, 3: 0.5, 4: 0.3}

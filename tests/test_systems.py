@@ -20,13 +20,20 @@ PHI = (1 + math.sqrt(5)) / 2
 
 def nonlinear_taylor(sys):
     """The Taylor coefficients of g with powers p >= 2."""
-    return {p: c for p, c in sorted(sys.g_taylor.items())
+    return {p: c for p, c in sorted(sys.averaged_taylor().items())
             if p >= 2 and c != 0.0}
+
+
+def g_taylor(sys):
+    """The Taylor coefficients of g = h_0 + f0 about the centre."""
+    taylor = sys.averaged_taylor()
+    taylor[0] = taylor.get(0, 0.0) + sys.f0
+    return taylor
 
 
 def g_value(sys, x):
     t = x - sys.center
-    return float(sum(c * t**p for p, c in sorted(sys.g_taylor.items())))
+    return float(sum(c * t**p for p, c in sorted(g_taylor(sys).items())))
 
 
 def h_value(sys, x, psi):
@@ -105,8 +112,8 @@ class TestRecentre:
         sys = SeparableSystem((1.0,), f, {0: -1.0, 2: 1.0})
         out = recentre(sys, 1.0)
         assert out.a == pytest.approx(2.0)
-        assert out.g_taylor[2] == pytest.approx(1.0)
-        assert out.g_taylor.get(0, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert g_taylor(out)[2] == pytest.approx(1.0)
+        assert g_taylor(out)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_round_trip_evaluation(self):
         rng = np.random.default_rng(13)
@@ -178,9 +185,10 @@ class TestCertifyEnvelope:
             SeparableSystem((1.0, PHI), golden_forcing(), {1: 1.0, 3: 1.0}), 0.0
         )
         env = certify_envelope(sys, xi=0.5, rho=0.5)
-        for nu, c in sys.forcing.items_sorted():
+        forcing = [((0, 0), sys.f0)] + list(sys.range_forcing.items_sorted())
+        for nu, c in forcing:
             assert abs(c) <= env.Phi * math.exp(-env.xi * sum(map(abs, nu)))
-        for p, c in sys.g_taylor.items():
+        for p, c in g_taylor(sys).items():
             if p >= 1:
                 assert abs(c) <= env.Gamma * env.rho**-p
 
@@ -246,3 +254,102 @@ class TestGridReality:
             (1 + math.cos(0.3)) * 0.2 + 0.2**2 + 0.3 * math.sin(0.9),
             abs=1e-12,
         )
+
+
+# -- the shared entry check of both constructors -------------------------------
+
+OMEGAS = {1: (1.0,), 2: (1.0, PHI), 3: (1.0, math.sqrt(2.0), math.sqrt(3.0))}
+
+
+class TestEntryCheck:
+    @pytest.mark.parametrize("power", [-1, 1.5])
+    def test_separable_refuses_a_power_that_is_not_a_natural(self, power):
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            SeparableSystem((1.0, PHI), golden_forcing(), {power: 2.0, 1: 1.0})
+
+    @pytest.mark.parametrize("power", [-1, 1.5])
+    def test_general_refuses_a_power_that_is_not_a_natural(self, power):
+        grid = {((0, 0), 1): 1.0, ((0, 0), power): 2.0}
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            GeneralSystem((1.0, PHI), grid)
+
+    def test_both_refuse_a_mode_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="has wrong length"):
+            SeparableSystem((1.0, PHI, 2.0), golden_forcing(), {1: 1.0})
+        with pytest.raises(ValueError, match="has wrong length"):
+            GeneralSystem((1.0, PHI), {((0, 0), 1): 1.0, ((1,), 0): 0.5})
+
+    def test_repeated_powers_are_summed_in_input_order(self):
+        pairs = [(1, 1.0), (3, 0.25), (2, 0.0), (3, 0.25)]
+        sys = SeparableSystem((1.0, PHI), golden_forcing(), pairs)
+        assert sys.grid == SeparableSystem(
+            (1.0, PHI), golden_forcing(), {1: 1.0, 3: 0.5}).grid
+        assert sys.averaged_taylor() == {1: 1.0, 3: 0.5}
+
+    def test_the_forcing_average_and_g0_share_one_entry(self):
+        f = golden_forcing().add(FourierSeries(2, {(0, 0): 0.3}))
+        sys = SeparableSystem((1.0, PHI), f, {0: 0.3, 1: 1.0})
+        assert ((0, 0), 0) not in sys.grid
+        assert sys.f0 == 0.3
+        assert SeparableSystem((1.0, PHI), f, {1: 1.0}).grid[((0, 0), 0)] == -0.3
+
+    def test_exact_zeros_are_dropped(self):
+        grid = {((0, 0), 1): 1.0, ((0, 0), 2): 0.0, ((1, 0), 0): 0j,
+                ((-1, 0), 0): 0.0}
+        assert GeneralSystem((1.0, PHI), grid).grid == {((0, 0), 1): 1.0}
+
+    def test_each_input_keeps_its_own_reality_rule(self):
+        # the forcing is checked relative to its coefficient, the grid
+        # absolutely
+        big = FourierSeries(1, {(1,): 100.0, (-1,): 100.0 + 5e-13j})
+        SeparableSystem((1.0,), big, {1: 1.0})
+        with pytest.raises(SymmetryError):
+            GeneralSystem((1.0,), {((0,), 1): 1.0, ((1,), 0): 100.0,
+                                   ((-1,), 0): 100.0 + 5e-13j})
+
+    def test_a_general_system_has_no_forcing_average(self):
+        grid = {((0, 0), 0): 0.4, ((0, 0), 1): 1.0}
+        assert GeneralSystem((1.0, PHI), grid).f0 == 0.0
+
+
+def real_forcing(rng, d, average):
+    """A conjugate-symmetric forcing on a few modes of |nu| <= 3, plus a
+    real average."""
+    table = {(0,) * d: average}
+    for _ in range(4):
+        nu = tuple(int(x) for x in rng.integers(-1, 2, size=d))
+        if any(nu):
+            c = complex(*rng.normal(scale=0.3, size=2))
+            table[nu] = c
+            table[tuple(-x for x in nu)] = c.conjugate()
+    return FourierSeries(d, table, real_valued=True)
+
+
+class TestEnvelopeForcingMajorant:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("average", [0.0, 0.3])
+    def test_theorem1_phi_is_the_forcing_norm(self, d, average):
+        # the cli's path: the simple zero of h_0 = g - f0, recentred
+        forcing = real_forcing(np.random.default_rng([d, 9]), d, average)
+        raw = SeparableSystem(OMEGAS[d], forcing, {1: 1.0, 2: 0.4, 3: 0.5},
+                              center=0.1)
+        (root,) = find_c0(raw.averaged_taylor(), 0.0, (-2.0, 2.0),
+                          center=raw.center)
+        sys = recentre(raw, root.c0)
+        assert sys.f0 == average
+        for xi in (0.25, 0.5, 2.0):
+            env = certify_envelope(sys, xi=xi, rho=0.5)
+            assert env.Phi.hex() == forcing.weighted_norm(xi).hex()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_theorem2_phi_is_the_forcing_layer_norm(self, d):
+        rng = np.random.default_rng([d, 10])
+        grid = {((0,) * d, 1): 1.0, ((0,) * d, 2): 0.5}
+        for nu, c in real_forcing(rng, d, 0.0).items_sorted():
+            grid[(nu, 0)] = c
+        for nu, c in real_forcing(rng, d, 0.0).items_sorted():
+            grid[(nu, 1)] = 0.5 * c
+        sys = recentre(GeneralSystem(OMEGAS[d], grid), 0.0)
+        for xi in (0.25, 0.5, 2.0):
+            env = certify_envelope(sys, xi=xi, rho=0.5)
+            assert env.Phi.hex() == sys.forcing_series.weighted_norm(xi).hex()

@@ -4,6 +4,7 @@ import sys as interpreter
 import numpy as np
 import pytest
 
+import qpresponse.validation as validation
 from qpresponse.bifurcation import solve_response
 from qpresponse.errors import StiffnessError
 from qpresponse.fourier import FourierSeries, cosine
@@ -132,6 +133,7 @@ class TestIntegrate:
 
     def test_without_scipy_the_error_names_scipy(self, monkeypatch):
         # as `from scipy.integrate import odeint` words a missing scipy
+        monkeypatch.setattr(validation, "_lsoda", None)
         monkeypatch.delitem(interpreter.modules, "scipy.integrate._odepack",
                             raising=False)
         monkeypatch.setitem(interpreter.modules, "scipy", None)
