@@ -348,13 +348,10 @@ def build_system(config: dict):
                               center=float(g_spec.get("c_ref", 0.0)))
     else:
         h_spec = config["h"]
-        grid = {}
-        for entry in h_spec["grid"]:
-            nu, p, re = entry[0], entry[1], entry[2]
-            im = entry[3] if len(entry) > 3 else 0.0
-            key = (tuple(int(x) for x in nu), int(p))
-            grid[key] = grid.get(key, 0j) + complex(re, im)
-        raw = GeneralSystem(omega, grid, center=float(h_spec.get("c_ref", 0.0)))
+        # each entry is [nu, p, re] or [nu, p, re, im]
+        entries = [((nu, p), complex(*value)) for nu, p, *value in h_spec["grid"]]
+        raw = GeneralSystem(omega, entries,
+                            center=float(h_spec.get("c_ref", 0.0)))
     # the averaged equation h_0(c0) = 0; for theorem 1, g(c0) = f0
     roots = find_c0(raw.averaged_taylor(), 0.0, interval, center=raw.center)
     simple = [r for r in roots if r.simple]
@@ -477,16 +474,16 @@ def cmd_diagnose(config: dict, out_dir: Path) -> int:
 SWEEP_PART = 8
 
 
-def _sweep_rows(args):
-    """The rows of the sweep table at the eps of ``grid``, a contiguous
-    part of the sorted grid, solved with the solves' warnings silenced.
-    The grid is solved in lockstep parts of at most :data:`SWEEP_PART`
-    eps, in grid order, and each part's solutions become rows before the
-    next part is solved, so the working memory does not grow with the
-    grid; each row is bitwise what its eps solved alone gives.  An eps
-    whose expansion diverges or whose balance has no unique root gets a
-    row of NaN; any other failure is raised, the first in grid order."""
-    config, grid = args
+def _sweep_rows(config: dict, grid: list) -> list:
+    """The rows of the sweep table at the eps of the sorted ``grid``,
+    solved with the solves' warnings silenced; an empty grid still builds
+    and certifies the system.  The grid is solved in lockstep parts of at
+    most :data:`SWEEP_PART` eps, in grid order, and each part's solutions
+    become rows before the next part is solved, so the working memory does
+    not grow with the grid; each row is bitwise what its eps solved alone
+    gives.  An eps whose expansion diverges or whose balance has no unique
+    root gets a row of NaN; any other failure is raised, the first in grid
+    order."""
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -526,23 +523,9 @@ _SWEEP_COLUMNS = ["epsilon", "zeta", "u_norm", "ratio_estimate",
                   "residual_range", "residual_bifurcation", "converged"]
 
 
-def cmd_sweep(config: dict, out_dir: Path, parallel: int) -> int:
+def cmd_sweep(config: dict, out_dir: Path) -> int:
     grid = sorted(float(e) for e in config.get("epsilon_grid", []))
-    if not grid:
-        _prepare(config)  # no eps to solve, but the system must hold
-    # one contiguous part of the grid per worker; serial is one part
-    parts = min(max(parallel, 1), len(grid))
-    jobs = [(config, grid[i * len(grid) // parts:(i + 1) * len(grid) // parts])
-            for i in range(parts)]
-    if len(jobs) > 1:
-        # imported here: it loads multiprocessing, which nothing else needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            chunks = list(pool.map(_sweep_rows, jobs))
-    else:
-        chunks = [_sweep_rows(job) for job in jobs]
-    results = [row for chunk in chunks for row in chunk]
+    results = _sweep_rows(config, grid)
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -578,12 +561,12 @@ def cmd_verify(config: dict, out_dir: Path) -> int:
     worst = 0.0
     worst_detail = ""
     for k in range(1, TREE_ORDER + 1):
-        order = ladder.order(k)
-        scale = max([abs(c) for _, c in order.items_sorted()] or [1.0])
-        for nu in order.support():
+        order = list(ladder.order(k).items_sorted())
+        scale = max([abs(c) for _, c in order] or [1.0])
+        for nu, c in order:
             if not any(nu):
                 continue
-            gap = abs(trees.sum_trees(k, nu, ctx) - order.coeff(nu))
+            gap = abs(trees.sum_trees(k, nu, ctx) - c)
             rel = gap / max(scale, 1e-16)
             if rel > worst:
                 worst = rel
@@ -663,6 +646,15 @@ def cmd_verify(config: dict, out_dir: Path) -> int:
     return EXIT_OK if all_ok else EXIT_DIVERGED
 
 
+# each command and its help, as the parser lists them
+COMMANDS = {
+    "solve": (cmd_solve, "solve one (system, eps) and write the response"),
+    "diagnose": (cmd_diagnose, "small-divisor profile and admissibility bounds"),
+    "sweep": (cmd_sweep, "solve over an eps grid and emit a CSV"),
+    "verify": (cmd_verify, "run the independent oracles against the solver"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpresponse",
@@ -670,21 +662,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "dissipative forced systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, help_ in (
-        ("solve", "solve one (system, eps) and write the response"),
-        ("diagnose", "small-divisor profile and admissibility bounds"),
-        ("sweep", "solve over an eps grid and emit a CSV"),
-        ("verify", "run the independent oracles against the solver"),
-    ):
-        p = commands[name] = sub.add_parser(name, help=help_)
+    for name, (_, help_) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="JSON problem config")
         p.add_argument("--out", default=".", help="output directory")
-    commands["sweep"].add_argument(
-        "--parallel", type=int, default=1,
-        help="worker processes, each solving one contiguous part of the eps "
-             "grid in lockstep; 2 workers lose to the serial sweep on short "
-             "grids and win on long ones (timings in README)")
     return parser
 
 
@@ -694,13 +675,7 @@ def main(argv=None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         config = load_config(args.config)
-        if args.command == "solve":
-            return cmd_solve(config, out_dir)
-        if args.command == "diagnose":
-            return cmd_diagnose(config, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(config, out_dir, args.parallel)
-        return cmd_verify(config, out_dir)
+        return COMMANDS[args.command][0](config, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -47,12 +47,20 @@ def mode_norm(nu) -> int:
     return int(sum(abs(int(x)) for x in nu))
 
 
+def integer_mode(nu) -> MultiIndex:
+    """``nu`` as a tuple of ints; an entry that is not an integer is
+    refused."""
+    entries = tuple(nu)
+    mode = tuple(int(x) for x in entries)
+    if mode != entries:
+        raise ValueError(f"mode {nu!r} has non-integer entries")
+    return mode
+
+
 def _as_mode(nu, d) -> MultiIndex:
-    mode = tuple(int(x) for x in nu)
+    mode = integer_mode(nu)
     if len(mode) != d:
         raise DimensionMismatchError(f"mode {nu!r} has length {len(mode)}, expected {d}")
-    if any(x != y for x, y in zip(mode, nu)):
-        raise ValueError(f"mode {nu!r} has non-integer entries")
     return mode
 
 
@@ -708,7 +716,7 @@ def zero_series(dimension: int, real_valued: bool = True) -> FourierSeries:
 
 def delta(nu: Iterable[int], coefficient=1.0) -> FourierSeries:
     """Series with a single mode."""
-    mode = tuple(int(x) for x in nu)
+    mode = integer_mode(nu)
     return FourierSeries(len(mode), {mode: complex(coefficient)})
 
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from .diophantine import min_small_divisor
 from .errors import ConfigError, HypothesisError, SymmetryError
-from .fourier import DenseBlock, FourierSeries, MultiIndex, mode_norm
+from .fourier import (DenseBlock, FourierSeries, MultiIndex, integer_mode,
+                      mode_norm)
 
 ROOT_RESIDUAL_TOL = 1e-13
 SIMPLE_ZERO_TOL = 1e-9
@@ -254,7 +255,7 @@ def _grid(d: int, entries) -> dict:
     and exact zeros dropped."""
     grid: dict[tuple[MultiIndex, int], complex] = {}
     for (nu, p), c in entries:
-        mode = tuple(int(x) for x in nu)
+        mode = integer_mode(nu)
         if len(mode) != d:
             raise ValueError(f"grid mode {nu!r} has wrong length")
         if p < 0 or p != int(p):
@@ -288,9 +289,11 @@ def SeparableSystem(omega, forcing: FourierSeries, g_taylor, *,
 def GeneralSystem(omega, grid, *, center: float = 0.0,
                   c0: float | None = None) -> System:
     """The theorem-2 system with the angle-dependent coefficient grid
-    {(nu, p): a[nu, p]} about ``center``, conjugate symmetric to 1e-14 so
-    that h is real-valued."""
-    table = _grid(len(omega), dict(grid).items())
+    {(nu, p): a[nu, p]} about ``center``, given as that dict or as
+    ((nu, p), coefficient) pairs, conjugate symmetric to 1e-14 so that h
+    is real-valued."""
+    pairs = grid.items() if isinstance(grid, Mapping) else grid
+    table = _grid(len(omega), pairs)
     for (nu, p), c in table.items():
         mirror = table.get((tuple(-x for x in nu), p), 0j)
         if abs(mirror - c.conjugate()) > _GRID_REALITY_TOL:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GuardExceededError
-from .fourier import mode_norm
+from .fourier import integer_mode, mode_norm
 from .ladder import Propagator
 
 MAX_TREE_ORDER = 5
@@ -171,7 +171,7 @@ def enumerate_trees(k: int, nu, support: TreeSupport) -> list[TreeNode]:
         )
     if k < 1:
         raise ValueError("tree order must be >= 1")
-    nu = tuple(int(x) for x in nu)
+    nu = integer_mode(nu)
     return [t for t in support.enumerator.subtrees(k) if t.total == nu]
 
 

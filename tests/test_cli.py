@@ -151,25 +151,34 @@ class TestSolve:
 
 def test_repeated_g_powers_are_summed(tmp_path, capsys):
     # a power given twice counts with the sum of its coefficients, in
-    # config order, as repeated f.modes modes and h.grid entries do
-    outputs = []
-    for name, coeffs in (("repeated", [[1, 1.0], [3, 0.25], [3, 0.25]]),
-                         ("summed", [[1, 1.0], [3, 0.5]])):
-        config = base_config(g={"c_ref": 0.0, "coeffs": coeffs},
-                             epsilon_grid=[0.02, 0.05],
-                             options={"continuity_probe": False, "n_max": 4})
-        cfg = write_config(tmp_path, config, name=f"{name}.json")
-        runs = {}
-        for command in ("solve", "diagnose", "sweep"):
-            out = tmp_path / name / command
-            assert main([command, "--config", cfg, "--out", str(out)]) == 0
-            printed = capsys.readouterr().out.replace(str(out), "<out>")
-            files = {path.name: path.read_bytes()
-                     for path in sorted(out.iterdir())}
-            runs[command] = printed, files
-        outputs.append(runs)
-    assert outputs[0] == outputs[1]
-    assert all(files for _, files in outputs[0].values())
+    # config order, as repeated f.modes modes do, and so does an h.grid
+    # entry split in two
+    split = thm2_config()["h"]
+    split["grid"][1:2] = [[[1, 0], 1, 0.25], [[1, 0], 1, 0.25, 0.0]]
+    cases = {
+        "g": (base_config(g={"c_ref": 0.0,
+                             "coeffs": [[1, 1.0], [3, 0.25], [3, 0.25]]}),
+              base_config(g={"c_ref": 0.0, "coeffs": [[1, 1.0], [3, 0.5]]})),
+        "h": (thm2_config(h=split), thm2_config()),
+    }
+    for case, configs in cases.items():
+        outputs = []
+        for name, config in zip(("repeated", "summed"), configs):
+            config.update(epsilon_grid=[0.02, 0.05],
+                          options={"continuity_probe": False, "n_max": 4})
+            cfg = write_config(tmp_path, config, name=f"{case}-{name}.json")
+            runs = {}
+            for command in ("solve", "diagnose", "sweep"):
+                out = tmp_path / case / name / command
+                assert main([command, "--config", cfg,
+                             "--out", str(out)]) == 0
+                printed = capsys.readouterr().out.replace(str(out), "<out>")
+                files = {path.name: path.read_bytes()
+                         for path in sorted(out.iterdir())}
+                runs[command] = printed, files
+            outputs.append(runs)
+        assert outputs[0] == outputs[1], case
+        assert all(files for _, files in outputs[0].values())
 
 
 class TestDiagnose:
@@ -320,24 +329,12 @@ class TestSweep:
         if code == 0:
             assert rows.read_text().splitlines() == [",".join(_SWEEP_COLUMNS)]
 
-    def test_parallel_matches_serial(self, tmp_path):
-        config = base_config(epsilon_grid=[0.02, 0.05])
-        cfg = write_config(tmp_path, config)
-        assert main(["sweep", "--config", cfg,
-                     "--out", str(tmp_path / "serial")]) == 0
-        assert main(["sweep", "--config", cfg, "--parallel", "2",
-                     "--out", str(tmp_path / "par")]) == 0
-        assert (tmp_path / "serial" / "sweep.csv").read_bytes() == \
-            (tmp_path / "par" / "sweep.csv").read_bytes()
-
-    @pytest.mark.parametrize("parallel", ["1", "2"])
-    def test_sweep_prints_no_warnings(self, tmp_path, capfd, parallel):
+    def test_sweep_prints_no_warnings(self, tmp_path, capfd):
         # both eps exceed this system's constructive eps_bar; the run is a
-        # fresh interpreter, whose workers print warnings to its stderr
+        # fresh interpreter, which prints its warnings to its stderr
         cfg = write_config(tmp_path, thm2_config(epsilon_grid=[0.05, 0.1]))
         done = run_module("qpresponse", "sweep", "--config", cfg,
-                          "--parallel", parallel, "--out", str(tmp_path),
-                          capture=False)
+                          "--out", str(tmp_path), capture=False)
         assert done.returncode == 0
         assert capfd.readouterr().err == ""
 
@@ -505,6 +502,7 @@ class TestCommandFlags:
         ["diagnose", "--literal-3-1b"],
         ["solve", "--parallel", "2"],
         ["verify", "--parallel", "2"],
+        ["sweep", "--parallel", "2"],
         # the literal balance is a library switch only
         ["solve", "--literal-3-1b"],
         ["sweep", "--literal-3-1b"],

@@ -66,6 +66,10 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatchError):
             delta((1, 0)).evaluate([0.0])
 
+    def test_delta_refuses_a_mode_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match="non-integer entries"):
+            delta((1.5, 0))
+
 
 class TestConvolve:
     def test_delta_times_delta(self):

@@ -116,12 +116,11 @@ def golden_config(**overrides):
     return config
 
 
-def run_sweep(tmp_path, config, name, *args):
+def run_sweep(tmp_path, config, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(config))
     out = tmp_path / name
-    assert main(["sweep", "--config", str(path), "--out", str(out),
-                 *args]) == 0
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
     return (out / "sweep.csv").read_bytes()
 
 
@@ -155,14 +154,12 @@ def test_sweep_failures_are_nan_rows_and_warnings_stay_silent(tmp_path):
     assert kinds == {LadderDivergenceError, BifurcationSolveError}
 
 
-@pytest.mark.parametrize("parallel", [[], ["--parallel", "2"]])
-def test_sweep_matches_the_solves_one_eps_at_a_time(tmp_path, monkeypatch,
-                                                    parallel):
+def test_sweep_matches_the_solves_one_eps_at_a_time(tmp_path, monkeypatch):
     # the top of the grid diverges, so the CSV holds NaN rows too
     config = golden_config(
         g={"coeffs": [[1, 1.0], [3, 1.0]]}, truncation={"K": 14, "N": 10},
         epsilon_grid=[0.01, 0.05, 5.0, 3.0, 0.0, 0.02, 0.02])
-    fast = run_sweep(tmp_path, config, "fast", *parallel)
+    fast = run_sweep(tmp_path, config, "fast")
     monkeypatch.setattr(bifurcation, "_lockstep", sequential_lockstep)
     slow = run_sweep(tmp_path, config, "slow")
     assert b"nan" in fast and fast == slow
@@ -192,13 +189,13 @@ def test_a_sweep_in_parts_writes_the_rows_of_one_lockstep(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(bifurcation, "_Evaluation", Counted)
-    parts = cli._sweep_rows((config, SWEEP_GRID))
+    parts = cli._sweep_rows(config, SWEEP_GRID)
     assert cli.SWEEP_PART == 8
     assert max(rows) <= 8 * (bifurcation.SCAN_POINTS + 1)
     assert [r["converged"] for r in parts] == [True] * 15 + [False] * 2
     rows.clear()
     monkeypatch.setattr(cli, "SWEEP_PART", len(SWEEP_GRID))
-    whole = cli._sweep_rows((config, SWEEP_GRID))
+    whole = cli._sweep_rows(config, SWEEP_GRID)
     assert max(rows) > 8 * (bifurcation.SCAN_POINTS + 1)
     assert row_bits(parts) == row_bits(whole)
 
@@ -220,7 +217,7 @@ def test_a_hard_failure_in_the_first_part_is_the_error_raised(monkeypatch):
         monkeypatch.setattr(cli, "SWEEP_PART", part)
         solved.clear()
         with pytest.raises(ValueError, match=f"fails at {SWEEP_GRID[2]!r}"):
-            cli._sweep_rows((config, SWEEP_GRID))
+            cli._sweep_rows(config, SWEEP_GRID)
         # in parts, the grid stops at the part that failed
         assert len(solved) == min(part, len(SWEEP_GRID))
 

@@ -70,7 +70,7 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # only ``sweep --parallel`` starts workers, and imports the pool then
+    # no command starts workers, so nothing needs the pool
     (line,) = fresh_interpreter(
         "import sys, qpresponse.cli; "
         "print('concurrent.futures.process' in sys.modules)")

@@ -279,12 +279,22 @@ class TestEntryCheck:
         with pytest.raises(ValueError, match="has wrong length"):
             GeneralSystem((1.0, PHI), {((0, 0), 1): 1.0, ((1,), 0): 0.5})
 
+    def test_general_refuses_a_mode_that_is_not_an_integer(self):
+        grid = {((0, 0), 1): 1.0, ((1.5, 0), 0): 0.2, ((-1.5, 0), 0): 0.2}
+        with pytest.raises(ValueError, match="non-integer entries"):
+            GeneralSystem((1.0, 1.618), grid)
+
     def test_repeated_powers_are_summed_in_input_order(self):
         pairs = [(1, 1.0), (3, 0.25), (2, 0.0), (3, 0.25)]
         sys = SeparableSystem((1.0, PHI), golden_forcing(), pairs)
         assert sys.grid == SeparableSystem(
             (1.0, PHI), golden_forcing(), {1: 1.0, 3: 0.5}).grid
         assert sys.averaged_taylor() == {1: 1.0, 3: 0.5}
+        # a general grid given as pairs, a mode as a list among them
+        pairs = [(((0, 0), 1), 1.0), (([0, 0], 3), 0.25),
+                 (((0, 0), 2), 0.0), (((0, 0), 3), 0.25)]
+        assert GeneralSystem((1.0, PHI), pairs).grid == GeneralSystem(
+            (1.0, PHI), {((0, 0), 1): 1.0, ((0, 0), 3): 0.5}).grid
 
     def test_the_forcing_average_and_g0_share_one_entry(self):
         f = golden_forcing().add(FourierSeries(2, {(0, 0): 0.3}))

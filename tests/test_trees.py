@@ -85,6 +85,16 @@ class TestEnumeration:
         with pytest.raises(GuardExceededError):
             enumerate_trees(6, (1, 0), support)
 
+    def test_a_momentum_that_is_not_an_integer_is_refused(self):
+        sys = cubic_system()
+        support = TreeSupport.from_system(sys)
+        with pytest.raises(ValueError, match="non-integer entries"):
+            enumerate_trees(1, (1.5, 0), support)
+        with pytest.raises(ValueError, match="non-integer entries"):
+            sum_trees(1, (1.5, 0), TreeValueContext(sys, 0.05, 0.0))
+        # a momentum of the wrong length has no trees
+        assert enumerate_trees(1, (1,), support) == []
+
 
 class TestTreeValue:
     def test_single_end_node_matches_first_order(self):
