@@ -10,7 +10,9 @@ verify    cross-check the solver against its independent oracles
 Exit codes: 0 success, 1 config error, 2 divergence, failed verification
 or a usage error (argparse's), 3 hypothesis failure, 4 resonance or
 enumeration guard.
-Identical configs produce byte-identical outputs.
+Identical configs produce byte-identical outputs on one CPU class and
+BLAS kernel; the JSON files are written as ``json.dumps(payload,
+indent=2, sort_keys=True)`` writes them, plus a newline.
 """
 
 from __future__ import annotations
@@ -21,7 +23,11 @@ import json
 import math
 import sys as _sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 import qpresponse.trees as trees
 from .bifurcation import solve_response, solve_responses
@@ -42,7 +48,7 @@ from .errors import (
     StiffnessError,
     SymmetryError,
 )
-from .fourier import FourierSeries
+from .fourier import DenseBlock, FourierSeries
 from .ladder import build_ladder
 from .systems import (
     GeneralSystem,
@@ -375,8 +381,77 @@ def _fmt(value) -> str:
     return repr(value)
 
 
+# json's spelling of the floats that repr spells nan, inf and -inf
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _floats(values) -> list:
+    """Each float as json writes it: ``float.__repr__``, or NaN, Infinity
+    or -Infinity."""
+    return [_NONFINITE.get(text, text) for text in map(float.__repr__, values)]
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value whose
+    first line sits at ``indent``: dicts with str keys, lists, tuples,
+    scalars and series, each series as its ``to_json_dict``.  The pure
+    Python encoder that ``indent`` makes json use costs about a tenth of
+    a probed solve; json writes only the scalars here."""
+    inner = indent + "  "
+    if isinstance(value, FourierSeries):
+        return _series_json(value, indent)
+    if isinstance(value, dict) and value:
+        return "{\n" + ",\n".join(
+            f"{inner}{json.dumps(key)}: {_json(value[key], inner)}"
+            for key in sorted(value)) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[\n" + ",\n".join(
+            inner + _json(item, inner) for item in value) + f"\n{indent}]"
+    if isinstance(value, float):
+        return _floats([value])[0]
+    return json.dumps(value)
+
+
+def _series_json(series: FourierSeries, indent: str) -> str:
+    """:func:`_json` of ``series.to_json_dict()``, written from the
+    nonzero cells of its block in lexicographic order, as
+    ``items_sorted`` gives them, through one template per mode."""
+    block = DenseBlock.of(series)
+    inner, mode, key, item = (indent + "  " * n for n in range(1, 5))
+    template = (f'{mode}{{\n{key}"im": %s,\n{key}"nu": [\n'
+                + ",\n".join([item + "%d"] * block.dimension)
+                + f'\n{key}],\n{key}"re": %s\n{mode}}}')
+    values = block.values[0]
+    cells = np.nonzero(values)
+    coefs = values[cells]
+    rows = zip(_floats(coefs.imag.tolist()),
+               *((i + lo).tolist() for i, lo in zip(cells, block.lo)),
+               _floats(coefs.real.tolist()))
+    modes = ",\n".join([template % row for row in rows])
+    modes = f"[\n{modes}\n{inner}]" if modes else "[]"
+    return (f'{{\n{inner}"d": {block.dimension},\n'
+            f'{inner}"modes": {modes}\n{indent}}}')
+
+
+def _as_is(series: FourierSeries):
+    """A stand-in for ``series`` whose ``to_json_dict`` is the series
+    itself: an object's ``to_json_dict`` then holds its series, for
+    :func:`_json` to write from their blocks."""
+    return SimpleNamespace(to_json_dict=lambda: series)
+
+
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json(payload) + "\n")
+
+
+def _write_solution(out_dir: Path, solution):
+    """``solution.json`` and ``ladder.json``: the ``to_json_dict`` of
+    ``solution`` and of its ladder."""
+    ladder = solution.ladder
+    _write_json(out_dir / "solution.json",
+                replace(solution, u=_as_is(solution.u)).to_json_dict())
+    _write_json(out_dir / "ladder.json", replace(
+        ladder, orders=list(map(_as_is, ladder.orders))).to_json_dict())
 
 
 def _prepare(config: dict):
@@ -420,8 +495,7 @@ def _solve_once(config: dict, eps: float, probe: bool):
 def cmd_solve(config: dict, out_dir: Path) -> int:
     _, bounds, solution = _solve_once(config, float(config["epsilon"]),
                                       options_of(config)["continuity_probe"])
-    _write_json(out_dir / "solution.json", solution.to_json_dict())
-    _write_json(out_dir / "ladder.json", solution.ladder.to_json_dict())
+    _write_solution(out_dir, solution)
     print(f"c0 = {_fmt(solution.c0)}")
     print(f"zeta = {_fmt(solution.zeta)}")
     print(f"residual_range = {_fmt(solution.residual_range)}")

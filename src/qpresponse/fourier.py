@@ -626,8 +626,13 @@ def sum_of_products(pairs, radius: int | None, dimension: int) -> DenseBlock:
 def _slice_adds(out: np.ndarray, plan, a: DenseBlock, b: DenseBlock) -> int:
     """Add the products of ``a.convolve(b)`` into ``out``, which holds the
     plan's box, one slice-add per driving mode of the ``plan``; returns
-    how many there were.  The caller silences numpy's warnings."""
-    lo, _, modes, by_left = plan
+    how many there were.  The caller silences numpy's warnings.
+
+    On a box of one cell, as the balance's zero modes have, each driving
+    mode meets one cell of the sliced factor: the products are formed in
+    one multiply and added to the cell in loop order by one running sum,
+    bitwise the slice-adds."""
+    lo, hi, modes, by_left = plan
     driver, sliced = (a, b) if by_left else (b, a)
     o, d = sliced.values, len(lo)
     coefs = driver.values[(slice(None),) + tuple((modes - driver.lo).T)]
@@ -640,6 +645,15 @@ def _slice_adds(out: np.ndarray, plan, a: DenseBlock, b: DenseBlock) -> int:
     hit = (start < stop).all(axis=1)
     if not hit.all():
         shift, start, stop, coefs = shift[hit], start[hit], stop[hit], coefs[hit]
+    if lo == hi:
+        met = o[(slice(None),) + tuple((-shift).T)].T
+        coefs = coefs.reshape(len(coefs), driver.batch)
+        terms = coefs * met if by_left else met * coefs
+        # accumulate adds one row at a time; numpy's reduce might pair them
+        rows = np.concatenate((out.reshape(1, -1), np.broadcast_to(
+            terms, (len(terms), out.shape[0]))))
+        out[...] = np.add.accumulate(rows)[-1].reshape(out.shape)
+        return len(coefs)
     bounds = np.concatenate((start, stop, start - shift, stop - shift),
                             axis=1).T.tolist()
     every = repeat(slice(None))

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import median
 
 import numpy as np
 
@@ -444,7 +443,18 @@ def _ratios(norms):
     if not ratios:
         return [], 0.0
     tail = max(1, math.ceil(len(norms) / 3))
-    return ratios, float(median(ratios[-tail:]))
+    return ratios, float(_median(ratios[-tail:]))
+
+
+def _median(values):
+    """``statistics.median`` of a nonempty list of floats, bitwise: the
+    middle value after sorting, or half the sum of the two middle ones.
+    The ``statistics`` module itself costs every command its import."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[half]
+    return (ordered[half - 1] + ordered[half]) / 2
 
 
 def _nonlinearity(sys, w: DenseBlock, radius: int | None = None) -> DenseBlock:

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from qpresponse.fourier import FourierSeries, cosine, mode_norm
 from qpresponse.ladder import (
     Propagator,
+    _median,
     assemble,
     build_ladder,
     convergence_ratio,
@@ -350,3 +352,20 @@ def test_general_orders_are_conjugate_symmetric():
         for nu, c in series.items_sorted():
             neg = tuple(-x for x in nu)
             assert abs(series.coeff(neg) - c.conjugate()) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10])
+def test_median_is_statistics_median(n):
+    # bitwise, on odd and even lengths, ties, huge values and inf or NaN
+    rng = np.random.default_rng([n, 44])
+    specials = [math.inf, -math.inf, math.nan, 1.7976931348623157e308, 0.0,
+                -0.0, 5e-324]
+    for _ in range(200):
+        values = (rng.normal(size=n) * 10.0 ** rng.integers(-5, 5)).tolist()
+        for i in np.flatnonzero(rng.random(n) < 0.3):
+            values[i] = specials[rng.integers(len(specials))]
+        if rng.random() < 0.2:
+            values[-1] = values[0]
+        got, want = _median(values), statistics.median(values)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert got == want or (math.isnan(got) and math.isnan(want))

@@ -10,15 +10,20 @@ bit for bit: the same box, the same cells, signed zeros included, also
 for operands that hold inf or NaN.  Rows of finite operands are checked
 against the dict convolution of ``test_series_storage`` too, and whole
 ladder builds against the full-support recursion of ``test_fast_paths``.
+On a one-cell box ``_slice_adds`` forms its products in one multiply and
+one running sum; the slice-add loop it runs elsewhere is kept below too,
+and the two must leave the same bits in the cell.
 """
 
 from itertools import repeat
+from operator import sub
 
 import numpy as np
 import pytest
 
 from qpresponse.diophantine import estimate_epsilon_bar
-from qpresponse.fourier import DenseBlock, FourierSeries, _finish, sum_of_products
+from qpresponse.fourier import (DenseBlock, FourierSeries, _finish, _slice_adds,
+                                sum_of_products)
 from qpresponse.ladder import _Expansion, _zeroed, build_ladder
 from qpresponse.systems import certify_envelope
 
@@ -73,6 +78,29 @@ def old_convolve(a, b, radius=None):
             cells = out[to]
             cells += c * b.values[frm]
     return _finish(out, lo, real, radius)
+
+
+def slice_add_loop(out, plan, a, b):
+    """``_slice_adds`` as one slice-add per driving mode, on any box."""
+    lo, _, modes, by_left = plan
+    driver, sliced = (a, b) if by_left else (b, a)
+    o, d = sliced.values, len(lo)
+    coefs = driver.values[(slice(None),) + tuple((modes - driver.lo).T)]
+    coefs = coefs.T.reshape((len(modes), driver.batch) + (1,) * d)
+    shift = modes + list(map(sub, sliced.lo, lo))
+    start = np.maximum(shift, 0)
+    stop = np.minimum(shift + o.shape[1:], out.shape[1:])
+    hit = (start < stop).all(axis=1)
+    shift, start, stop, coefs = shift[hit], start[hit], stop[hit], coefs[hit]
+    every = repeat(slice(None))
+    dst = zip(every, *(map(slice, start[:, i].tolist(), stop[:, i].tolist())
+                       for i in range(d)))
+    src = zip(every, *(map(slice, (start - shift)[:, i].tolist(),
+                           (stop - shift)[:, i].tolist()) for i in range(d)))
+    for c, to, frm in zip(coefs, dst, src):
+        cells = out[to]
+        cells += c * o[frm] if by_left else o[frm] * c
+    return len(coefs)
 
 
 def old_sum(pairs, radius, d):
@@ -214,6 +242,35 @@ def test_inf_and_nan_operands_give_the_replaced_block(d, special, radius):
         assert_same_block(a.convolve(b, radius), want)
         # a non-finite operand keeps the loop on the left modes
         assert direction(a, b, radius) in ("left", None)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("batches", [(3, 3), (1, 4), (4, 1)])
+@pytest.mark.parametrize("special", [None, np.inf, -np.inf, np.nan])
+def test_one_cell_products_are_the_slice_adds(d, batches, special):
+    # the balance's zero modes: radius 0 cuts every product to one cell
+    rng = np.random.default_rng([d, *batches, 38])
+    seen = set()
+    for trial in range(12):
+        dense = random_block(rng, d, batches[0], 3, 0.6, special=special)
+        sparse = sparse_block(rng, d, batches[1], 2)
+        for a, b in ((dense, sparse), (sparse, dense), (dense, dense)):
+            plan = a.product_plan(b, 0)
+            if plan is None:
+                continue
+            assert plan[0] == plan[1] == [0] * d
+            seen.add(plan[3])
+            shape = (max(a.batch, b.batch),) + (1,) * d
+            # the cell may hold a value already, as a running total does
+            start = np.zeros(shape, dtype=complex) if trial % 2 else \
+                rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            got, want = start.copy(), start.copy()
+            with np.errstate(all="ignore"):
+                assert _slice_adds(got, plan, a, b) == \
+                    slice_add_loop(want, plan, a, b)
+            assert got.tobytes() == want.tobytes()
+    # finite operands drive over the shorter support, so both directions run
+    assert seen == ({False, True} if special is None else {True})
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -77,6 +77,15 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert line == "False"
 
 
+def test_cli_import_leaves_statistics_unloaded():
+    # the tail median of the ratios is the package's own; statistics
+    # would bring fractions and decimal with it
+    (line,) = fresh_interpreter(
+        "import json, sys, qpresponse.cli; print(json.dumps(sorted(m for m "
+        "in ('statistics', 'fractions', 'decimal') if m in sys.modules)))")
+    assert json.loads(line) == []
+
+
 def test_only_verify_loads_scipy_and_only_scipy_integrate(tmp_path):
     # verify loads scipy's compiled LSODA module alone, not the
     # scipy.integrate package, and keeps it out of sys.modules; no command
