@@ -356,7 +356,7 @@ class DenseBlock:
     """
 
     __slots__ = ("values", "lo", "hi", "real", "_present", "_support",
-                 "_finite")
+                 "_finite", "_key", "_range")
 
     def __init__(self, values: np.ndarray, lo, real: bool):
         values.flags.writeable = False
@@ -365,6 +365,7 @@ class DenseBlock:
         self.hi = tuple(l + n - 1 for l, n in zip(self.lo, values.shape[1:]))
         self.real = real
         self._present = self._support = self._finite = None
+        self._key = self._range = None
 
     @classmethod
     def empty(cls, dimension: int, batch: int = 1,
@@ -426,6 +427,29 @@ class DenseBlock:
         if self._finite is None:
             self._finite = bool(np.isfinite(self.values).all())
         return self._finite
+
+    def plan_key(self) -> bytes:
+        """What a product plan reads of this block, in one string: its
+        dimension, its box, whether it is finite and the cells of its
+        support, packed to bits.  Blocks with equal keys get equal plans;
+        equal boxes with different supports get different keys.  Computed
+        once."""
+        if self._key is None:
+            head = np.array([self.dimension, self.finite(), *self.lo, *self.hi])
+            cells = (self.values != 0).any(axis=0)
+            self._key = head.tobytes() + np.packbits(cells).tobytes()
+        return self._key
+
+    def part_range(self) -> tuple:
+        """The least nonzero and the largest magnitude of a real or an
+        imaginary part, over every cell and series: (inf, 0.0) when every
+        part is zero.  Read only for finite blocks; computed once."""
+        if self._range is None:
+            parts = (np.abs(self.values.real), np.abs(self.values.imag))
+            self._range = (
+                min(float(np.min(x, where=x > 0, initial=np.inf)) for x in parts),
+                max(float(np.max(x, initial=0.0)) for x in parts))
+        return self._range
 
     def series(self, b: int = 0) -> FourierSeries:
         """Series ``b`` of the batch as a :class:`FourierSeries`.  A batch
@@ -580,7 +604,16 @@ class DenseBlock:
         return sum_of_products([(self, other)], radius, self.dimension)
 
 
-def sum_of_products(pairs, radius: int | None, dimension: int) -> DenseBlock:
+# A sum of products whose operands pass these bounds is cleaned already
+# (see sum_of_products): the least nonzero parts multiply to at least
+# _FINE_GRAIN, and the largest ones, times the products per cell, stay
+# below _COARSE_BOUND
+_FINE_GRAIN = 2.0 ** -800
+_COARSE_BOUND = 2.0 ** 1000
+
+
+def sum_of_products(pairs, radius: int | None, dimension: int,
+                    plans: dict | None = None) -> DenseBlock:
     """a_1 * b_1 + a_2 * b_2 + ... for the blocks in ``pairs``, each
     product cut to ``radius``: bitwise what adding the products
     ``a_j.convolve(b_j, radius)`` one by one with :meth:`DenseBlock.add`
@@ -591,21 +624,44 @@ def sum_of_products(pairs, radius: int | None, dimension: int) -> DenseBlock:
     is cleaned as a sum is: each cell is clean(clean(T_1) + clean(T_2))
     and so on.  A cell outside a product's box would gain +0 and be
     cleaned again, which leaves a cleaned value as it is, so only that box
-    is touched.  The total's box is cut once, at the end."""
+    is touched.  The total's box is cut once, at the end.
+
+    Those cleans are skipped when they cannot change a cell, which holds
+    when every operand is finite and, for each pair, the least nonzero
+    real or imaginary parts m_a, m_b of its factors have m_a m_b >=
+    2^-800 and the largest ones M_a, M_b, times the n driving modes of
+    its loop, sum over the pairs to 2 n M_a M_b <= 2^1000.  Proof: a part
+    x != 0 with |x| >= m_a is a multiple of its ulp, so of 2^(floor(log2
+    m_a) - 52), and so every product of a part of a_j by a part of b_j is
+    an exact multiple of a power of two g >= m_a m_b 2^-106 >= 2^-906.  A
+    multiple of g below 2^53 g is a double, and a larger double is a
+    multiple of its own ulp, which is; so rounding keeps multiples of g,
+    and every part of every product, sum and running total is one, with
+    or without FMA.  A nonzero cell thus has |c| >= 2^-906, far above
+    ``DROP_THRESHOLD``; the bound keeps every partial sum below 2^1001, so
+    none overflows and none is NaN; and each sum starts at +0.0, and x +
+    y is -0.0 only when both are, so no part is -0.0.  Cleaning then
+    keeps every cell as it is, and only the radius cut is applied.
+
+    A plan and where its slices land depend only on what
+    :meth:`DenseBlock.plan_key` reads, and ``plans`` (a dict, by default
+    none) keeps them by those keys: a solve passes the cache it owns, so
+    a product met again in the same solve reuses its plan."""
     real = all(a.real and b.real for a, b in pairs)
     batch = max([1] + [max(a.batch, b.batch) for a, b in pairs])
-    terms = [(a, b, plan) for a, b in pairs
-             if (plan := a.product_plan(b, radius)) is not None]
+    terms = [(a, b, planned) for a, b in pairs
+             if (planned := _planned(a, b, radius, plans)) is not None]
     if not terms:
         return DenseBlock.empty(dimension, batch, real)
-    lo = [min(axis) for axis in zip(*(plan[0] for *_, plan in terms))]
-    hi = [max(axis) for axis in zip(*(plan[1] for *_, plan in terms))]
+    lo = [min(axis) for axis in zip(*(plan[0] for *_, (plan, _) in terms))]
+    hi = [max(axis) for axis in zip(*(plan[1] for *_, (plan, _) in terms))]
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
     total = np.zeros((batch,) + shape, dtype=complex)
     inside = None if radius is None else _norm_grid(tuple(lo), shape) <= radius
     scratch = np.empty_like(total) if len(terms) > 1 else None
+    cleaned = _cleaned(terms)
     with np.errstate(all="ignore"):
-        for k, (a, b, plan) in enumerate(terms):
+        for k, (a, b, (plan, geometry)) in enumerate(terms):
             box = tuple(slice(x - l, y - l + 1)
                         for x, y, l in zip(plan[0], plan[1], lo))
             cells = total[(slice(None),) + box]
@@ -615,38 +671,95 @@ def sum_of_products(pairs, radius: int | None, dimension: int) -> DenseBlock:
             if k:
                 out = scratch[(slice(None),) + box]
                 out.fill(0)
-            _slice_adds(out, plan, a, b)
-            _clean(out, None if inside is None else inside[box])
+            _slice_adds(out, plan, a, b, geometry)
+            if not cleaned:
+                _clean(out, None if inside is None else inside[box])
+            elif inside is not None:
+                np.copyto(out, 0, where=~inside[box])
             if k:
                 cells += out
-                _clean(cells)
+                if not cleaned:
+                    _clean(cells)
     return _cut(total, lo, real)
 
 
-def _slice_adds(out: np.ndarray, plan, a: DenseBlock, b: DenseBlock) -> int:
+def _planned(a: DenseBlock, b: DenseBlock, radius, plans):
+    """``(a.product_plan(b, radius), its geometry)``, or None when the
+    product is empty; kept in ``plans`` when that is a dict."""
+    key = None
+    if plans is not None:
+        key = (a.plan_key(), b.plan_key(), radius)
+        if key in plans:
+            return plans[key]
+    plan = a.product_plan(b, radius)
+    planned = None if plan is None else (plan, _geometry(plan, a, b))
+    if key is not None:
+        plans[key] = planned
+    return planned
+
+
+def _cleaned(terms) -> bool:
+    """Whether the products of ``terms`` and their sums are cleaned as
+    they are formed, by the bounds that :func:`sum_of_products` states."""
+    bound = 0.0
+    for a, b, (plan, _) in terms:
+        if not (a.finite() and b.finite()):
+            return False
+        (least_a, top_a), (least_b, top_b) = a.part_range(), b.part_range()
+        if not least_a * least_b >= _FINE_GRAIN:
+            return False
+        bound += 2.0 * len(plan[2]) * top_a * top_b
+    return bound <= _COARSE_BOUND
+
+
+def _geometry(plan, a: DenseBlock, b: DenseBlock):
+    """Where the products of ``plan`` land: whether some driving modes
+    were left out because their slice misses the plan's box, and one int
+    array with a column per mode kept.  Its first d rows index the
+    mode's coefficient in the driving factor; the others hold its slice
+    bounds (start and stop per axis, then their sources) or, on a box of
+    one cell, the index of the cell it meets."""
+    lo, hi, modes, by_left = plan
+    driver, sliced = (a, b) if by_left else (b, a)
+    # where the sliced factor's box lands in the plan's box for each
+    # driving mode, and the part of it that lies inside
+    shift = modes + list(map(sub, sliced.lo, lo))
+    start = np.maximum(shift, 0)
+    stop = np.minimum(shift + sliced.values.shape[1:],
+                      [h - l + 1 for l, h in zip(lo, hi)])
+    hit = (start < stop).all(axis=1)
+    missed = not hit.all()
+    if missed:
+        modes, shift, start, stop = modes[hit], shift[hit], start[hit], stop[hit]
+    parts = (-shift,) if lo == hi else (start, stop, start - shift,
+                                         stop - shift)
+    return missed, np.concatenate([modes - driver.lo, *parts], axis=1).T.copy()
+
+
+def _slice_adds(out: np.ndarray, plan, a: DenseBlock, b: DenseBlock,
+                geometry=None) -> int:
     """Add the products of ``a.convolve(b)`` into ``out``, which holds the
-    plan's box, one slice-add per driving mode of the ``plan``; returns
-    how many there were.  The caller silences numpy's warnings.
+    plan's box, one slice-add per driving mode of the ``plan`` whose
+    slice meets it; returns how many there were.  ``geometry`` is
+    :func:`_geometry` of the plan, formed here when not given.  The caller
+    silences numpy's warnings.
 
     On a box of one cell, as the balance's zero modes have, each driving
     mode meets one cell of the sliced factor: the products are formed in
     one multiply and added to the cell in loop order by one running sum,
     bitwise the slice-adds."""
     lo, hi, modes, by_left = plan
+    missed, rows = _geometry(plan, a, b) if geometry is None else geometry
     driver, sliced = (a, b) if by_left else (b, a)
     o, d = sliced.values, len(lo)
-    coefs = driver.values[(slice(None),) + tuple((modes - driver.lo).T)]
-    coefs = coefs.T.reshape((len(modes), driver.batch) + (1,) * d)
-    # where the sliced factor's box lands in ``out`` for each driving mode,
-    # and the part of it that lies inside
-    shift = modes + list(map(sub, sliced.lo, lo))
-    start = np.maximum(shift, 0)
-    stop = np.minimum(shift + o.shape[1:], out.shape[1:])
-    hit = (start < stop).all(axis=1)
-    if not hit.all():
-        shift, start, stop, coefs = shift[hit], start[hit], stop[hit], coefs[hit]
+    coefs = driver.values[(slice(None),) + tuple(rows[:d])]
+    coefs = coefs.T.reshape((rows.shape[1], driver.batch) + (1,) * d)
+    if missed:
+        # the contiguous layout that masking all the coefficients gives:
+        # numpy's multiply may round by its layout
+        coefs = coefs.copy()
     if lo == hi:
-        met = o[(slice(None),) + tuple((-shift).T)].T
+        met = o[(slice(None),) + tuple(rows[d:])].T
         coefs = coefs.reshape(len(coefs), driver.batch)
         terms = coefs * met if by_left else met * coefs
         # accumulate adds one row at a time; numpy's reduce might pair them
@@ -654,8 +767,7 @@ def _slice_adds(out: np.ndarray, plan, a: DenseBlock, b: DenseBlock) -> int:
             terms, (len(terms), out.shape[0]))))
         out[...] = np.add.accumulate(rows)[-1].reshape(out.shape)
         return len(coefs)
-    bounds = np.concatenate((start, stop, start - shift, stop - shift),
-                            axis=1).T.tolist()
+    bounds = rows[d:].tolist()
     every = repeat(slice(None))
     dst = zip(every, *(map(slice, bounds[i], bounds[d + i]) for i in range(d)))
     src = zip(every, *(map(slice, bounds[2 * d + i], bounds[3 * d + i])
@@ -681,7 +793,9 @@ def _clean(values: np.ndarray, inside=None) -> np.ndarray:
 
     |c| is libm's ``hypot``.  numpy's complex ``abs`` is faster but may
     differ from it in the last bits, so it decides only the cells it puts
-    clearly below or above the threshold; ``hypot`` decides the rest."""
+    clearly below or above the threshold; ``hypot`` decides the rest.
+    :func:`sum_of_products` skips it where a bound on the operands shows
+    that it would keep every cell as it is."""
     np.add(values, 0.0, out=values)
     mags = np.abs(values)
     keep = mags >= DROP_THRESHOLD

@@ -133,6 +133,13 @@ def _propagator_table(sys, eps: float, N: int, tables: dict):
     return tables[key]
 
 
+def _plans(tables: dict) -> dict:
+    """The product plans kept in ``tables``, the cache of one solve (see
+    :func:`~.fourier.sum_of_products`); they go with it, as its
+    propagator tables do."""
+    return tables.setdefault("plans", {})
+
+
 def _table(omega: tuple, a: float, eps: float, N: int):
     """:func:`_propagator_table` at frequency vector ``omega`` and slope
     ``a``, built afresh."""
@@ -205,6 +212,7 @@ class _Expansion:
         self._which = np.array([keys.index(e.hex()) for e in self.eps],
                                dtype=np.intp)
         cache = {} if tables is None else tables
+        self._plans = _plans(cache)
         tables = [_propagator_table(sys, e, self.N, cache)
                   for e in distinct.values()]
         self._re = np.stack([t[0] for t in tables])
@@ -293,7 +301,7 @@ class _Expansion:
             right = self._partial_product(p - 1, m - j)
             if (left.present() & right.present()).any():
                 pairs.append((left, right))
-        total = sum_of_products(pairs, radius, self.d)
+        total = sum_of_products(pairs, radius, self.d, self._plans)
         self._products[key] = total
         return total
 
@@ -321,7 +329,8 @@ class _Expansion:
             block = self._partial_product(p, k - 1)
             if block.present().any():
                 pairs.append((alpha, block))
-        u_k, failures = self._divide(sum_of_products(pairs, self.N, self.d), -1.0)
+        u_k, failures = self._divide(
+            sum_of_products(pairs, self.N, self.d, self._plans), -1.0)
         norms = u_k.norms()
         for i in np.flatnonzero(norms > _BLOWUP_NORM).tolist():
             failures.setdefault(i, LadderDivergenceError(
@@ -346,7 +355,8 @@ class _Expansion:
         scaling by 1.0 is the product with the constant series 1."""
         one = DenseBlock(np.ones((1,) * (self.d + 1), dtype=complex),
                          (0,) * self.d, True)
-        return sum_of_products([(one, u) for u in self.orders], None, self.d)
+        return sum_of_products([(one, u) for u in self.orders], None, self.d,
+                               self._plans)
 
     def ladder(self, i: int = 0) -> OrderLadder:
         """The ladder of the row at position ``i``."""
@@ -457,13 +467,15 @@ def _median(values):
     return (ordered[half - 1] + ordered[half]) / 2
 
 
-def _nonlinearity(sys, w: DenseBlock, radius: int | None = None) -> DenseBlock:
+def _nonlinearity(sys, w: DenseBlock, radius: int | None = None,
+                  plans: dict | None = None) -> DenseBlock:
     """:func:`nonlinearity_series` of each series in the block ``w``.
 
     Each power w^p is formed by repeated convolution with ``w``.  With
     ``radius``, w^p is kept out to the radius from which it can still
     reach |nu| <= radius: after a convolution with alpha_p and the
-    remaining factors of w.
+    remaining factors of w.  The products read their plans from
+    ``plans`` (see :func:`~.fourier.sum_of_products`).
     """
     layers = sys.layers
     pairs = []
@@ -476,9 +488,9 @@ def _nonlinearity(sys, w: DenseBlock, radius: int | None = None) -> DenseBlock:
             current += 1
             reach = None if radius is None else \
                 radius + layers.radius + (layers.powers[-1][0] - current) * step
-            w_pow = w_pow.convolve(w, radius=reach)
+            w_pow = sum_of_products([(w_pow, w)], reach, w.dimension, plans)
         pairs.append((alpha, w_pow))
-    return sum_of_products(pairs, radius, w.dimension)
+    return sum_of_products(pairs, radius, w.dimension, plans)
 
 
 def nonlinearity_series(sys, w: FourierSeries,
@@ -514,14 +526,15 @@ def range_residuals(sys, eps_list, w: DenseBlock, N: int,
     of the same position in ``eps_list``, each bitwise what it gives
     alone: the nonlinearity of the whole block is formed at once, and each
     row's defect reads the table of its own eps from ``tables`` (a cache
-    of its own by default)."""
+    of its own by default), where the products keep their plans too."""
     tables = {} if tables is None else tables
     rows = [_propagator_table(sys, e, N, tables) for e in eps_list]
     *_, s, ball = rows[0]
     dr = np.stack([row[3] for row in rows])
     eps = np.array(eps_list, dtype=float).reshape((-1,) + (1,) * w.dimension)
     wv, nv, fv = (_on_box(x, N) for x in (
-        w, _nonlinearity(sys, w, radius=N), DenseBlock.of(forcing_term(sys))))
+        w, _nonlinearity(sys, w, N, _plans(tables)),
+        DenseBlock.of(forcing_term(sys))))
     with np.errstate(all="ignore"):
         # D w + eps nl - eps f by components, as Python forms it; eps * z
         # is complex(eps, 0.0) * z

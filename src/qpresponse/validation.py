@@ -154,10 +154,17 @@ def _rhs_factory(sys, eps: float):
     Re(c_nu e^{i nu.omega t}) + Re(c_-nu e^{-i nu.omega t}), so the real
     part of h needs no symmetry of the grid and half the exponentials.  A
     zero-mode entry adds its real part.  The layer weights depend on t
-    alone: each call evaluates them once and shares them across all
-    (x, v) pairs.  Scalar Python arithmetic throughout: supports and
-    stacks are tiny, and LSODA calls this tens of thousands of times per
-    trajectory, hundreds of thousands on stiff runs.
+    alone: they are evaluated once per distinct step time and shared
+    across all (x, v) pairs.  LSODA's Adams steps call f twice at the same
+    t, so the weights of the last t are kept and reused when t equals it.
+    Two equal nonzero floats are the same bits; t = 0.0 is always
+    evaluated afresh, so -0.0 and 0.0, which compare equal, never share
+    weights.  A layer of power 1 adds ``weight * dx``, bitwise ``weight *
+    dx**1``: float ``**`` with exponent 1 returns its base for every
+    float, signed zeros, infinities and NaN included.  Scalar Python
+    arithmetic throughout: supports and stacks are tiny, and LSODA calls
+    this tens of thousands of times per trajectory, hundreds of thousands
+    on stiff runs.
     """
     import cmath
 
@@ -174,20 +181,26 @@ def _rhs_factory(sys, eps: float):
                    for nu, c in sorted(pairs.items())])
               for p, pairs in sorted(by_power.items())]
 
+    # the last step time and its weights
+    last_t, weights = math.nan, []
+
     def rhs(t, y):
-        weights = []
-        for p, entries in layers:
-            total = 0.0
-            for js, c in entries:
-                total += (c * cmath.exp(js * t)).real if js else c.real
-            weights.append((p, total))
+        nonlocal last_t, weights
+        if t != last_t or t == 0.0:
+            fresh = []
+            for p, entries in layers:
+                total = 0.0
+                for js, c in entries:
+                    total += (c * cmath.exp(js * t)).real if js else c.real
+                fresh.append((p, total))
+            last_t, weights = t, fresh
         state = y.tolist()
         out = []
         for x, v in zip(state[0::2], state[1::2]):
             dx = x - c0
             h = 0.0
             for p, weight in weights:
-                h += weight * dx**p
+                h += weight * (dx if p == 1 else dx**p)
             out += (v, -v / eps - h)
         return out
 
@@ -229,10 +242,11 @@ def integrate(sys, eps: float, x0, v0, T: float, tol: float = 1e-10, *,
 
     LSODA switches between Adams steps and the stiff BDF steps that the
     fast rate 1/eps calls for, and forms the Jacobian by banded finite
-    differences (band 1: the pairs do not couple).  ``x0`` and ``v0`` are
-    floats, or sequences of equal length whose pairs are integrated
-    together as one stacked state; the error control then covers every
-    pair at once.  ``t_eval`` (default: ``samples`` points spanning
+    differences (band 1: the pairs do not couple).  The right-hand side
+    (:func:`_rhs_factory`) forms its layer weights once per distinct step
+    time, shared by every pair.  ``x0`` and ``v0`` are floats, or
+    sequences of equal length whose pairs are integrated together as one
+    stacked state; the error control then covers every pair at once.  ``t_eval`` (default: ``samples`` points spanning
     [t0, t0 + T]) must be sorted and lie in [t0, t0 + T].  Refuses
     eps < 1e-3 and tol < 1e-12; the step count is not capped.  A failed
     run, or one whose states stop being finite (LSODA can report success

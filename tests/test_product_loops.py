@@ -127,14 +127,18 @@ def assert_same_block(got, want):
 def random_block(rng, d, batch, span, fill, real=False, special=None):
     """A cleaned batch on the box [-span, span]^d with about ``fill`` of
     its cells set; ``real`` makes every row conjugate-symmetric, and
-    ``special`` (inf or NaN) goes into the first cell of the last row."""
+    ``special`` (inf or NaN) goes into the first cell of the last row of
+    the cut box, which is redrawn until it holds a cell."""
     shape = (batch,) + (2 * span + 1,) * d
-    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    values[rng.random(shape) >= fill] = 0
-    if real:
-        mirror = np.conj(np.flip(values, axis=tuple(range(1, d + 1))))
-        values = 0.5 * (values + mirror)
-    block = _finish(values, (-span,) * d, real)
+    while True:
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        values[rng.random(shape) >= fill] = 0
+        if real:
+            mirror = np.conj(np.flip(values, axis=tuple(range(1, d + 1))))
+            values = 0.5 * (values + mirror)
+        block = _finish(values, (-span,) * d, real)
+        if special is None or block.values.size:
+            break
     if special is None:
         return block
     values = block.values.copy()
